@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, as_matrix, frobenius,
-                   submatrix_by_chunks)
+from .core import ChunkIndexing, ChunkSupport, as_matrix, chunking, frobenius
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -59,14 +58,35 @@ class RipQuery:
             raise ValueError(f"k and d must be positive, got k={self.k}, d={self.d}")
 
 
-def _support_extremes(Phi, chunks, idx: ChunkIndexing) -> tuple[float, float]:
-    """(lam_max, lam_min) of the Gram of the chosen chunk columns."""
-    sub = submatrix_by_chunks(Phi, chunks, idx)
+def _gram_extremes(sub: np.ndarray) -> tuple[float, float]:
+    """(lam_max, lam_min) of the Gram of sub's columns."""
     s = np.linalg.svd(sub, compute_uv=False)
     lam_max = float(s[0] ** 2)
     # a wide submatrix has a singular Gram
     lam_min = 0.0 if sub.shape[1] > sub.shape[0] else float(s[-1] ** 2)
     return lam_max, lam_min
+
+
+def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing, supports) -> float:
+    """Largest deviation from 1 of a Gram eigenvalue over supports given as
+    ascending tuples of 0-based chunks."""
+    blocks = Phi.reshape(Phi.shape[0], idx.K, idx.d)
+    delta = 0.0
+    for chunks in supports:
+        sub = blocks[:, list(chunks)].reshape(Phi.shape[0], -1)
+        lam_max, lam_min = _gram_extremes(sub)
+        delta = max(delta, lam_max - 1.0, 1.0 - lam_min)
+    return float(delta)
+
+
+def _exact_delta(Phi: np.ndarray, idx: ChunkIndexing, k: int, cap: int) -> float:
+    if k > idx.K:
+        raise DimensionError(f"k={k} exceeds K={idx.K}")
+    n_supports = math.comb(idx.K, k)
+    if n_supports > cap:
+        raise EnumerationCapError(
+            f"C({idx.K},{k}) = {n_supports} supports exceeds cap {cap}")
+    return _max_deviation(Phi, idx, itertools.combinations(range(idx.K), k))
 
 
 def block_rip_exact(Phi, q: RipQuery, cap: int = ENUMERATION_CAP) -> float:
@@ -76,22 +96,7 @@ def block_rip_exact(Phi, q: RipQuery, cap: int = ENUMERATION_CAP) -> float:
     reported as computed, not clamped.
     """
     Phi = as_matrix(Phi, "Phi")
-    if Phi.shape[1] % q.d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={q.d}")
-    K = Phi.shape[1] // q.d
-    if q.k > K:
-        raise DimensionError(f"k={q.k} exceeds K={K}")
-    n_supports = math.comb(K, q.k)
-    if n_supports > cap:
-        raise EnumerationCapError(
-            f"C({K},{q.k}) = {n_supports} supports exceeds cap {cap}")
-    idx = ChunkIndexing(K, q.d)
-    delta = 0.0
-    for chunks in itertools.combinations(range(1, K + 1), q.k):
-        lam_max, lam_min = _support_extremes(Phi, chunks, idx)
-        delta = max(delta, lam_max - 1.0, 1.0 - lam_min)
-    return float(delta)
+    return _exact_delta(Phi, chunking(Phi, q.d), q.k, cap)
 
 
 def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
@@ -102,29 +107,17 @@ def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
     value equals block_rip_exact.
     """
     Phi = as_matrix(Phi, "Phi")
-    if Phi.shape[1] % q.d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={q.d}")
+    idx = chunking(Phi, q.d)
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    K = Phi.shape[1] // q.d
-    if q.k > K:
-        raise DimensionError(f"k={q.k} exceeds K={K}")
-    idx = ChunkIndexing(K, q.d)
-    total = math.comb(K, q.k)
-    if n_samples >= total:
-        supports = itertools.combinations(range(1, K + 1), q.k)
-    else:
-        seen = set()
-        for _ in range(n_samples):
-            pick = tuple(sorted(rng.choice(K, size=q.k, replace=False) + 1))
-            seen.add(pick)
-        supports = sorted(seen)
-    delta = 0.0
-    for chunks in supports:
-        lam_max, lam_min = _support_extremes(Phi, chunks, idx)
-        delta = max(delta, lam_max - 1.0, 1.0 - lam_min)
-    return float(delta)
+    # exhaustive when n_samples covers every support; C(K, k) = 0 for k > K,
+    # which _exact_delta rejects
+    if n_samples >= math.comb(idx.K, q.k):
+        return _exact_delta(Phi, idx, q.k, n_samples)
+    seen = set()
+    for _ in range(n_samples):
+        seen.add(tuple(sorted(rng.choice(idx.K, size=q.k, replace=False))))
+    return _max_deviation(Phi, idx, sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -405,11 +398,8 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
     vacuous (rhs = inf, passes).
     """
     Phi = as_matrix(Phi, "Phi")
-    if Phi.shape[1] % q.d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={q.d}")
-    K = Phi.shape[1] // q.d
-    idx = ChunkIndexing(K, q.d)
+    idx = chunking(Phi, q.d)
+    K = idx.K
     if T1.K != K or T2.K != K:
         raise DimensionError(f"support universes must equal K={K}")
     if T1.as_set() & T2.as_set():
@@ -426,19 +416,17 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
         raise ValueError("X must be chunk-supported inside T1")
 
     k1, k2, kc = len(T1), len(T2), q.k
-    d_k1 = block_rip_exact(Phi, RipQuery(k1, q.d), cap)
-    d_k2 = d_k1 if k2 == k1 else block_rip_exact(Phi, RipQuery(k2, q.d), cap)
-    d_kc = block_rip_exact(Phi, RipQuery(kc, q.d), cap)
+    d_k1 = _exact_delta(Phi, idx, k1, cap)
+    d_k2 = d_k1 if k2 == k1 else _exact_delta(Phi, idx, k2, cap)
+    d_kc = _exact_delta(Phi, idx, kc, cap)
     checks = []
 
     hi = max(d_k1, d_k2)
     checks.append(InequalityCheck("order_monotonicity", hi, d_kc,
                                   hi <= d_kc + tol))
 
-    sub1 = submatrix_by_chunks(Phi, T1, idx)
-    s1 = np.linalg.svd(sub1, compute_uv=False)
-    lam_max = float(s1[0] ** 2)
-    lam_min = 0.0 if sub1.shape[1] > sub1.shape[0] else float(s1[-1] ** 2)
+    sub1 = Phi[:, idx.rows_of(T1)]
+    lam_max, lam_min = _gram_extremes(sub1)
     sandwich = (1.0 - d_k1 <= lam_min + tol) and (lam_max <= 1.0 + d_k1 + tol)
     checks.append(InequalityCheck("gram_eigenvalue_sandwich", lam_max,
                                   1.0 + d_k1, sandwich))
@@ -448,7 +436,7 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
     checks.append(InequalityCheck("pseudoinverse_norm", pinv_lhs, pinv_rhs,
                                   pinv_lhs <= pinv_rhs + tol))
 
-    sub2 = submatrix_by_chunks(Phi, T2, idx)
+    sub2 = Phi[:, idx.rows_of(T2)]
     cross = float(np.linalg.norm(sub1.conj().T @ sub2, 2))
     checks.append(InequalityCheck("cross_gram", cross, d_kc,
                                   cross <= d_kc + tol))

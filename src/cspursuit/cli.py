@@ -23,7 +23,7 @@ from .core import ChunkSupport, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
 from .experiments import load_config, run_mismatch, run_sweep, write_csv
 from .pursuit import (PursuitConfig, StopReason, cmsp_recover, mmv_sp_recover,
-                      msp_recover, sp_recover)
+                      msp_recover)
 from .sparsity import PriorSupportInfo
 
 
@@ -57,85 +57,64 @@ def _cmd_rip(args) -> int:
     return 0
 
 
-def _deltas_from_matrix(path, d, orders) -> dict[int, float]:
-    Phi = read_matrix(path)
-    return {k: block_rip_exact(Phi, RipQuery(k=k, d=d)) for k in sorted(set(orders))}
+# per pursuit variant: the --delta-* dests, one per isometry order; the
+# orders; the constants; the keys printed before the deltas; the bounds
+_VARIANTS = {
+    False: (("delta_sbar", "delta_s1", "delta_s2"),
+            lambda a: (a.s_bar, 2 * a.s_bar + min(0, a.t0_size - 2 * a.s_c),
+                       3 * a.s_bar + min(0, a.t0_size - 3 * a.s_c)),
+            lambda a, ds: msp_constants(*ds, a.s_bar, a.t0_size, a.s_c),
+            ("c1", "c2", "c4", "s1", "s2", "valid"),
+            msp_distortion_bound, msp_convergence_bound),
+    True: (("delta_sbar", "delta_2sbar", "delta_2sbar_sc", "delta_3sbar_sc"),
+           lambda a: (a.s_bar, 2 * a.s_bar, 2 * a.s_bar + a.s_c,
+                      3 * a.s_bar + a.s_c),
+           lambda a, ds: cmsp_constants(*ds, a.s_bar, a.s_c, a.t0_size,
+                                        overlap=a.overlap),
+           ("c5", "c6", "c7", "s3", "valid"),
+           cmsp_distortion_bound, cmsp_convergence_bound),
+}
 
 
 def _cmd_bounds(args) -> int:
-    out: list[tuple[str, object]] = []
-    if args.conservative:
-        if args.matrix is not None:
-            orders = (args.s_bar, 2 * args.s_bar, 2 * args.s_bar + args.s_c,
-                      3 * args.s_bar + args.s_c)
-            deltas = _deltas_from_matrix(args.matrix, args.d, orders)
-            d_sbar, d_2sbar = deltas[orders[0]], deltas[orders[1]]
-            d_2sbar_sc, d_3sbar_sc = deltas[orders[2]], deltas[orders[3]]
-        else:
-            need = (args.delta_sbar, args.delta_2sbar, args.delta_2sbar_sc,
-                    args.delta_3sbar_sc)
-            if any(v is None for v in need):
-                raise ConfigError(
-                    "conservative bounds need --matrix or all of --delta-sbar "
-                    "--delta-2sbar --delta-2sbar-sc --delta-3sbar-sc")
-            d_sbar, d_2sbar, d_2sbar_sc, d_3sbar_sc = need
-        constants = cmsp_constants(d_sbar, d_2sbar, d_2sbar_sc, d_3sbar_sc,
-                                   args.s_bar, args.s_c, args.t0_size,
-                                   overlap=args.overlap)
-        out += [("c5", constants.c5), ("c6", constants.c6),
-                ("c7", constants.c7), ("s3", constants.s3),
-                ("valid", constants.valid)]
-        for label, value in constants.delta.items():
-            out.append((f"delta_{label}", value))
-        if args.gamma is not None and args.eta is not None:
-            out.append(("distortion_bound",
-                        cmsp_distortion_bound(constants, args.gamma, args.eta)))
-            if args.rho is not None:
-                n_co = cmsp_convergence_bound(constants, args.gamma, args.eta,
-                                              args.rho)
-                out.append(("convergence_iterations", n_co))
-                out.append(("convergence_iterations_ceil", math.ceil(n_co)))
+    flags, orders, make_constants, keys, distortion, convergence = \
+        _VARIANTS[args.conservative]
+    if args.matrix is not None:
+        Phi = read_matrix(args.matrix)
+        found = {k: block_rip_exact(Phi, RipQuery(k=k, d=args.d))
+                 for k in sorted(set(orders(args)))}
+        deltas = [found[k] for k in orders(args)]
     else:
-        if args.matrix is not None:
-            s1 = 2 * args.s_bar + min(0, args.t0_size - 2 * args.s_c)
-            s2 = 3 * args.s_bar + min(0, args.t0_size - 3 * args.s_c)
-            deltas = _deltas_from_matrix(args.matrix, args.d,
-                                         (args.s_bar, s1, s2))
-            d_sbar, d_s1, d_s2 = deltas[args.s_bar], deltas[s1], deltas[s2]
-        else:
-            need = (args.delta_sbar, args.delta_s1, args.delta_s2)
-            if any(v is None for v in need):
-                raise ConfigError(
-                    "bounds need --matrix or all of --delta-sbar --delta-s1 "
-                    "--delta-s2")
-            d_sbar, d_s1, d_s2 = need
-        constants = msp_constants(d_sbar, d_s1, d_s2, args.s_bar,
-                                  args.t0_size, args.s_c)
-        out += [("c1", constants.c1), ("c2", constants.c2),
-                ("c4", constants.c4), ("s1", constants.s1),
-                ("s2", constants.s2), ("valid", constants.valid)]
-        for label, value in constants.delta.items():
-            out.append((f"delta_{label}", value))
-        if args.gamma is not None and args.eta is not None:
-            out.append(("distortion_bound",
-                        msp_distortion_bound(constants, args.gamma, args.eta)))
-            if args.rho is not None:
-                n_co = msp_convergence_bound(constants, args.gamma, args.eta,
-                                             args.rho)
-                out.append(("convergence_iterations", n_co))
-                out.append(("convergence_iterations_ceil", math.ceil(n_co)))
-        if args.chan_m is not None:
-            missing = [name for name, v in (("--chan-n-ue", args.chan_n_ue),
-                                            ("--chan-t", args.chan_t),
-                                            ("--chan-p-db", args.chan_p_db))
-                       if v is None]
-            if missing:
-                raise ConfigError(f"channel bound needs {' '.join(missing)}")
-            bound = channel_recovery_bound(
-                d_s2, constants.c4, args.gamma if args.gamma is not None else 0.0,
-                args.chan_m, args.chan_n_ue, args.chan_t,
-                10.0 ** (args.chan_p_db / 10.0))
-            out.append(("channel_bound", bound))
+        deltas = [getattr(args, flag) for flag in flags]
+        if any(v is None for v in deltas):
+            noun = "conservative bounds" if args.conservative else "bounds"
+            names = " ".join("--" + f.replace("_", "-") for f in flags)
+            raise ConfigError(f"{noun} need --matrix or all of {names}")
+    constants = make_constants(args, deltas)
+    out: list[tuple[str, object]] = [(key, getattr(constants, key))
+                                     for key in keys]
+    out += [(f"delta_{label}", v) for label, v in constants.delta.items()]
+    if args.gamma is not None and args.eta is not None:
+        out.append(("distortion_bound",
+                    distortion(constants, args.gamma, args.eta)))
+        if args.rho is not None:
+            n_co = convergence(constants, args.gamma, args.eta, args.rho)
+            out.append(("convergence_iterations", n_co))
+            out.append(("convergence_iterations_ceil", math.ceil(n_co)))
+    # the channel bound exists for the modified pursuit only
+    if args.chan_m is not None and not args.conservative:
+        missing = [name for name, v in (("--chan-n-ue", args.chan_n_ue),
+                                        ("--chan-t", args.chan_t),
+                                        ("--chan-p-db", args.chan_p_db))
+                   if v is None]
+        if missing:
+            raise ConfigError(f"channel bound needs {' '.join(missing)}")
+        bound = channel_recovery_bound(
+            constants.delta["s2"], constants.c4,
+            args.gamma if args.gamma is not None else 0.0,
+            args.chan_m, args.chan_n_ue, args.chan_t,
+            10.0 ** (args.chan_p_db / 10.0))
+        out.append(("channel_bound", bound))
 
     for key, value in out:
         if isinstance(value, bool):
@@ -150,11 +129,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_recover(args) -> int:
     Y = read_matrix(args.y)
     Phi = read_matrix(args.phi)
-    if args.algorithm == "sp":
-        result = sp_recover(Y, Phi, args.s_bar, args.gamma,
-                            max_iter=args.max_iter)
-    elif args.algorithm == "mmv_sp":
-        result = mmv_sp_recover(Y, Phi, args.s_bar, args.gamma, d=args.d,
+    if args.algorithm in ("sp", "mmv_sp"):
+        d = 1 if args.algorithm == "sp" else args.d  # sp is mmv_sp at d=1
+        result = mmv_sp_recover(Y, Phi, args.s_bar, args.gamma, d=d,
                                 max_iter=args.max_iter)
     else:
         K = Phi.shape[1] // args.d

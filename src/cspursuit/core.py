@@ -4,6 +4,10 @@ minimum-norm least squares, and a small binary matrix file format.
 Matrices are 2-D numpy arrays of complex128. Rows of a signal matrix are
 grouped into K chunks of d consecutive rows; chunk indices are 1-based,
 so chunk k covers rows (k-1)*d .. k*d-1 (0-based row numbers).
+
+Public functions take 1-based chunk indices and validate their arguments.
+Internal kernels (leading underscore) take 0-based chunk index arrays and
+validated matrices, and trust their caller to have checked them.
 """
 from __future__ import annotations
 
@@ -40,6 +44,11 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _rows(chunks: np.ndarray, d: int) -> np.ndarray:
+    """0-based rows (or columns) of 0-based chunks, in the given order."""
+    return (chunks[:, None] * d + np.arange(d)).ravel()
+
+
 @dataclass(frozen=True)
 class ChunkIndexing:
     """Partition of K*d rows into K chunks of height d."""
@@ -61,10 +70,18 @@ class ChunkIndexing:
         ordered = sorted(set(int(k) for k in chunks))
         if ordered and (ordered[0] < 1 or ordered[-1] > self.K):
             raise IndexError(f"chunk index out of range 1..{self.K}: {ordered}")
-        out = np.empty(len(ordered) * self.d, dtype=np.intp)
-        for i, k in enumerate(ordered):
-            out[i * self.d:(i + 1) * self.d] = np.arange((k - 1) * self.d, k * self.d)
-        return out
+        return _rows(np.array(ordered, dtype=np.intp) - 1, self.d)
+
+
+def chunking(Phi: np.ndarray, d: int) -> ChunkIndexing:
+    """Chunk indexing of a validated Phi's columns, chunk height d."""
+    K, extra = divmod(Phi.shape[1], d)
+    if extra:
+        raise DimensionError(
+            f"Phi has {Phi.shape[1]} columns, not a multiple of d={d}")
+    if K == 0:
+        raise DimensionError("Phi has no columns")
+    return ChunkIndexing(K, d)
 
 
 @dataclass(frozen=True)
@@ -126,14 +143,31 @@ class ChunkSupport:
         return ChunkSupport.of(set(range(1, self.K + 1)) - self.as_set(), self.K)
 
 
+def _zero_based(S: ChunkSupport) -> np.ndarray:
+    return np.array(S.indices, dtype=np.intp) - 1
+
+
+def _chunk_norms(X: np.ndarray, d: int) -> np.ndarray:
+    energy = (np.abs(X) ** 2).sum(axis=1)
+    return np.sqrt(energy.reshape(-1, d).sum(axis=1))
+
+
 def chunk_norms(X, idx: ChunkIndexing) -> np.ndarray:
     """Frobenius norm of each of the K chunks of X (length-K float vector)."""
     X = as_matrix(X, "X")
     if X.shape[0] != idx.total_rows:
         raise DimensionError(
             f"X has {X.shape[0]} rows, chunk indexing needs {idx.total_rows}")
-    energy = (np.abs(X) ** 2).sum(axis=1)
-    return np.sqrt(energy.reshape(idx.K, idx.d).sum(axis=1))
+    return _chunk_norms(X, idx.d)
+
+
+def _top_k(scores: np.ndarray, k: int, pool: np.ndarray) -> np.ndarray:
+    """The k highest-scoring chunks of an ascending 0-based pool, ascending.
+
+    The one home of the tie-break: the stable sort keeps equal scores in
+    pool order, so ties go to the smaller index. Needs 0 <= k <= len(pool).
+    """
+    return np.sort(pool[np.argsort(-scores[pool], kind="stable")[:k]])
 
 
 def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
@@ -150,8 +184,8 @@ def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
         raise SelectionError(f"asked for {k} chunks from {len(cand)} candidates")
     if cand and (cand[0] < 1 or cand[-1] > len(scores)):
         raise IndexError(f"candidate outside 1..{len(scores)}: {cand}")
-    picked = sorted(cand, key=lambda i: (-float(scores[i - 1]), i))[:k]
-    return tuple(sorted(picked))
+    pool = np.array(cand, dtype=np.intp) - 1
+    return tuple((_top_k(np.asarray(scores, dtype=float), k, pool) + 1).tolist())
 
 
 def submatrix_by_chunks(Phi, T: Iterable[int], idx: ChunkIndexing) -> np.ndarray:
@@ -182,6 +216,10 @@ def ls_solve_with_rank(A, B) -> tuple[np.ndarray, bool]:
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise DimensionError(f"A has {A.shape[0]} rows, B has {B.shape[0]}")
+    return _lstsq(A, B)
+
+
+def _lstsq(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
     if A.shape[1] == 0:
         return np.zeros((0, B.shape[1]), dtype=np.complex128), False
     X, _, rank, _ = np.linalg.lstsq(A, B, rcond=LS_RCOND)

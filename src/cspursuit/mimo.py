@@ -248,15 +248,17 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
             iterations = float(np.mean(iter_counts))
             stop = None
         else:
-            if algorithm == "mmv_sp" or prev_T_hat is None:
-                prior = PriorSupportInfo.empty(m)
+            if algorithm == "mmv_sp":
+                res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val,
+                                     max_iter=max_iter)
             else:
-                prior = PriorSupportInfo(prev_T_hat,
-                                         min(s_c_alg, len(prev_T_hat)))
-            cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
-                                gamma=gamma_val, d=1, max_iter=max_iter)
-            solver = cmsp_recover if algorithm == "cmsp" else msp_recover
-            res = solver(Y, Phi, cfg)
+                prior = (PriorSupportInfo.empty(m) if prev_T_hat is None else
+                         PriorSupportInfo(prev_T_hat,
+                                          min(s_c_alg, len(prev_T_hat))))
+                cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
+                                    gamma=gamma_val, d=1, max_iter=max_iter)
+                solver = cmsp_recover if algorithm == "cmsp" else msp_recover
+                res = solver(Y, Phi, cfg)
             X_hat = res.X_hat.data
             T_hat = res.T_hat
             iterations = float(res.iterations)
@@ -264,12 +266,8 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
             deficient = res.rank_deficient_ls
 
         H_hat = recover_channel(X_hat, U, V, scenario.P, t, m)
-        h_norm = frobenius(frame.H)
-        if h_norm == 0.0:
-            raise MetricError("reference channel has zero norm")
-        ratio = (frobenius(frame.H - H_hat) / h_norm) ** 2
         records.append(FrameRecord(
-            frame=i, nmse_ratio=float(ratio),
+            frame=i, nmse_ratio=nmse([(frame.H, H_hat)]),
             support_exact=(T_hat == T_true), iterations=iterations,
             stop_reason=stop, rank_deficient_ls=deficient,
             T_true=T_true, T_hat=T_hat))

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, as_matrix, frobenius,
-                   ls_solve, submatrix_by_chunks)
+from .core import (ChunkSupport, as_matrix, chunking, frobenius, ls_solve,
+                   submatrix_by_chunks)
 from .errors import DimensionError, EnumerationCapError, SelectionError
 
 __all__ = ["exhaustive_best_support", "rip_bruteforce_reference"]
@@ -36,10 +36,8 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
     Phi = as_matrix(Phi, "Phi")
     if Y.shape[0] != Phi.shape[0]:
         raise DimensionError(f"Y has {Y.shape[0]} rows, Phi has {Phi.shape[0]}")
-    if Phi.shape[1] % d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={d}")
-    K = Phi.shape[1] // d
+    idx = chunking(Phi, d)
+    K = idx.K
     if not 1 <= s <= K:
         raise SelectionError(f"s must be in 1..{K}, got {s}")
     n_supports = math.comb(K, s)
@@ -49,7 +47,6 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
     if constraint is not None:
         t0_set = constraint[0].as_set()
         need = int(constraint[1])
-    idx = ChunkIndexing(K, d)
 
     best: Optional[tuple[int, ...]] = None
     best_res = math.inf
@@ -71,9 +68,7 @@ def rip_bruteforce_reference(Phi, k: int, d: int, cap: int = 2_000_000) -> float
     time and take eigenvalue extremes."""
     Phi = as_matrix(Phi, "Phi")
     rows, total_cols = Phi.shape
-    if total_cols % d:
-        raise DimensionError(f"Phi has {total_cols} columns, not a multiple of d={d}")
-    K = total_cols // d
+    K = chunking(Phi, d).K
     if not 1 <= k <= K:
         raise DimensionError(f"k must be in 1..{K}, got {k}")
     n_supports = math.comb(K, k)

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, as_matrix, chunk_norms,
-                   frobenius, ls_solve_with_rank, submatrix_by_chunks,
-                   top_k_chunks)
+from .core import (ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq, _rows,
+                   _top_k, _zero_based, as_matrix, chunking, frobenius)
 from .errors import DimensionError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo, validate_prior
 
@@ -84,183 +82,169 @@ class RecoveryResult:
     rank_deficient_ls: bool
 
 
-def _correlation_scores(R, Phi, idx: ChunkIndexing) -> np.ndarray:
-    # chunk norms of Phi^H R
-    return chunk_norms(Phi.conj().T @ R, idx)
-
-
-def _universe(K: int) -> tuple[int, ...]:
-    return tuple(range(1, K + 1))
-
-
-def _merge_context(R, Phi, T_hat, cfg: PursuitConfig) -> tuple[np.ndarray, ChunkIndexing]:
-    R = as_matrix(R, "R")
-    Phi = as_matrix(Phi, "Phi")
-    if R.shape[0] != Phi.shape[0]:
-        raise DimensionError(f"R has {R.shape[0]} rows, Phi has {Phi.shape[0]}")
-    if Phi.shape[1] % cfg.d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={cfg.d}")
-    K = Phi.shape[1] // cfg.d
-    idx = ChunkIndexing(K, cfg.d)
-    if T_hat.K != K:
-        raise DimensionError(f"running support universe {T_hat.K} != {K}")
-    if len(cfg.prior.T0) and cfg.prior.T0.K != K:
-        raise DimensionError(f"prior universe {cfg.prior.T0.K} != {K}")
-    return _correlation_scores(R, Phi, idx), idx
-
-
-def msp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
-    """Merge step: running support, plus the s_c best-correlated prior
-    chunks, plus the s_bar - s_c best chunks outside that pick."""
-    scores, idx = _merge_context(R, Phi, T_hat, cfg)
-    s_c = cfg.prior.s_c
-    t_b = top_k_chunks(scores, s_c, cfg.prior.T0.indices)
-    rest = tuple(k for k in _universe(idx.K) if k not in set(t_b))
-    t_c = top_k_chunks(scores, cfg.s_bar - s_c, rest)
-    return ChunkSupport.of(T_hat.as_set() | set(t_b) | set(t_c), idx.K)
-
-
-def msp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
-    """Refinement: keep the s_c strongest chunks inside the prior, then the
-    s_bar - s_c strongest among everything not already kept."""
-    norms = Z.norms()
-    part1 = top_k_chunks(norms, cfg.prior.s_c, cfg.prior.T0.indices)
-    rest = tuple(k for k in _universe(Z.idx.K) if k not in set(part1))
-    part2 = top_k_chunks(norms, cfg.s_bar - cfg.prior.s_c, rest)
-    return ChunkSupport.of(set(part1) | set(part2), Z.idx.K)
-
-
-def cmsp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
-    """Conservative merge: top up the prior contribution only by the
-    shortfall s_c - |T_hat ∩ T0|, then add the s_bar best chunks overall."""
-    scores, idx = _merge_context(R, Phi, T_hat, cfg)
-    overlap = len(T_hat.as_set() & cfg.prior.T0.as_set())
-    shortfall = cfg.prior.s_c - overlap
-    if shortfall > 0:
-        pool = tuple(k for k in cfg.prior.T0 if k not in T_hat)
-        t_b = top_k_chunks(scores, shortfall, pool)
-    else:
-        t_b = ()
-    t_c = top_k_chunks(scores, cfg.s_bar, _universe(idx.K))
-    return ChunkSupport.of(T_hat.as_set() | set(t_b) | set(t_c), idx.K)
-
-
-def cmsp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
-    """Conservative refinement: the s_bar strongest chunks, prior ignored."""
-    norms = Z.norms()
-    return ChunkSupport.of(top_k_chunks(norms, cfg.s_bar, _universe(Z.idx.K)),
-                           Z.idx.K)
-
-
-def _embedded_ls(Y, Phi, T: ChunkSupport, idx: ChunkIndexing) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Least squares on the chunks of T, re-embedded into full height.
-
-    Returns (full-height solution, fitted Phi_[T] @ coefficients, rank flag).
-    """
-    sub = submatrix_by_chunks(Phi, T, idx)
-    sol, deficient = ls_solve_with_rank(sub, Y)
-    data = np.zeros((idx.total_rows, Y.shape[1]), dtype=np.complex128)
-    if len(T):
-        data[idx.rows_of(T)] = sol
-    return data, sub @ sol, deficient
-
-
-MergeFn = Callable[[np.ndarray, np.ndarray, ChunkSupport, PursuitConfig], ChunkSupport]
-RefineFn = Callable[[ChunkSparseMatrix, PursuitConfig], ChunkSupport]
-
-
-def _run_pursuit(Y, Phi, cfg: PursuitConfig, merge: MergeFn,
-                 refine: RefineFn) -> RecoveryResult:
-    Y = as_matrix(Y, "Y")
+def _problem(Y, Phi, d: int, name: str = "Y") -> tuple[np.ndarray, np.ndarray, ChunkIndexing]:
+    """Validate Y and Phi of a problem Y = Phi X once and chunk Phi."""
+    Y = as_matrix(Y, name)
     Phi = as_matrix(Phi, "Phi")
     if Y.shape[0] != Phi.shape[0]:
-        raise DimensionError(f"Y has {Y.shape[0]} rows, Phi has {Phi.shape[0]}")
-    if Phi.shape[1] % cfg.d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={cfg.d}")
-    K = Phi.shape[1] // cfg.d
+        raise DimensionError(f"{name} has {Y.shape[0]} rows, Phi has {Phi.shape[0]}")
+    return Y, Phi, chunking(Phi, d)
+
+
+def _checked_prior(cfg: PursuitConfig, K: int) -> np.ndarray:
+    """Check the budget and the prior against K chunks, so that no rule
+    below asks for more chunks than its pool holds; return T0 0-based."""
     if cfg.s_bar > K:
         raise SelectionError(f"s_bar={cfg.s_bar} exceeds K={K}")
     validate_prior(cfg.prior, cfg.s_bar)
     if len(cfg.prior.T0) and cfg.prior.T0.K != K:
         raise DimensionError(f"prior universe {cfg.prior.T0.K} != K={K}")
-    idx = ChunkIndexing(K, cfg.d)
+    return _zero_based(cfg.prior.T0)
 
-    T_prev = ChunkSupport.empty(K)
-    X_prev = np.zeros((idx.total_rows, Y.shape[1]), dtype=np.complex128)
+
+# The merge and refine rules work on 0-based chunk index arrays: scores has
+# one entry per chunk, T is the running support and T0 the prior, both
+# ascending. They return ascending arrays.
+
+def _msp_refine(scores: np.ndarray, T0: np.ndarray, cfg: PursuitConfig) -> np.ndarray:
+    # the s_c best prior chunks, then the s_bar - s_c best of all others
+    locked = _top_k(scores, cfg.prior.s_c, T0)
+    others = np.delete(np.arange(len(scores)), locked)
+    rest = _top_k(scores, cfg.s_bar - cfg.prior.s_c, others)
+    return np.union1d(locked, rest)
+
+
+def _msp_merge(scores: np.ndarray, T: np.ndarray, T0: np.ndarray,
+               cfg: PursuitConfig) -> np.ndarray:
+    return np.union1d(T, _msp_refine(scores, T0, cfg))
+
+
+def _cmsp_refine(scores: np.ndarray, T0: np.ndarray, cfg: PursuitConfig) -> np.ndarray:
+    return _top_k(scores, cfg.s_bar, np.arange(len(scores)))
+
+
+def _cmsp_merge(scores: np.ndarray, T: np.ndarray, T0: np.ndarray,
+                cfg: PursuitConfig) -> np.ndarray:
+    # top up the prior only by the shortfall s_c - |T ∩ T0|
+    held = (T0[:, None] == T).any(axis=1)
+    shortfall = cfg.prior.s_c - int(np.count_nonzero(held))
+    topup = _top_k(scores, max(shortfall, 0), T0[~held])
+    return np.union1d(np.union1d(T, topup), _cmsp_refine(scores, T0, cfg))
+
+
+def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
+    R, Phi, idx = _problem(R, Phi, cfg.d, "R")
+    T0 = _checked_prior(cfg, idx.K)
+    if T_hat.K != idx.K:
+        raise DimensionError(f"running support universe {T_hat.K} != {idx.K}")
+    scores = _chunk_norms(Phi.conj().T @ R, idx.d)
+    return ChunkSupport.of(merge(scores, _zero_based(T_hat), T0, cfg) + 1, idx.K)
+
+
+def _refine_step(refine, Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
+    T0 = _checked_prior(cfg, Z.idx.K)
+    T = refine(_chunk_norms(Z.data, Z.idx.d), T0, cfg)
+    return ChunkSupport.of(T + 1, Z.idx.K)
+
+
+def msp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
+    """Merge step: running support, plus the s_c best-correlated prior
+    chunks, plus the s_bar - s_c best chunks outside that pick."""
+    return _merge_step(_msp_merge, R, Phi, T_hat, cfg)
+
+
+def msp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
+    """Refinement: keep the s_c strongest chunks inside the prior, then the
+    s_bar - s_c strongest among everything not already kept."""
+    return _refine_step(_msp_refine, Z, cfg)
+
+
+def cmsp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
+    """Conservative merge: top up the prior contribution only by the
+    shortfall s_c - |T_hat ∩ T0|, then add the s_bar best chunks overall."""
+    return _merge_step(_cmsp_merge, R, Phi, T_hat, cfg)
+
+
+def cmsp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
+    """Conservative refinement: the s_bar strongest chunks, prior ignored."""
+    return _refine_step(_cmsp_refine, Z, cfg)
+
+
+def _embedded(rows: np.ndarray, coef: np.ndarray, idx: ChunkIndexing) -> ChunkSparseMatrix:
+    data = np.zeros((idx.total_rows, coef.shape[1]), dtype=np.complex128)
+    data[rows] = coef
+    return ChunkSparseMatrix(data, idx)
+
+
+def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing,
+                 cfg: PursuitConfig, merge, refine) -> RecoveryResult:
+    """The pursuit loop on a problem _problem has validated."""
+    T0 = _checked_prior(cfg, idx.K)
+    K, d = idx.K, idx.d
+    PhiH = Phi.conj().T
+    T_prev = np.empty(0, dtype=np.intp)
+    X_prev = np.zeros((0, Y.shape[1]), dtype=np.complex128)
     R_prev = Y
     r_prev = frobenius(Y)
     trace = [r_prev]
     deficient = False
 
+    def result(T, X, iterations, stop):
+        return RecoveryResult(_embedded(_rows(T, d), X, idx),
+                              ChunkSupport.of(T + 1, K), tuple(trace),
+                              iterations, stop, deficient)
+
     for it in range(1, cfg.max_iter + 1):
-        T_a = merge(R_prev, Phi, T_prev, cfg)
-        Z_data, _, d1 = _embedded_ls(Y, Phi, T_a, idx)
-        T_next = refine(ChunkSparseMatrix(Z_data, idx), cfg)
-        X_next, fitted, d2 = _embedded_ls(Y, Phi, T_next, idx)
+        T_a = merge(_chunk_norms(PhiH @ R_prev, d), T_prev, T0, cfg)
+        Z, d1 = _lstsq(Phi[:, _rows(T_a, d)], Y)
+        norms = np.zeros(K)
+        norms[T_a] = _chunk_norms(Z, d)
+        T_next = refine(norms, T0, cfg)
+        sub = Phi[:, _rows(T_next, d)]
+        X_next, d2 = _lstsq(sub, Y)
         deficient = deficient or d1 or d2
-        R_next = Y - fitted
+        R_next = Y - sub @ X_next
         r_next = frobenius(R_next)
         trace.append(r_next)
         if r_next <= cfg.gamma:
-            return RecoveryResult(ChunkSparseMatrix(X_next, idx), T_next,
-                                  tuple(trace), it, StopReason.THRESHOLD_MET,
-                                  deficient)
+            return result(T_next, X_next, it, StopReason.THRESHOLD_MET)
         if r_next >= r_prev:
-            return RecoveryResult(ChunkSparseMatrix(X_prev, idx), T_prev,
-                                  tuple(trace), it,
-                                  StopReason.RESIDUE_NON_DECREASING, deficient)
+            return result(T_prev, X_prev, it, StopReason.RESIDUE_NON_DECREASING)
         T_prev, X_prev, R_prev, r_prev = T_next, X_next, R_next, r_next
 
     # residues decreased strictly on every continuation, so the last iterate
     # is the minimum-residue one
-    return RecoveryResult(ChunkSparseMatrix(X_prev, idx), T_prev, tuple(trace),
-                          cfg.max_iter, StopReason.MAX_ITERATIONS, deficient)
+    return result(T_prev, X_prev, cfg.max_iter, StopReason.MAX_ITERATIONS)
 
 
 def msp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     """Recover a chunk-sparse X from Y = Phi X + N using the prior-forcing
     pursuit."""
-    return _run_pursuit(Y, Phi, cfg, msp_support_merge, msp_support_refine)
+    return _run_pursuit(*_problem(Y, Phi, cfg.d), cfg, _msp_merge, _msp_refine)
 
 
 def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     """Recover X with the conservative variant (prior used for candidates
     only, never locked into the output support)."""
-    return _run_pursuit(Y, Phi, cfg, cmsp_support_merge, cmsp_support_refine)
+    return _run_pursuit(*_problem(Y, Phi, cfg.d), cfg, _cmsp_merge, _cmsp_refine)
 
 
 def sp_recover(Y, Phi, s_bar: int, gamma: float, max_iter: int = 100) -> RecoveryResult:
     """Conventional subspace pursuit: no prior, scalar chunks (d=1)."""
-    K = as_matrix(Phi, "Phi").shape[1]
-    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(K),
-                        gamma=gamma, d=1, max_iter=max_iter)
-    return msp_recover(Y, Phi, cfg)
+    return mmv_sp_recover(Y, Phi, s_bar, gamma, d=1, max_iter=max_iter)
 
 
 def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1,
                    max_iter: int = 100) -> RecoveryResult:
     """Joint-recovery subspace pursuit: no prior, chunk structure kept."""
-    Phi = as_matrix(Phi, "Phi")
-    if Phi.shape[1] % d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={d}")
-    K = Phi.shape[1] // d
-    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(K),
+    Y, Phi, idx = _problem(Y, Phi, d)
+    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(idx.K),
                         gamma=gamma, d=d, max_iter=max_iter)
-    return msp_recover(Y, Phi, cfg)
+    return _run_pursuit(Y, Phi, idx, cfg, _msp_merge, _msp_refine)
 
 
 def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:
     """Least squares on the true support (oracle baseline)."""
-    Y = as_matrix(Y, "Y")
-    Phi = as_matrix(Phi, "Phi")
-    if Y.shape[0] != Phi.shape[0]:
-        raise DimensionError(f"Y has {Y.shape[0]} rows, Phi has {Phi.shape[0]}")
-    if Phi.shape[1] % d:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, not a multiple of d={d}")
-    idx = ChunkIndexing(Phi.shape[1] // d, d)
-    data, _, _ = _embedded_ls(Y, Phi, T_true, idx)
-    return ChunkSparseMatrix(data, idx)
+    Y, Phi, idx = _problem(Y, Phi, d)
+    rows = idx.rows_of(T_true)
+    return _embedded(rows, _lstsq(Phi[:, rows], Y)[0], idx)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cspursuit.core import (ChunkIndexing, ChunkSupport, as_matrix, chunk_norms,
-                            frobenius, ls_solve, ls_solve_with_rank, read_matrix,
-                            submatrix_by_chunks, top_k_chunks, write_matrix)
+                            chunking, frobenius, ls_solve, ls_solve_with_rank,
+                            read_matrix, submatrix_by_chunks, top_k_chunks,
+                            write_matrix)
 from cspursuit.errors import DimensionError, FormatError, SelectionError
 
 
@@ -44,6 +45,18 @@ class TestChunkIndexing:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             ChunkIndexing(K=0, d=1)
+
+
+class TestChunking:
+    def test_columns_into_chunks(self):
+        idx = chunking(np.zeros((2, 6)), 3)
+        assert (idx.K, idx.d) == (2, 3)
+
+    def test_rejects_ragged_and_empty(self):
+        with pytest.raises(DimensionError, match="not a multiple of d=4"):
+            chunking(np.zeros((2, 6)), 4)
+        with pytest.raises(DimensionError):
+            chunking(np.zeros((2, 0)), 1)
 
 
 class TestChunkSupport:
@@ -259,6 +272,19 @@ def test_top_k_sorted_and_sized(seed, k):
     if k:
         rest = [scores[i - 1] for i in range(1, n + 1) if i not in out]
         assert not rest or min(scores[i - 1] for i in out) >= max(rest) - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1,
+                       max_size=10),
+       data=st.data())
+def test_top_k_heavy_ties_match_reference_rule(scores, data):
+    # few distinct values, so most selections cross a tie
+    n = len(scores)
+    cand = data.draw(st.lists(st.integers(1, n), unique=True))
+    k = data.draw(st.integers(0, len(cand)))
+    want = tuple(sorted(sorted(cand, key=lambda i: (-scores[i - 1], i))[:k]))
+    assert top_k_chunks(np.array(scores), k, cand) == want
 
 
 def test_frobenius_matches_numpy():

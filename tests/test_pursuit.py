@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cspursuit.core import ChunkIndexing, frobenius
+from cspursuit.core import (ChunkIndexing, frobenius, ls_solve,
+                            submatrix_by_chunks)
 from cspursuit.errors import DimensionError, SelectionError
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
@@ -276,3 +277,40 @@ def test_recovery_invariants(seed, s_c, l_cols):
         assert res.residue_norms[0] == pytest.approx(frobenius(Y))
         # returned residue never exceeds the starting residue
         assert min(res.residue_norms) <= res.residue_norms[0] + 1e-12
+
+
+def public_steps(Y, Phi, cfg, merge, refine, iterations):
+    """The pursuit loop written with the public steps: merge, LS on the
+    merged support, refine, LS on the refined support."""
+    idx = ChunkIndexing(Phi.shape[1] // cfg.d, cfg.d)
+    T, R, residues = ChunkSupport.empty(idx.K), Y, []
+    for _ in range(iterations):
+        T = refine(genie_ls(Y, Phi, merge(R, Phi, T, cfg), d=cfg.d), cfg)
+        sub = submatrix_by_chunks(Phi, T, idx)
+        R = Y - sub @ ls_solve(sub, Y)
+        residues.append(frobenius(R))
+    return T, genie_ls(Y, Phi, T, d=cfg.d), tuple(residues)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([1, 2]),
+       l_cols=st.sampled_from([1, 3]), s_c=st.integers(0, 3),
+       max_iter=st.sampled_from([1, 2]))
+def test_public_steps_agree_with_loop(seed, d, l_cols, s_c, max_iter):
+    rng = np.random.default_rng(seed)
+    K, M = 10, 8 + 2 * d
+    Phi = random_complex(rng, (M, K * d)) / np.sqrt(2 * M)
+    Y = random_complex(rng, (M, l_cols))
+    T0 = ChunkSupport.of(rng.choice(K, size=3, replace=False) + 1, K)
+    cfg = PursuitConfig(s_bar=3, prior=PriorSupportInfo(T0, s_c), gamma=0.0,
+                        d=d, max_iter=max_iter)
+    for recover, merge, refine in (
+            (msp_recover, msp_support_merge, msp_support_refine),
+            (cmsp_recover, cmsp_support_merge, cmsp_support_refine)):
+        res = recover(Y, Phi, cfg)
+        T, X, residues = public_steps(Y, Phi, cfg, merge, refine,
+                                      res.iterations)
+        assert res.residue_norms[1:] == residues
+        if res.stop_reason is not StopReason.RESIDUE_NON_DECREASING:
+            assert res.T_hat == T
+            np.testing.assert_array_equal(res.X_hat.data, X.data)
