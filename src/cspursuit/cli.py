@@ -135,9 +135,7 @@ def _cmd_recover(args) -> int:
                                 max_iter=args.max_iter)
     else:
         K = Phi.shape[1] // args.d
-        t0_indices = []
-        if args.t0:
-            t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
+        t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
         prior = PriorSupportInfo(ChunkSupport.of(t0_indices, K), args.s_c)
         cfg = PursuitConfig(s_bar=args.s_bar, prior=prior, gamma=args.gamma,
                             d=args.d, max_iter=args.max_iter)
@@ -211,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="CSMAT1 measurement matrix")
     p.add_argument("--phi", required=True, help="CSMAT1 sensing matrix")
     p.add_argument("--algorithm", required=True,
-                   choices=("msp", "cmsp", "sp", "mmv_sp"))
+                   choices=("msp", "cmsp", "sp", "mmv_sp"),
+                   help="sp is one joint d=1 pursuit over all columns of Y")
     p.add_argument("--s-bar", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
@@ -229,9 +228,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CsPursuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (CsPursuitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,14 +2,14 @@
 summary rows, a flat key=value config format, and deterministic CSV output.
 
 Each trial simulates two frames: the first builds the prior support, the
-second is measured. Trial t always uses seed base_seed + t, for every
-algorithm and sweep value, so algorithms are compared on the same data.
-Across s_c values the frame-2 data differ, because the support generator's
-draws depend on s_c. The s_c axis sets the generator's overlap floor on the
-true supports; the prior handed to the pursuits carries the floor its
-estimated T0 actually keeps (see run_frame_sequence). Only the
-believed_s_c axis (run_mismatch) tells the pursuits a floor that may be
-wrong.
+second is measured. Trial t uses seed base_seed + t; its data are generated
+once per sweep value (once in all for run_mismatch) and shared by every
+algorithm, so algorithms are compared on the same data. Across s_c values
+the frame-2 data differ, because the support generator's draws depend on
+s_c. The s_c axis sets the generator's overlap floor on the true supports;
+the prior handed to the pursuits carries the floor its estimated T0 keeps
+(see estimate_frames). Only the believed_s_c axis (run_mismatch) tells the
+pursuits a floor that may be wrong.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .mimo import ALGORITHMS, MimoScenario, run_frame_sequence
+from .mimo import ALGORITHMS, MimoScenario, estimate_frames, simulate_frames
 from .sparsity import SupportEvolutionParams
 
 __all__ = [
@@ -171,18 +171,13 @@ def load_config(path) -> ExperimentConfig:
     for key in _STR_KEYS:
         if key in raw:
             fields[key] = raw[key]
-    if "algorithms" in raw:
-        fields["algorithms"] = tuple(
-            s.strip() for s in raw["algorithms"].split(",") if s.strip())
-    axis = fields.get("sweep_axis", "")
-    values_want_int = axis != "snr_db"
-    if "sweep_values" in raw:
-        parts = [s.strip() for s in raw["sweep_values"].split(",") if s.strip()]
-        if not parts:
-            raise ConfigError("sweep_values must be nonempty")
-        fields["sweep_values"] = tuple(
-            _parse_number(p, "sweep_values", want_int=values_want_int)
-            for p in parts)
+    fields["algorithms"] = tuple(
+        s.strip() for s in raw["algorithms"].split(",") if s.strip())
+    values_want_int = fields["sweep_axis"] != "snr_db"
+    parts = [s.strip() for s in raw["sweep_values"].split(",") if s.strip()]
+    fields["sweep_values"] = tuple(
+        _parse_number(p, "sweep_values", want_int=values_want_int)
+        for p in parts)
     return ExperimentConfig(**fields)
 
 
@@ -203,13 +198,9 @@ def _scenario_at(config: ExperimentConfig, value) -> MimoScenario:
                         evolution=evolution)
 
 
-def _gamma_for(config: ExperimentConfig) -> Optional[float]:
-    # None lets the harness apply the sqrt(2 N T) rule per scenario
-    return None if config.gamma_rule == "sqrt_2nt" else config.gamma_value
-
-
 def _summary_row(config: ExperimentConfig, value, algorithm: str,
-                 ratios, iters, hits) -> ResultRow:
+                 records) -> ResultRow:
+    ratios = [r.nmse_ratio for r in records]
     n = len(ratios)
     ci = 0.0
     if n > 1:
@@ -218,49 +209,54 @@ def _summary_row(config: ExperimentConfig, value, algorithm: str,
         sweep_axis=config.sweep_axis, sweep_value=value,
         algorithm=algorithm, nmse=float(np.mean(ratios)),
         nmse_median=float(np.median(ratios)), nmse_ci95_halfwidth=ci,
-        mean_iterations=float(np.mean(iters)),
-        support_recovery_rate=float(np.mean(hits)),
+        mean_iterations=float(np.mean([r.iterations for r in records])),
+        support_recovery_rate=float(np.mean([r.support_exact for r in records])),
         n_trials=n, base_seed=config.base_seed)
 
 
-def _collect(config: ExperimentConfig, value, algorithm: str,
-             scenario: MimoScenario, believed_s_c: Optional[int],
-             fixed_overlap: Optional[int], noise: bool) -> ResultRow:
-    gamma = _gamma_for(config)
-    ratios, iters, hits = [], [], []
-    for trial in range(config.n_trials):
-        rng = np.random.default_rng(config.base_seed + trial)
-        records = run_frame_sequence(
-            scenario, N_FRAMES, algorithm, rng, gamma=gamma, noise=noise,
-            believed_s_c=believed_s_c, fixed_overlap=fixed_overlap)
-        last = records[-1]
-        ratios.append(last.nmse_ratio)
-        iters.append(last.iterations)
-        hits.append(1.0 if last.support_exact else 0.0)
-    return _summary_row(config, value, algorithm, ratios, iters, hits)
+def _run_trials(config: ExperimentConfig, groups,
+                fixed_overlap: Optional[int], noise: bool) -> list[ResultRow]:
+    """The one trial loop. groups holds (scenario, [(position, believed_s_c)])
+    pairs: trial t of a scenario is generated once, from seed base_seed + t,
+    and estimated by every algorithm at every sweep position of its group.
+    Rows come out in (sweep position, algorithm) order."""
+    # None lets estimate_frames apply the sqrt(2 N T) rule per scenario
+    gamma = None if config.gamma_rule == "sqrt_2nt" else config.gamma_value
+    last = {}  # (position, algorithm) -> measured frame of every trial
+    for scenario, members in groups:
+        for trial in range(config.n_trials):
+            rng = np.random.default_rng(config.base_seed + trial)
+            frames = simulate_frames(scenario, N_FRAMES, rng, noise,
+                                     fixed_overlap)
+            for position, believed_s_c in members:
+                for algorithm in config.algorithms:
+                    records = estimate_frames(scenario, frames, algorithm,
+                                              gamma, believed_s_c)
+                    last.setdefault((position, algorithm), []).append(
+                        records[-1])
+    return [_summary_row(config, value, algorithm, last[position, algorithm])
+            for position, value in enumerate(config.sweep_values)
+            for algorithm in config.algorithms]
 
 
 def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     """Run the sweep described by config; rows come out in (sweep value,
-    algorithm) order. On the s_c axis the value is the generator's overlap
+    algorithm) order. Each (sweep value, trial) is generated once and shared
+    by every algorithm. On the s_c axis the value is the generator's overlap
     floor, and each prior's s_c is that floor clamped to the overlap the
     estimated T0 keeps with the measured frame's true support."""
     if config.sweep_axis == "believed_s_c":
         raise ConfigError("sweep_axis believed_s_c runs through run_mismatch")
-    rows = []
-    for value in config.sweep_values:
-        scenario = _scenario_at(config, value)
-        for algorithm in config.algorithms:
-            rows.append(_collect(config, value, algorithm, scenario,
-                                 believed_s_c=None, fixed_overlap=None,
-                                 noise=noise))
-    return rows
+    groups = [(_scenario_at(config, value), [(position, None)])
+              for position, value in enumerate(config.sweep_values)]
+    return _run_trials(config, groups, fixed_overlap=None, noise=noise)
 
 
 def run_mismatch(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     """Sweep the believed s_c while the true consecutive overlap stays
-    pinned at config.true_overlap; the generated data never changes across
-    sweep values, only what the algorithms are told."""
+    pinned at config.true_overlap. The generated data never changes across
+    sweep values, only what the algorithms are told, so each trial is
+    generated once and shared by every believed value and algorithm."""
     if config.sweep_axis != "believed_s_c":
         raise ConfigError("run_mismatch needs sweep_axis = believed_s_c")
     if config.true_overlap is None:
@@ -268,19 +264,12 @@ def run_mismatch(config: ExperimentConfig, noise: bool = True) -> list[ResultRow
     if config.true_overlap > config.s_bar - 2:
         raise ConfigError(
             f"true_overlap must be <= s_bar - 2 = {config.s_bar - 2}")
-    base = replace(config, s_c=config.true_overlap)
-    scenario = _scenario_at(base, None)
-    rows = []
-    for value in config.sweep_values:
-        believed = int(value)
-        if believed < 0:
-            raise ConfigError("believed s_c values must be nonnegative")
-        for algorithm in config.algorithms:
-            rows.append(_collect(config, value, algorithm, scenario,
-                                 believed_s_c=believed,
-                                 fixed_overlap=config.true_overlap,
-                                 noise=noise))
-    return rows
+    believed = [int(value) for value in config.sweep_values]
+    if min(believed) < 0:
+        raise ConfigError("believed s_c values must be nonnegative")
+    scenario = _scenario_at(replace(config, s_c=config.true_overlap), None)
+    return _run_trials(config, [(scenario, list(enumerate(believed)))],
+                       fixed_overlap=config.true_overlap, noise=noise)
 
 
 def _format_value(v) -> str:

@@ -10,6 +10,7 @@ matrix, recovered with a pursuit, and mapped back to the antenna domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
     "to_cs_problem",
     "recover_channel",
     "nmse",
+    "simulate_frames",
+    "estimate_frames",
     "run_frame_sequence",
 ]
 
@@ -54,8 +57,6 @@ class MimoScenario:
             raise ValueError("M, N_ue, T must be positive")
         if self.P <= 0:
             raise ValueError(f"P must be positive, got {self.P}")
-        if self.s_bar > self.M:
-            raise ValueError(f"s_bar={self.s_bar} exceeds M={self.M}")
         if self.evolution.K != self.M:
             raise ValueError(
                 f"evolution universe K={self.evolution.K} must equal M={self.M}")
@@ -87,12 +88,16 @@ class FrameRecord:
     T_hat: ChunkSupport
 
 
+@lru_cache(maxsize=None)
 def dft_unitary(n: int) -> np.ndarray:
-    """Unitary DFT matrix, entry (a, b) = exp(-2 pi i a b / n) / sqrt(n)."""
+    """Unitary DFT matrix, entry (a, b) = exp(-2 pi i a b / n) / sqrt(n).
+    Cached per n, so the array is read-only."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     a = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(a, a) / n) / np.sqrt(n)
+    U = np.exp(-2j * np.pi * np.outer(a, a) / n) / np.sqrt(n)
+    U.setflags(write=False)
+    return U
 
 
 def generate_pilots(M: int, T: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,49 +190,52 @@ def default_gamma(N_ue: int, T: int) -> float:
     return float(np.sqrt(2.0 * N_ue * T))
 
 
-def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
-                       rng: np.random.Generator,
-                       gamma: Optional[float] = None,
-                       noise: bool = True,
-                       believed_s_c: Optional[int] = None,
-                       fixed_overlap: Optional[int] = None,
-                       max_iter: int = 100) -> list[FrameRecord]:
-    """Simulate n_frames of channel estimation with one algorithm.
+def simulate_frames(scenario: MimoScenario, n_frames: int,
+                    rng: np.random.Generator, noise: bool = True,
+                    fixed_overlap: Optional[int] = None
+                    ) -> list[tuple[ChannelFrame, np.ndarray, np.ndarray]]:
+    """Draw n_frames of data, each as (channel frame, Y, Phi) of the problem
+    Y = Phi X + N. The rng is consumed in one order (supports, then per
+    frame channel, pilots and noise), so a seed gives every algorithm the
+    same data. fixed_overlap pins the true consecutive overlap."""
+    m, n, t = scenario.M, scenario.N_ue, scenario.T
+    supports = generate_support_sequence(scenario.evolution, n_frames, rng,
+                                         fixed_overlap=fixed_overlap)
+    frames = []
+    for T_true in supports:
+        frame = generate_channel(scenario, T_true, rng)
+        Theta = generate_pilots(m, t, rng)
+        W = _complex_noise(rng, (n, t)) if noise else np.zeros((n, t), complex)
+        Z = np.sqrt(scenario.P) * frame.H @ Theta + W
+        Y, Phi, _ = to_cs_problem(Z, Theta, dft_unitary(n), dft_unitary(m),
+                                  scenario.P, t, m)
+        frames.append((frame, Y, Phi))
+    return frames
 
-    Frame 1 always runs with the no-information prior; later frames use the
-    previous frame's estimated support as T0. The evolution s_c floors only
-    the overlap of consecutive true supports, so by default the prior's s_c
-    is min(evolution s_c, |T0 ∩ T_i|), the largest floor up to the nominal
-    one that T0 keeps: the promise |T0 ∩ T| >= s_c holds. An explicit
-    believed_s_c is passed as told, clamped only to |T0|, and may overstate
-    the floor (the mismatch study). Data generation consumes the rng
-    identically for every algorithm, so runs with the same seed are paired.
-    fixed_overlap pins the true consecutive overlap.
-    """
+
+def estimate_frames(scenario: MimoScenario, frames, algorithm: str,
+                    gamma: Optional[float] = None,
+                    believed_s_c: Optional[int] = None,
+                    max_iter: int = 100) -> list[FrameRecord]:
+    """Estimate simulate_frames' frames with one algorithm. Frame 1 runs
+    with the no-information prior, later frames use the previous estimated
+    support as T0. The evolution s_c floors only the overlap of consecutive
+    true supports, so by default the prior's s_c is min(evolution s_c,
+    |T0 ∩ T_i|), the largest floor up to the nominal one that T0 keeps: the
+    promise |T0 ∩ T| >= s_c holds. An explicit believed_s_c is passed as
+    told, clamped only to |T0|, and may overstate it (the mismatch study)."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be positive, got {n_frames}")
     m, n, t = scenario.M, scenario.N_ue, scenario.T
     gamma_val = default_gamma(n, t) if gamma is None else float(gamma)
     s_c_alg = scenario.evolution.s_c if believed_s_c is None else believed_s_c
     if s_c_alg < 0:
         raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
-
-    supports = generate_support_sequence(scenario.evolution, n_frames, rng,
-                                         fixed_overlap=fixed_overlap)
-    U = dft_unitary(n)
-    V = dft_unitary(m)
     records: list[FrameRecord] = []
-    prev_T_hat: Optional[ChunkSupport] = None
+    prev_T_hat = ChunkSupport.empty(m)  # frame 1: the no-information prior
 
-    for i, T_true in enumerate(supports, start=1):
-        frame = generate_channel(scenario, T_true, rng, U=U, V=V)
-        Theta = generate_pilots(m, t, rng)
-        W = _complex_noise(rng, (n, t)) if noise else np.zeros((n, t), complex)
-        Z = np.sqrt(scenario.P) * frame.H @ Theta + W
-        Y, Phi, scale = to_cs_problem(Z, Theta, U, V, scenario.P, t, m)
-
+    for i, (frame, Y, Phi) in enumerate(frames, start=1):
+        T_true = frame.T_true
         if algorithm == "genie":
             X_hat = genie_ls(Y, Phi, T_true, d=1).data
             T_hat = T_true
@@ -236,32 +244,22 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
             deficient = False
         elif algorithm == "sp":
             # one scalar-sparse problem per receive antenna, supports pooled
-            cols = []
-            iter_counts = []
-            deficient = False
-            pooled: set[int] = set()
-            for j in range(n):
-                res = sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
-                                 gamma_val / np.sqrt(n), max_iter=max_iter)
-                cols.append(res.X_hat.data)
-                pooled |= res.T_hat.as_set()
-                iter_counts.append(res.iterations)
-                deficient = deficient or res.rank_deficient_ls
-            X_hat = np.hstack(cols)
-            T_hat = ChunkSupport.of(pooled, m)
-            iterations = float(np.mean(iter_counts))
+            runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
+                               gamma_val / np.sqrt(n), max_iter=max_iter)
+                    for j in range(n)]
+            X_hat = np.hstack([res.X_hat.data for res in runs])
+            T_hat = ChunkSupport.of([k for res in runs for k in res.T_hat], m)
+            iterations = float(np.mean([res.iterations for res in runs]))
             stop = None
+            deficient = any(res.rank_deficient_ls for res in runs)
         else:
             if algorithm == "mmv_sp":
                 res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val,
                                      max_iter=max_iter)
             else:
-                if prev_T_hat is None:
-                    prior = PriorSupportInfo.empty(m)
-                else:
-                    cap = (len(prev_T_hat) if believed_s_c is not None else
-                           len(prev_T_hat.intersection(T_true)))
-                    prior = PriorSupportInfo(prev_T_hat, min(s_c_alg, cap))
+                cap = (len(prev_T_hat) if believed_s_c is not None else
+                       len(prev_T_hat.intersection(T_true)))
+                prior = PriorSupportInfo(prev_T_hat, min(s_c_alg, cap))
                 cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
                                     gamma=gamma_val, d=1, max_iter=max_iter)
                 solver = cmsp_recover if algorithm == "cmsp" else msp_recover
@@ -272,7 +270,8 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
             stop = res.stop_reason
             deficient = res.rank_deficient_ls
 
-        H_hat = recover_channel(X_hat, U, V, scenario.P, t, m)
+        H_hat = recover_channel(X_hat, dft_unitary(n), dft_unitary(m),
+                                scenario.P, t, m)
         records.append(FrameRecord(
             frame=i, nmse_ratio=nmse([(frame.H, H_hat)]),
             support_exact=(T_hat == T_true), iterations=iterations,
@@ -281,3 +280,17 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
         prev_T_hat = T_hat
 
     return records
+
+
+def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
+                       rng: np.random.Generator,
+                       gamma: Optional[float] = None,
+                       noise: bool = True,
+                       believed_s_c: Optional[int] = None,
+                       fixed_overlap: Optional[int] = None,
+                       max_iter: int = 100) -> list[FrameRecord]:
+    """n_frames of channel estimation with one algorithm: simulate_frames,
+    then estimate_frames (see both for the data and the prior rule)."""
+    frames = simulate_frames(scenario, n_frames, rng, noise, fixed_overlap)
+    return estimate_frames(scenario, frames, algorithm, gamma, believed_s_c,
+                           max_iter)

@@ -246,5 +246,7 @@ def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1,
 def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:
     """Least squares on the true support (oracle baseline)."""
     Y, Phi, idx = _problem(Y, Phi, d)
+    if T_true.K != idx.K:
+        raise DimensionError(f"support universe {T_true.K} != K={idx.K}")
     rows = idx.rows_of(T_true)
     return _embedded(rows, _lstsq(Phi[:, rows], Y)[0], idx)

@@ -1,11 +1,16 @@
 """Tests for the experiment harness: config parsing, sweeps, CSV output."""
+import math
+
 import numpy as np
 import pytest
 
+import cspursuit.mimo as mimo
 from cspursuit.errors import ConfigError
 from cspursuit.experiments import (CSV_COLUMNS, GAMMA_RULES, SWEEP_AXES,
                                    ExperimentConfig, load_config, run_mismatch,
                                    run_sweep, rows_to_csv_text, write_csv)
+from cspursuit.mimo import ALGORITHMS, MimoScenario, run_frame_sequence
+from cspursuit.sparsity import SupportEvolutionParams
 
 
 def small_config(**overrides):
@@ -61,6 +66,12 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ConfigError, match="sweep_values"):
+            load_config(path)
+
+    def test_empty_sweep_values(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(VALID_TEXT.replace("8, 12, 16", ", ,"))
+        with pytest.raises(ConfigError, match="sweep_values must be nonempty"):
             load_config(path)
 
     def test_unknown_key(self, tmp_path):
@@ -222,6 +233,79 @@ class TestRunMismatch:
         cmsp = [r.nmse_median for r in rows if r.algorithm == "cmsp"]
         assert msp[1] <= msp[2] <= msp[3] <= msp[4]
         assert max(cmsp) / min(cmsp) < 3.0
+
+
+class TestTrialSharing:
+    """Each trial's data are generated once and shared by every algorithm
+    (and, in a mismatch sweep, by every believed value); the rows equal
+    those of one run_frame_sequence per (value, algorithm, trial)."""
+
+    @staticmethod
+    def _count_generations(monkeypatch):
+        calls = []
+        original = mimo.generate_support_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(mimo, "generate_support_sequence", counting)
+        return calls
+
+    @staticmethod
+    def _expected_row(cfg, value, algorithm, scenario, **kwargs):
+        last = [run_frame_sequence(scenario, 2, algorithm,
+                                   np.random.default_rng(cfg.base_seed + t),
+                                   **kwargs)[-1]
+                for t in range(cfg.n_trials)]
+        ratios = [r.nmse_ratio for r in last]
+        ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(len(ratios))
+        return (value, algorithm, float(np.mean(ratios)),
+                float(np.median(ratios)), ci,
+                float(np.mean([r.iterations for r in last])),
+                float(np.mean([r.support_exact for r in last])))
+
+    @staticmethod
+    def _scenario(cfg, T, s_c):
+        evo = SupportEvolutionParams(s_bar=cfg.s_bar, s_c=s_c, K=cfg.M)
+        return MimoScenario(M=cfg.M, N_ue=cfg.N_ue, T=T,
+                            P=10.0 ** (cfg.snr_db / 10.0), s_bar=cfg.s_bar,
+                            evolution=evo)
+
+    @staticmethod
+    def _fields(rows):
+        return [(r.sweep_value, r.algorithm, r.nmse, r.nmse_median,
+                 r.nmse_ci95_halfwidth, r.mean_iterations,
+                 r.support_recovery_rate) for r in rows]
+
+    def test_sweep_generates_each_trial_once(self, monkeypatch):
+        calls = self._count_generations(monkeypatch)
+        cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
+        run_sweep(cfg)
+        assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
+
+    def test_mismatch_generates_each_trial_once(self, monkeypatch):
+        calls = self._count_generations(monkeypatch)
+        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
+                           algorithms=ALGORITHMS, true_overlap=1)
+        run_mismatch(cfg)
+        assert len(calls) == cfg.n_trials
+
+    def test_sweep_rows_match_per_sequence_runs(self):
+        cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
+        expected = [self._expected_row(cfg, value, alg,
+                                       self._scenario(cfg, value, cfg.s_c))
+                    for value in cfg.sweep_values for alg in cfg.algorithms]
+        assert self._fields(run_sweep(cfg)) == expected
+
+    def test_mismatch_rows_match_per_sequence_runs(self):
+        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 0),
+                           algorithms=ALGORITHMS, true_overlap=1)
+        scenario = self._scenario(cfg, cfg.pilot_length, cfg.true_overlap)
+        expected = [self._expected_row(cfg, value, alg, scenario,
+                                       believed_s_c=value,
+                                       fixed_overlap=cfg.true_overlap)
+                    for value in cfg.sweep_values for alg in cfg.algorithms]
+        assert self._fields(run_mismatch(cfg)) == expected
 
 
 class TestCsv:

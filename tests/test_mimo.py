@@ -29,6 +29,12 @@ class TestDftUnitary:
         assert U[1, 1] == pytest.approx(np.exp(-2j * np.pi / n) / 2.0)
         assert U[0, 3] == pytest.approx(0.5)
 
+    def test_cached_and_read_only(self):
+        U = dft_unitary(8)
+        assert dft_unitary(8) is U
+        with pytest.raises(ValueError):
+            U[0, 0] = 1.0
+
 
 class TestPilots:
     def test_values_and_shape(self):
@@ -247,6 +253,7 @@ class TestPriorPromise:
 class TestScenarioValidation:
     @pytest.mark.parametrize("kw", [
         dict(M=0), dict(N_ue=0), dict(T=0), dict(P=0.0), dict(s_bar=0),
+        dict(s_bar=17),
     ])
     def test_invalid_fields(self, kw):
         base = dict(M=16, N_ue=2, T=16, P=100.0, s_bar=3)

@@ -229,6 +229,15 @@ class TestGenie:
         np.testing.assert_allclose(res.data, X, atol=1e-10)
         assert res.support().indices == T.indices
 
+    def test_support_universe_must_match(self):
+        # a 12-chunk Phi with supports drawn from a 13-chunk universe
+        rng = np.random.default_rng(11)
+        Phi = random_complex(rng, (8, 12)) / 4.0
+        Y = random_complex(rng, (8, 2))
+        for chunks in ([2, 5], [2, 13]):
+            with pytest.raises(DimensionError, match="universe"):
+                genie_ls(Y, Phi, ChunkSupport.of(chunks, 13))
+
 
 class TestValidation:
     def test_s_bar_exceeds_K(self):
