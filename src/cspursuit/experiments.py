@@ -1,14 +1,16 @@
 """Monte-Carlo experiment harness: seeded paired trials over a sweep axis,
 summary rows, a flat key=value config format, and deterministic CSV output.
 
-Each trial simulates two frames: the first builds the prior support, the
-second is measured. Trial t uses seed base_seed + t; its data are generated
-once per sweep value (once in all for run_mismatch) and shared by every
-algorithm, so algorithms are compared on the same data. Across s_c values
-the frame-2 data differ, because the support generator's draws depend on
-s_c. The s_c axis sets the generator's overlap floor on the true supports;
-the prior handed to the pursuits carries the floor its estimated T0 keeps
-(see estimate_frames). Only the believed_s_c axis (run_mismatch) tells the
+Each trial simulates two frames. The first is estimated once, by mmv_sp
+(what msp and cmsp are under the empty prior), and its support estimate is
+the prior T0 of every algorithm and believed value; the second is measured.
+Trial t uses seed base_seed + t; its data are generated once per sweep
+value (once in all for run_mismatch) and shared by every algorithm, so
+algorithms are compared on the same data. Across s_c values the frame-2
+data differ, because the support generator's draws depend on s_c. The s_c
+axis sets the generator's overlap floor on the true supports; the prior
+handed to the pursuits carries the floor its estimated T0 keeps (see
+estimate_frame). Only the believed_s_c axis (run_mismatch) tells the
 pursuits a floor that may be wrong.
 """
 from __future__ import annotations
@@ -19,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
+from .core import ChunkSupport
 from .errors import ConfigError
-from .mimo import ALGORITHMS, MimoScenario, estimate_frames, simulate_frames
+from .mimo import ALGORITHMS, MimoScenario, estimate_frame, simulate_frames
 from .sparsity import SupportEvolutionParams
 
 __all__ = [
@@ -41,9 +44,6 @@ GAMMA_RULES = ("sqrt_2nt", "explicit")
 CSV_COLUMNS = ("sweep_axis", "sweep_value", "algorithm", "nmse", "nmse_median",
                "nmse_ci95_halfwidth", "mean_iterations",
                "support_recovery_rate", "n_trials", "base_seed")
-
-N_FRAMES = 2
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -95,6 +95,8 @@ class ExperimentConfig:
                                               or self.gamma_value < 0):
             raise ConfigError(
                 "gamma_value must be a nonnegative number when gamma_rule=explicit")
+        if self.gamma_rule != "explicit" and self.gamma_value is not None:
+            raise ConfigError("gamma_value is only read when gamma_rule=explicit")
         if self.true_overlap is not None and self.true_overlap < 0:
             raise ConfigError("true_overlap must be nonnegative")
 
@@ -218,22 +220,24 @@ def _run_trials(config: ExperimentConfig, groups,
                 fixed_overlap: Optional[int], noise: bool) -> list[ResultRow]:
     """The one trial loop. groups holds (scenario, [(position, believed_s_c)])
     pairs: trial t of a scenario is generated once, from seed base_seed + t,
-    and estimated by every algorithm at every sweep position of its group.
-    Rows come out in (sweep position, algorithm) order."""
-    # None lets estimate_frames apply the sqrt(2 N T) rule per scenario
-    gamma = None if config.gamma_rule == "sqrt_2nt" else config.gamma_value
+    its first frame estimated once, and its measured frame estimated by
+    every algorithm at every sweep position of its group. Rows come out in
+    (sweep position, algorithm) order."""
+    # None (rule sqrt_2nt) makes estimate_frame use sqrt(2 N T) per scenario
+    gamma = config.gamma_value
     last = {}  # (position, algorithm) -> measured frame of every trial
     for scenario, members in groups:
         for trial in range(config.n_trials):
             rng = np.random.default_rng(config.base_seed + trial)
-            frames = simulate_frames(scenario, N_FRAMES, rng, noise,
-                                     fixed_overlap)
+            first, measured = simulate_frames(scenario, 2, rng, noise,
+                                              fixed_overlap)
+            T0 = estimate_frame(scenario, first, "mmv_sp",
+                                ChunkSupport.empty(scenario.M), gamma).T_hat
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
-                    records = estimate_frames(scenario, frames, algorithm,
-                                              gamma, believed_s_c)
                     last.setdefault((position, algorithm), []).append(
-                        records[-1])
+                        estimate_frame(scenario, measured, algorithm, T0,
+                                       gamma, believed_s_c))
     return [_summary_row(config, value, algorithm, last[position, algorithm])
             for position, value in enumerate(config.sweep_values)
             for algorithm in config.algorithms]

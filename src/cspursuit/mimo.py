@@ -34,7 +34,7 @@ __all__ = [
     "recover_channel",
     "nmse",
     "simulate_frames",
-    "estimate_frames",
+    "estimate_frame",
     "run_frame_sequence",
 ]
 
@@ -78,7 +78,6 @@ class ChannelFrame:
 class FrameRecord:
     """Per-frame outcome of a recovery run."""
 
-    frame: int
     nmse_ratio: float
     support_exact: bool
     iterations: float
@@ -213,15 +212,14 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
     return frames
 
 
-def estimate_frames(scenario: MimoScenario, frames, algorithm: str,
-                    gamma: Optional[float] = None,
-                    believed_s_c: Optional[int] = None,
-                    max_iter: int = 100) -> list[FrameRecord]:
-    """Estimate simulate_frames' frames with one algorithm. Frame 1 runs
-    with the no-information prior, later frames use the previous estimated
-    support as T0. The evolution s_c floors only the overlap of consecutive
+def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
+                   T0: ChunkSupport, gamma: Optional[float] = None,
+                   believed_s_c: Optional[int] = None) -> FrameRecord:
+    """Estimate and score one simulate_frames entry with one algorithm; msp
+    and cmsp read T0, the previous frame's estimated support (empty for a
+    first frame). The evolution s_c floors only the overlap of consecutive
     true supports, so by default the prior's s_c is min(evolution s_c,
-    |T0 ∩ T_i|), the largest floor up to the nominal one that T0 keeps: the
+    |T0 ∩ T|), the largest floor up to the nominal one that T0 keeps: the
     promise |T0 ∩ T| >= s_c holds. An explicit believed_s_c is passed as
     told, clamped only to |T0|, and may overstate it (the mismatch study)."""
     if algorithm not in ALGORITHMS:
@@ -231,55 +229,48 @@ def estimate_frames(scenario: MimoScenario, frames, algorithm: str,
     s_c_alg = scenario.evolution.s_c if believed_s_c is None else believed_s_c
     if s_c_alg < 0:
         raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
-    records: list[FrameRecord] = []
-    prev_T_hat = ChunkSupport.empty(m)  # frame 1: the no-information prior
-
-    for i, (frame, Y, Phi) in enumerate(frames, start=1):
-        T_true = frame.T_true
-        if algorithm == "genie":
-            X_hat = genie_ls(Y, Phi, T_true, d=1).data
-            T_hat = T_true
-            iterations = 0.0
-            stop: Optional[StopReason] = None
-            deficient = False
-        elif algorithm == "sp":
-            # one scalar-sparse problem per receive antenna, supports pooled
-            runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
-                               gamma_val / np.sqrt(n), max_iter=max_iter)
-                    for j in range(n)]
-            X_hat = np.hstack([res.X_hat.data for res in runs])
-            T_hat = ChunkSupport.of([k for res in runs for k in res.T_hat], m)
-            iterations = float(np.mean([res.iterations for res in runs]))
-            stop = None
-            deficient = any(res.rank_deficient_ls for res in runs)
+    channel, Y, Phi = frame
+    T_true = channel.T_true
+    if algorithm == "genie":
+        X_hat = genie_ls(Y, Phi, T_true, d=1).data
+        T_hat = T_true
+        iterations = 0.0
+        stop: Optional[StopReason] = None
+        deficient = False
+    elif algorithm == "sp":
+        # one scalar-sparse problem per receive antenna, supports pooled
+        runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
+                           gamma_val / np.sqrt(n))
+                for j in range(n)]
+        X_hat = np.hstack([res.X_hat.data for res in runs])
+        T_hat = ChunkSupport.of([k for res in runs for k in res.T_hat], m)
+        iterations = float(np.mean([res.iterations for res in runs]))
+        stop = None
+        deficient = any(res.rank_deficient_ls for res in runs)
+    else:
+        if algorithm == "mmv_sp":
+            res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val)
         else:
-            if algorithm == "mmv_sp":
-                res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val,
-                                     max_iter=max_iter)
-            else:
-                cap = (len(prev_T_hat) if believed_s_c is not None else
-                       len(prev_T_hat.intersection(T_true)))
-                prior = PriorSupportInfo(prev_T_hat, min(s_c_alg, cap))
-                cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
-                                    gamma=gamma_val, d=1, max_iter=max_iter)
-                solver = cmsp_recover if algorithm == "cmsp" else msp_recover
-                res = solver(Y, Phi, cfg)
-            X_hat = res.X_hat.data
-            T_hat = res.T_hat
-            iterations = float(res.iterations)
-            stop = res.stop_reason
-            deficient = res.rank_deficient_ls
+            cap = (len(T0) if believed_s_c is not None else
+                   len(T0.intersection(T_true)))
+            prior = PriorSupportInfo(T0, min(s_c_alg, cap))
+            cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
+                                gamma=gamma_val, d=1)
+            solver = cmsp_recover if algorithm == "cmsp" else msp_recover
+            res = solver(Y, Phi, cfg)
+        X_hat = res.X_hat.data
+        T_hat = res.T_hat
+        iterations = float(res.iterations)
+        stop = res.stop_reason
+        deficient = res.rank_deficient_ls
 
-        H_hat = recover_channel(X_hat, dft_unitary(n), dft_unitary(m),
-                                scenario.P, t, m)
-        records.append(FrameRecord(
-            frame=i, nmse_ratio=nmse([(frame.H, H_hat)]),
-            support_exact=(T_hat == T_true), iterations=iterations,
-            stop_reason=stop, rank_deficient_ls=deficient,
-            T_true=T_true, T_hat=T_hat))
-        prev_T_hat = T_hat
-
-    return records
+    H_hat = recover_channel(X_hat, dft_unitary(n), dft_unitary(m),
+                            scenario.P, t, m)
+    return FrameRecord(
+        nmse_ratio=nmse([(channel.H, H_hat)]),
+        support_exact=(T_hat == T_true), iterations=iterations,
+        stop_reason=stop, rank_deficient_ls=deficient,
+        T_true=T_true, T_hat=T_hat)
 
 
 def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
@@ -287,10 +278,15 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
                        gamma: Optional[float] = None,
                        noise: bool = True,
                        believed_s_c: Optional[int] = None,
-                       fixed_overlap: Optional[int] = None,
-                       max_iter: int = 100) -> list[FrameRecord]:
+                       fixed_overlap: Optional[int] = None) -> list[FrameRecord]:
     """n_frames of channel estimation with one algorithm: simulate_frames,
-    then estimate_frames (see both for the data and the prior rule)."""
-    frames = simulate_frames(scenario, n_frames, rng, noise, fixed_overlap)
-    return estimate_frames(scenario, frames, algorithm, gamma, believed_s_c,
-                           max_iter)
+    then estimate_frame per frame with T0 empty for frame 1 and the previous
+    frame's estimated support after it (see both for the data and the prior
+    rule)."""
+    records: list[FrameRecord] = []
+    T0 = ChunkSupport.empty(scenario.M)
+    for frame in simulate_frames(scenario, n_frames, rng, noise, fixed_overlap):
+        records.append(estimate_frame(scenario, frame, algorithm, T0, gamma,
+                                      believed_s_c))
+        T0 = records[-1].T_hat
+    return records

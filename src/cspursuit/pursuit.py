@@ -43,8 +43,10 @@ class StopReason(enum.Enum):
 class PursuitConfig:
     """Shared knobs for the pursuit algorithms.
 
-    s_bar is the sparsity budget (final supports have exactly s_bar
-    chunks), gamma the residue-norm stopping threshold, d the chunk height.
+    s_bar is the sparsity budget, gamma the residue-norm stopping
+    threshold, d the chunk height. Final supports have exactly s_bar
+    chunks, or none if the first iteration does not lower the residue (a
+    zero X_hat, RESIDUE_NON_DECREASING after 1 iteration).
     """
 
     s_bar: int

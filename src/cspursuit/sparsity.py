@@ -156,11 +156,8 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
 
 
 def validate_prior(prior: PriorSupportInfo, s_bar: int) -> None:
-    """Check the prior against an s_bar budget; raises PriorInfoError naming
-    the violated inequality."""
-    if prior.s_c > len(prior.T0):
-        raise PriorInfoError(
-            f"s_c <= |T0| violated: s_c={prior.s_c}, |T0|={len(prior.T0)}")
+    """Check |T0| <= s_bar (PriorSupportInfo already holds s_c <= |T0|);
+    raises PriorInfoError naming the violated inequality."""
     if len(prior.T0) > s_bar:
         raise PriorInfoError(
             f"|T0| <= s_bar violated: |T0|={len(prior.T0)}, s_bar={s_bar}")

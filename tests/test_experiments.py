@@ -120,6 +120,7 @@ class TestConfigValidation:
         (dict(gamma_rule="bogus"), "gamma_rule"),
         (dict(gamma_rule="explicit"), "gamma_value"),
         (dict(true_overlap=-1), "true_overlap"),
+        (dict(gamma_value=3.0), "gamma_value"),
     ])
     def test_rejects(self, overrides, pattern):
         with pytest.raises(ConfigError, match=pattern):
@@ -237,18 +238,19 @@ class TestRunMismatch:
 
 class TestTrialSharing:
     """Each trial's data are generated once and shared by every algorithm
-    (and, in a mismatch sweep, by every believed value); the rows equal
-    those of one run_frame_sequence per (value, algorithm, trial)."""
+    (and, in a mismatch sweep, by every believed value), and its first
+    frame is estimated once; the rows equal those of one
+    run_frame_sequence per (value, algorithm, trial)."""
 
     @staticmethod
-    def _count_generations(monkeypatch):
+    def _count_calls(monkeypatch, name):
         calls = []
-        original = mimo.generate_support_sequence
+        original = getattr(mimo, name)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
-        monkeypatch.setattr(mimo, "generate_support_sequence", counting)
+        monkeypatch.setattr(mimo, name, counting)
         return calls
 
     @staticmethod
@@ -278,17 +280,31 @@ class TestTrialSharing:
                  r.support_recovery_rate) for r in rows]
 
     def test_sweep_generates_each_trial_once(self, monkeypatch):
-        calls = self._count_generations(monkeypatch)
+        calls = self._count_calls(monkeypatch, "generate_support_sequence")
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
         run_sweep(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
     def test_mismatch_generates_each_trial_once(self, monkeypatch):
-        calls = self._count_generations(monkeypatch)
+        calls = self._count_calls(monkeypatch, "generate_support_sequence")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS, true_overlap=1)
         run_mismatch(cfg)
         assert len(calls) == cfg.n_trials
+
+    def test_sweep_estimates_first_frame_once(self, monkeypatch):
+        # frame 1 runs through mmv_sp, so msp only estimates measured frames
+        calls = self._count_calls(monkeypatch, "msp_recover")
+        cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
+        run_sweep(cfg)
+        assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
+
+    def test_mismatch_estimates_first_frame_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "msp_recover")
+        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
+                           algorithms=ALGORITHMS, true_overlap=1)
+        run_mismatch(cfg)
+        assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
     def test_sweep_rows_match_per_sequence_runs(self):
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)

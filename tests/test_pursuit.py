@@ -139,6 +139,22 @@ class TestStopping:
         assert len(res.residue_norms) == res.iterations + 1
         assert res.residue_norms[0] == pytest.approx(frobenius(Y))
 
+    def test_no_first_decrease_returns_empty_support(self):
+        # Y is orthogonal to every column of Phi, so no support lowers the
+        # residue and the run stops before any support is accepted
+        Phi = np.vstack([np.eye(6), np.zeros((2, 6))]).astype(complex)
+        Y = np.zeros((8, 1), dtype=complex)
+        Y[7, 0] = 1.0
+        prior = PriorSupportInfo(ChunkSupport.of([1, 3], 6), s_c=1)
+        cfg = PursuitConfig(s_bar=2, prior=prior, gamma=0.5)
+        for res in (msp_recover(Y, Phi, cfg), cmsp_recover(Y, Phi, cfg),
+                    mmv_sp_recover(Y, Phi, s_bar=2, gamma=0.5)):
+            assert res.T_hat == ChunkSupport.empty(6)
+            assert res.iterations == 1
+            assert res.stop_reason is StopReason.RESIDUE_NON_DECREASING
+            assert res.residue_norms == (1.0, 1.0)
+            np.testing.assert_array_equal(res.X_hat.data, np.zeros((6, 1)))
+
     def test_non_decreasing_returns_previous_iterate(self):
         Phi, x, prior = locked_instance()
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
@@ -323,3 +339,28 @@ def test_public_steps_agree_with_loop(seed, d, l_cols, s_c, max_iter):
         if res.stop_reason is not StopReason.RESIDUE_NON_DECREASING:
             assert res.T_hat == T
             np.testing.assert_array_equal(res.X_hat.data, X.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([1, 2]),
+       l_cols=st.sampled_from([1, 3]), gamma=st.sampled_from([0.0, 0.1]))
+def test_empty_prior_is_mmv_sp(seed, d, l_cols, gamma):
+    """Under the empty prior msp and cmsp are the plain pursuit bit for bit,
+    so one mmv_sp estimate can stand for all three."""
+    rng = np.random.default_rng(seed)
+    K, M, s_bar = 10, 8 + 2 * d, 3
+    Phi = random_complex(rng, (M, K * d)) / np.sqrt(2 * M)
+    X = np.zeros((K * d, l_cols), dtype=complex)
+    for k in rng.choice(K, size=s_bar, replace=False):
+        X[k * d:(k + 1) * d] = random_complex(rng, (d, l_cols))
+    Y = Phi @ X + 0.01 * random_complex(rng, (M, l_cols))
+    expected = mmv_sp_recover(Y, Phi, s_bar, gamma, d=d)
+    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(K),
+                        gamma=gamma, d=d)
+    for res in (msp_recover(Y, Phi, cfg), cmsp_recover(Y, Phi, cfg)):
+        assert res.T_hat == expected.T_hat
+        assert res.iterations == expected.iterations
+        assert res.stop_reason is expected.stop_reason
+        assert res.residue_norms == expected.residue_norms
+        assert res.rank_deficient_ls == expected.rank_deficient_ls
+        np.testing.assert_array_equal(res.X_hat.data, expected.X_hat.data)
