@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ChunkIndexing, ChunkSupport, as_matrix, chunking, frobenius
+from .core import (ChunkIndexing, ChunkSupport, _rows, as_matrix, chunking,
+                   frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -59,21 +60,19 @@ class RipQuery:
 
 
 def _gram_extremes(sub: np.ndarray) -> tuple[float, float]:
-    """(lam_max, lam_min) of the Gram of sub's columns."""
-    s = np.linalg.svd(sub, compute_uv=False)
-    lam_max = float(s[0] ** 2)
+    """(lam_max, lam_min) of the Gram sub^H sub, by its eigenvalues."""
+    eigs = np.linalg.eigvalsh(sub.conj().T @ sub)
     # a wide submatrix has a singular Gram
-    lam_min = 0.0 if sub.shape[1] > sub.shape[0] else float(s[-1] ** 2)
-    return lam_max, lam_min
+    lam_min = 0.0 if sub.shape[1] > sub.shape[0] else float(eigs[0])
+    return float(eigs[-1]), lam_min
 
 
 def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing, supports) -> float:
-    """Largest deviation from 1 of a Gram eigenvalue over supports given as
-    ascending tuples of 0-based chunks."""
-    blocks = Phi.reshape(Phi.shape[0], idx.K, idx.d)
+    """Largest deviation from 1 of an eigenvalue of Phi_T^H Phi_T, from T's
+    own columns of Phi, over supports T given as tuples of 0-based chunks."""
     delta = 0.0
     for chunks in supports:
-        sub = blocks[:, list(chunks)].reshape(Phi.shape[0], -1)
+        sub = Phi[:, _rows(np.array(chunks, dtype=np.intp), idx.d)]
         lam_max, lam_min = _gram_extremes(sub)
         delta = max(delta, lam_max - 1.0, 1.0 - lam_min)
     return float(delta)

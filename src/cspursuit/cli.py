@@ -14,12 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import (RipQuery, block_rip_exact, block_rip_montecarlo,
-                       channel_recovery_bound, cmsp_constants,
-                       cmsp_convergence_bound, cmsp_distortion_bound,
-                       msp_constants, msp_convergence_bound,
-                       msp_distortion_bound)
-from .core import ChunkSupport, read_matrix, write_matrix
+from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
+                       block_rip_montecarlo, channel_recovery_bound,
+                       cmsp_constants, cmsp_convergence_bound,
+                       cmsp_distortion_bound, msp_constants,
+                       msp_convergence_bound, msp_distortion_bound)
+from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
 from .experiments import load_config, run_mismatch, run_sweep, write_csv
 from .pursuit import (PursuitConfig, StopReason, cmsp_recover, mmv_sp_recover,
@@ -134,7 +134,7 @@ def _cmd_recover(args) -> int:
         result = mmv_sp_recover(Y, Phi, args.s_bar, args.gamma, d=d,
                                 max_iter=args.max_iter)
     else:
-        K = Phi.shape[1] // args.d
+        K = chunking(Phi, args.d).K
         t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
         prior = PriorSupportInfo(ChunkSupport.of(t0_indices, K), args.s_c)
         cfg = PursuitConfig(s_bar=args.s_bar, prior=prior, gamma=args.gamma,
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--montecarlo", type=int, default=None,
                    help="sample supports instead of enumerating")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=2_000_000)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=_cmd_rip)
 
     p = sub.add_parser("bounds", help="guarantee constants and bounds")

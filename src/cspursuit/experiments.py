@@ -1,17 +1,18 @@
 """Monte-Carlo experiment harness: seeded paired trials over a sweep axis,
 summary rows, a flat key=value config format, and deterministic CSV output.
 
-Each trial simulates two frames. The first is estimated once, by mmv_sp
-(what msp and cmsp are under the empty prior), and its support estimate is
-the prior T0 of every algorithm and believed value; the second is measured.
-Trial t uses seed base_seed + t; its data are generated once per sweep
-value (once in all for run_mismatch) and shared by every algorithm, so
-algorithms are compared on the same data. Across s_c values the frame-2
-data differ, because the support generator's draws depend on s_c. The s_c
-axis sets the generator's overlap floor on the true supports; the prior
-handed to the pursuits carries the floor its estimated T0 keeps (see
-estimate_frame). Only the believed_s_c axis (run_mismatch) tells the
-pursuits a floor that may be wrong.
+Each trial simulates two frames and measures the second. Frame 1 is
+estimated once, by mmv_sp (what msp and cmsp are under the empty prior),
+and only when a configured algorithm reads a prior; its support estimate is
+the prior T0 of every algorithm and believed value. Trial t uses seed
+base_seed + t; its data are generated once per sweep value (once in all
+for run_mismatch) and shared by every algorithm. Across s_c values the
+frame-2 data differ, because the support generator's draws depend on s_c.
+The s_c axis sets the generator's overlap floor on the true supports. By
+default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
+from the measured frame's true support that no receiver has; criterion 08
+passes only with it (see estimate_frame). Only the believed_s_c axis
+(run_mismatch) tells the pursuits a floor that may be wrong.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from .core import ChunkSupport
 from .errors import ConfigError
-from .mimo import ALGORITHMS, MimoScenario, estimate_frame, simulate_frames
+from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frame,
+                   simulate_frames)
 from .sparsity import SupportEvolutionParams
 
 __all__ = [
@@ -65,16 +67,11 @@ class ExperimentConfig:
     true_overlap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ConfigError("M must be positive")
-        if self.N_ue < 1:
-            raise ConfigError("N_ue must be positive")
-        if self.s_bar < 1:
-            raise ConfigError("s_bar must be positive")
+        for name in ("M", "N_ue", "s_bar", "pilot_length", "n_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
         if self.s_c < 0:
             raise ConfigError("s_c must be nonnegative")
-        if self.pilot_length < 1:
-            raise ConfigError("pilot_length must be positive")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(
                 f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
@@ -86,8 +83,6 @@ class ExperimentConfig:
             if alg not in ALGORITHMS:
                 raise ConfigError(
                     f"algorithms entry {alg!r} not one of {ALGORITHMS}")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be positive")
         if self.gamma_rule not in GAMMA_RULES:
             raise ConfigError(
                 f"gamma_rule must be one of {GAMMA_RULES}, got {self.gamma_rule!r}")
@@ -220,19 +215,21 @@ def _run_trials(config: ExperimentConfig, groups,
                 fixed_overlap: Optional[int], noise: bool) -> list[ResultRow]:
     """The one trial loop. groups holds (scenario, [(position, believed_s_c)])
     pairs: trial t of a scenario is generated once, from seed base_seed + t,
-    its first frame estimated once, and its measured frame estimated by
-    every algorithm at every sweep position of its group. Rows come out in
-    (sweep position, algorithm) order."""
+    its first frame estimated once if an algorithm reads a prior, and its
+    measured frame estimated by every algorithm at every sweep position of
+    its group. Rows come out in (sweep position, algorithm) order."""
     # None (rule sqrt_2nt) makes estimate_frame use sqrt(2 N T) per scenario
     gamma = config.gamma_value
+    reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
     for scenario, members in groups:
         for trial in range(config.n_trials):
             rng = np.random.default_rng(config.base_seed + trial)
             first, measured = simulate_frames(scenario, 2, rng, noise,
                                               fixed_overlap)
-            T0 = estimate_frame(scenario, first, "mmv_sp",
-                                ChunkSupport.empty(scenario.M), gamma).T_hat
+            T0 = ChunkSupport.empty(scenario.M)
+            if reads_prior:
+                T0 = estimate_frame(scenario, first, "mmv_sp", T0, gamma).T_hat
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
                     last.setdefault((position, algorithm), []).append(

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ChunkSupport, as_matrix, frobenius
+from .core import ChunkSupport, _zero_based, as_matrix, frobenius
 from .errors import DimensionError, MetricError
 from .pursuit import (PursuitConfig, StopReason, cmsp_recover, genie_ls,
                       mmv_sp_recover, msp_recover, sp_recover)
@@ -26,6 +26,7 @@ __all__ = [
     "MimoScenario",
     "ChannelFrame",
     "FrameRecord",
+    "PRIOR_ALGORITHMS",
     "ALGORITHMS",
     "dft_unitary",
     "generate_pilots",
@@ -38,7 +39,8 @@ __all__ = [
     "run_frame_sequence",
 ]
 
-ALGORITHMS = ("msp", "cmsp", "mmv_sp", "sp", "genie")
+PRIOR_ALGORITHMS = ("msp", "cmsp")  # the algorithms that read a prior T0
+ALGORITHMS = PRIOR_ALGORITHMS + ("mmv_sp", "sp", "genie")
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,10 @@ def generate_channel(scenario: MimoScenario, T_true: ChunkSupport,
         raise DimensionError(f"support universe {T_true.K} != M={scenario.M}")
     n, m = scenario.N_ue, scenario.M
     H_a = np.zeros((n, m), dtype=np.complex128)
-    cols = [k - 1 for k in T_true]
-    if cols:
-        vals = rng.standard_normal((n, len(cols))) + 1j * rng.standard_normal(
-            (n, len(cols)))
-        H_a[:, cols] = vals / np.sqrt(2.0)
+    cols = _zero_based(T_true)
+    vals = rng.standard_normal((n, len(cols))) + 1j * rng.standard_normal(
+        (n, len(cols)))
+    H_a[:, cols] = vals / np.sqrt(2.0)
     U = dft_unitary(n) if U is None else U
     V = dft_unitary(m) if V is None else V
     H = U @ H_a @ V.conj().T
@@ -215,13 +216,14 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
 def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
                    T0: ChunkSupport, gamma: Optional[float] = None,
                    believed_s_c: Optional[int] = None) -> FrameRecord:
-    """Estimate and score one simulate_frames entry with one algorithm; msp
-    and cmsp read T0, the previous frame's estimated support (empty for a
-    first frame). The evolution s_c floors only the overlap of consecutive
-    true supports, so by default the prior's s_c is min(evolution s_c,
-    |T0 ∩ T|), the largest floor up to the nominal one that T0 keeps: the
-    promise |T0 ∩ T| >= s_c holds. An explicit believed_s_c is passed as
-    told, clamped only to |T0|, and may overstate it (the mismatch study)."""
+    """Estimate and score one simulate_frames entry with one algorithm; the
+    PRIOR_ALGORITHMS read T0, the previous frame's estimated support (empty
+    for a first frame). The evolution s_c floors only the overlap of true
+    supports, so by default the prior's s_c is min(evolution s_c, |T0 ∩ T|)
+    and the promise |T0 ∩ T| >= s_c holds. That count reads the measured
+    frame's true support T, which no receiver has; criterion 08 passes only
+    with it. An explicit believed_s_c is passed as told, clamped only to
+    |T0|, and may overstate it (the mismatch study)."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
     m, n, t = scenario.M, scenario.N_ue, scenario.T
@@ -248,9 +250,7 @@ def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
         stop = None
         deficient = any(res.rank_deficient_ls for res in runs)
     else:
-        if algorithm == "mmv_sp":
-            res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val)
-        else:
+        if algorithm in PRIOR_ALGORITHMS:
             cap = (len(T0) if believed_s_c is not None else
                    len(T0.intersection(T_true)))
             prior = PriorSupportInfo(T0, min(s_c_alg, cap))
@@ -258,6 +258,8 @@ def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
                                 gamma=gamma_val, d=1)
             solver = cmsp_recover if algorithm == "cmsp" else msp_recover
             res = solver(Y, Phi, cfg)
+        else:
+            res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val)
         X_hat = res.X_hat.data
         T_hat = res.T_hat
         iterations = float(res.iterations)

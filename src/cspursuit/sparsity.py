@@ -104,13 +104,11 @@ def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],
     idx = ChunkIndexing(K, d)
     if L < 1:
         raise ValueError(f"L must be positive, got {L}")
-    chunks = sorted(set(int(k) for k in T))
-    if chunks and (chunks[0] < 1 or chunks[-1] > K):
-        raise ValueError(f"support outside 1..{K}: {chunks}")
+    chunks = ChunkSupport.of(T, K)  # ValueError outside 1..K
     data = np.zeros((idx.total_rows, L), dtype=np.complex128)
     for k in chunks:
         block = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
-        data[(k - 1) * d:k * d] = block / np.sqrt(2.0)
+        data[idx.rows_of([k])] = block / np.sqrt(2.0)
     return ChunkSparseMatrix(data, idx)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
                                 block_rip_exact, block_rip_montecarlo,
@@ -15,6 +16,7 @@ from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
 from cspursuit.core import ChunkIndexing
 from cspursuit.errors import (BoundPreconditionError, DimensionError,
                               EnumerationCapError, RipViolationError)
+from cspursuit.oracle import rip_bruteforce_reference
 from cspursuit.sparsity import ChunkSparseMatrix, ChunkSupport
 
 
@@ -84,6 +86,26 @@ class TestBlockRipMontecarlo:
         mc = block_rip_montecarlo(Phi, RipQuery(3, 1), n_samples=20,
                                   rng=np.random.default_rng(1))
         assert mc <= exact + 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(0, 4), d=st.sampled_from([1, 2]), K=st.integers(1, 4),
+       k=st.integers(1, 4), seed=st.integers(0, 10**6))
+@example(M=0, d=2, K=3, k=2, seed=0)  # no rows: every Gram is zero
+@example(M=3, d=2, K=3, k=2, seed=1)  # k*d > M: singular Grams
+@example(M=4, d=2, K=4, k=2, seed=2)  # k*d = M
+def test_rip_matches_oracle(M, d, K, k, seed):
+    # exact and exhaustive Monte-Carlo deltas equal the entry-by-entry
+    # Gram reference, with k*d below, at and above the row count M
+    k = min(k, K)
+    rng = np.random.default_rng(seed)
+    Phi = random_complex(rng, (M, K * d)) / np.sqrt(2 * max(M, 1))
+    q = RipQuery(k, d)
+    reference = rip_bruteforce_reference(Phi, k, d)
+    assert block_rip_exact(Phi, q) == pytest.approx(reference, abs=1e-10)
+    mc = block_rip_montecarlo(Phi, q, n_samples=math.comb(K, k),
+                              rng=np.random.default_rng(seed))
+    assert mc == pytest.approx(reference, abs=1e-10)
 
 
 class TestConstantShapes:

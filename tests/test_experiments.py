@@ -306,6 +306,12 @@ class TestTrialSharing:
         run_mismatch(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
+    def test_first_frame_skipped_without_prior_readers(self, monkeypatch):
+        # genie and sp read no prior, so frame 1 is never estimated
+        calls = self._count_calls(monkeypatch, "mmv_sp_recover")
+        run_sweep(small_config(algorithms=("genie", "sp")))
+        assert len(calls) == 0
+
     def test_sweep_rows_match_per_sequence_runs(self):
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
         expected = [self._expected_row(cfg, value, alg,
