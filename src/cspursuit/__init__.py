@@ -11,8 +11,8 @@ from .analysis import (BoundConstants, InequalityCheck, Lemma1Report,
                        RipQuery, block_rip_exact, block_rip_montecarlo,
                        channel_recovery_bound, cmsp_constants,
                        cmsp_convergence_bound, cmsp_distortion_bound,
-                       cmsp_refined_distortion_bound, lemma1_check,
-                       msp_constants, msp_convergence_bound,
+                       cmsp_refined_distortion_bound, isometry_orders,
+                       lemma1_check, msp_constants, msp_convergence_bound,
                        msp_distortion_bound, msp_refined_distortion_bound)
 from .core import (ChunkIndexing, ChunkSupport, as_matrix, chunk_norms,
                    frobenius, ls_solve, ls_solve_with_rank, read_matrix,
@@ -61,7 +61,8 @@ __all__ = [
     "genie_ls",
     # analysis
     "RipQuery", "BoundConstants", "InequalityCheck", "Lemma1Report",
-    "block_rip_exact", "block_rip_montecarlo", "msp_constants",
+    "block_rip_exact", "block_rip_montecarlo", "isometry_orders",
+    "msp_constants",
     "cmsp_constants", "msp_distortion_bound", "msp_refined_distortion_bound",
     "msp_convergence_bound", "cmsp_distortion_bound",
     "cmsp_refined_distortion_bound", "cmsp_convergence_bound",

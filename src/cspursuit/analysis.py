@@ -28,6 +28,7 @@ __all__ = [
     "Lemma1Report",
     "block_rip_exact",
     "block_rip_montecarlo",
+    "isometry_orders",
     "msp_constants",
     "cmsp_constants",
     "msp_distortion_bound",
@@ -188,20 +189,29 @@ def _steady_state(c_contraction: float, c_loss: float, d_floor: float) -> float:
             / ((1.0 - c_contraction) * math.sqrt(1.0 - d_floor)))
 
 
+def isometry_orders(s_bar: int, s_c: int, t0_size: int,
+                    conservative: bool = False) -> tuple[int, ...]:
+    """Orders of the isometry constants a pursuit's guarantee reads, in the
+    order msp_constants or cmsp_constants takes their deltas. Modified
+    pursuit: s_bar, s1 = 2 s_bar + min(0, |T0| - 2 s_c) and
+    s2 = 3 s_bar + min(0, |T0| - 3 s_c). Conservative pursuit: s_bar,
+    2 s_bar, 2 s_bar + s_c and 3 s_bar + s_c."""
+    if conservative:
+        return s_bar, 2 * s_bar, 2 * s_bar + s_c, 3 * s_bar + s_c
+    return (s_bar, 2 * s_bar + min(0, t0_size - 2 * s_c),
+            3 * s_bar + min(0, t0_size - 3 * s_c))
+
+
 def msp_constants(delta_sbar: float, delta_s1: float, delta_s2: float,
                   s_bar: int, t0_size: int, s_c: int) -> BoundConstants:
-    """Constants of the modified pursuit's guarantees.
-
-    The orders are s1 = 2 s_bar + min(0, |T0| - 2 s_c) and
-    s2 = 3 s_bar + min(0, |T0| - 3 s_c).
-    """
+    """Constants of the modified pursuit's guarantees, with the deltas at
+    the orders s_bar, s1 and s2 of isometry_orders."""
     d_sbar = _check_delta("s_bar", delta_sbar)
     d_s1 = _check_delta("s1", delta_s1)
     d_s2 = _check_delta("s2", delta_s2)
     if not 0 <= s_c <= t0_size:
         raise ValueError(f"need 0 <= s_c <= |T0|, got s_c={s_c}, |T0|={t0_size}")
-    s1 = 2 * s_bar + min(0, t0_size - 2 * s_c)
-    s2 = 3 * s_bar + min(0, t0_size - 3 * s_c)
+    _, s1, s2 = isometry_orders(s_bar, s_c, t0_size)
     c1 = _contraction(d_s2)
     c2 = _merge_loss(d_sbar, d_s1, d_s2, d_s1)
     c4 = _steady_state(c1, c2, d_s1)
@@ -214,15 +224,14 @@ def msp_constants(delta_sbar: float, delta_s1: float, delta_s2: float,
 def cmsp_constants(delta_sbar: float, delta_2sbar: float,
                    delta_2sbar_sc: float, delta_3sbar_sc: float,
                    s_bar: int, s_c: int, t0_size: int,
-                   overlap: Optional[int] = None,
-                   delta_s3: Optional[float] = None) -> BoundConstants:
-    """Constants of the conservative pursuit's guarantees.
+                   overlap: Optional[int] = None) -> BoundConstants:
+    """Constants of the conservative pursuit's guarantees, with the deltas
+    at the orders of isometry_orders(conservative=True).
 
     s3 = 3 s_bar + s_c + min(0, |T0| - overlap - s_c) when the true overlap
-    |T0 ∩ T| is supplied, else the conservative form 3 s_bar + s_c. The
-    contraction factor needs delta at order s3; when s3 is below
-    3 s_bar + s_c and no delta_s3 is given, delta_{3 s_bar + s_c} stands in
-    as an upper bound (isometry constants are monotone in the order).
+    |T0 ∩ T| is supplied, else 3 s_bar + s_c. delta_{3 s_bar + s_c} stands
+    in for delta at order s3, an upper bound when s3 is lower (isometry
+    constants are monotone in the order).
     """
     d_sbar = _check_delta("s_bar", delta_sbar)
     d_2sbar = _check_delta("2s_bar", delta_2sbar)
@@ -230,22 +239,20 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
     d_3sbar_sc = _check_delta("3s_bar_plus_s_c", delta_3sbar_sc)
     if not 0 <= s_c <= t0_size:
         raise ValueError(f"need 0 <= s_c <= |T0|, got s_c={s_c}, |T0|={t0_size}")
-    if overlap is None:
-        s3 = 3 * s_bar + s_c
-    else:
+    s3 = isometry_orders(s_bar, s_c, t0_size, conservative=True)[-1]
+    if overlap is not None:
         if overlap < 0 or overlap > t0_size:
             raise ValueError(f"overlap must be in 0..|T0|, got {overlap}")
-        s3 = 3 * s_bar + s_c + min(0, t0_size - overlap - s_c)
-    d_s3 = d_3sbar_sc if delta_s3 is None else _check_delta("s3", delta_s3)
-    c5 = _contraction(d_s3)
+        s3 += min(0, t0_size - overlap - s_c)
+    c5 = _contraction(d_3sbar_sc)
     c6 = _merge_loss(d_sbar, d_2sbar_sc, d_3sbar_sc, d_2sbar)
     c7 = _steady_state(c5, c6, d_2sbar)
     return BoundConstants(
         delta={"s_bar": d_sbar, "2s_bar": d_2sbar,
                "2s_bar_plus_s_c": d_2sbar_sc, "3s_bar_plus_s_c": d_3sbar_sc,
-               "s3": d_s3},
+               "s3": d_3sbar_sc},
         s_bar=s_bar, s_c=s_c, t0_size=t0_size, s3=s3,
-        c5=c5, c6=c6, c7=c7, valid=d_s3 < CONTRACTION_DELTA)
+        c5=c5, c6=c6, c7=c7, valid=d_3sbar_sc < CONTRACTION_DELTA)
 
 
 def _require_contraction(constants: BoundConstants, label: str) -> None:
@@ -285,18 +292,10 @@ def cmsp_distortion_bound(constants: BoundConstants, gamma: float,
 
 
 def cmsp_refined_distortion_bound(constants: BoundConstants, gamma: float,
-                                  eta: float, min_chunk_energy: float,
-                                  delta_s1: Optional[float] = None) -> float:
-    """Conservative counterpart of the refined bound.
-
-    The energy gate compares against max(c7 eta, (gamma+eta)/sqrt(1-delta))
-    where delta defaults to the 2 s_bar order (an upper bound on the gate's
-    nominal order); pass delta_s1 to use a sharper value.
-    """
-    _require_contraction(constants, "s3")
-    d_gate = constants.delta["2s_bar"] if delta_s1 is None else _check_delta(
-        "s1", delta_s1)
-    gate = max(constants.c7 * eta, (gamma + eta) / math.sqrt(1.0 - d_gate))
+                                  eta: float, min_chunk_energy: float) -> float:
+    """Conservative counterpart of the refined bound: min_chunk_energy must
+    exceed cmsp_distortion_bound, else BoundPreconditionError."""
+    gate = cmsp_distortion_bound(constants, gamma, eta)
     if not min_chunk_energy > gate:
         raise BoundPreconditionError(
             f"min chunk energy > gate violated: {min_chunk_energy} <= {gate}")

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
                        block_rip_montecarlo, channel_recovery_bound,
                        cmsp_constants, cmsp_convergence_bound,
-                       cmsp_distortion_bound, msp_constants,
+                       cmsp_distortion_bound, isometry_orders, msp_constants,
                        msp_convergence_bound, msp_distortion_bound)
 from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
@@ -57,18 +57,14 @@ def _cmd_rip(args) -> int:
     return 0
 
 
-# per pursuit variant: the --delta-* dests, one per isometry order; the
-# orders; the constants; the keys printed before the deltas; the bounds
+# per pursuit variant: the --delta-* dests, one per isometry_orders entry;
+# the constants; the keys printed before the deltas; the bounds
 _VARIANTS = {
     False: (("delta_sbar", "delta_s1", "delta_s2"),
-            lambda a: (a.s_bar, 2 * a.s_bar + min(0, a.t0_size - 2 * a.s_c),
-                       3 * a.s_bar + min(0, a.t0_size - 3 * a.s_c)),
             lambda a, ds: msp_constants(*ds, a.s_bar, a.t0_size, a.s_c),
             ("c1", "c2", "c4", "s1", "s2", "valid"),
             msp_distortion_bound, msp_convergence_bound),
     True: (("delta_sbar", "delta_2sbar", "delta_2sbar_sc", "delta_3sbar_sc"),
-           lambda a: (a.s_bar, 2 * a.s_bar, 2 * a.s_bar + a.s_c,
-                      3 * a.s_bar + a.s_c),
            lambda a, ds: cmsp_constants(*ds, a.s_bar, a.s_c, a.t0_size,
                                         overlap=a.overlap),
            ("c5", "c6", "c7", "s3", "valid"),
@@ -77,13 +73,15 @@ _VARIANTS = {
 
 
 def _cmd_bounds(args) -> int:
-    flags, orders, make_constants, keys, distortion, convergence = \
+    flags, make_constants, keys, distortion, convergence = \
         _VARIANTS[args.conservative]
     if args.matrix is not None:
         Phi = read_matrix(args.matrix)
+        orders = isometry_orders(args.s_bar, args.s_c, args.t0_size,
+                                 args.conservative)
         found = {k: block_rip_exact(Phi, RipQuery(k=k, d=args.d))
-                 for k in sorted(set(orders(args)))}
-        deltas = [found[k] for k in orders(args)]
+                 for k in sorted(set(orders))}
+        deltas = [found[k] for k in orders]
     else:
         deltas = [getattr(args, flag) for flag in flags]
         if any(v is None for v in deltas):

@@ -25,7 +25,7 @@ import numpy as np
 from .core import ChunkSupport
 from .errors import ConfigError
 from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frame,
-                   simulate_frames)
+                   estimate_support, simulate_frames)
 from .sparsity import SupportEvolutionParams
 
 __all__ = [
@@ -215,9 +215,10 @@ def _run_trials(config: ExperimentConfig, groups,
                 fixed_overlap: Optional[int], noise: bool) -> list[ResultRow]:
     """The one trial loop. groups holds (scenario, [(position, believed_s_c)])
     pairs: trial t of a scenario is generated once, from seed base_seed + t,
-    its first frame estimated once if an algorithm reads a prior, and its
-    measured frame estimated by every algorithm at every sweep position of
-    its group. Rows come out in (sweep position, algorithm) order."""
+    only its first frame's support estimated, once, if an algorithm reads a
+    prior, and its measured frame estimated and scored by every algorithm at
+    every sweep position of its group. Rows come out in (sweep position,
+    algorithm) order."""
     # None (rule sqrt_2nt) makes estimate_frame use sqrt(2 N T) per scenario
     gamma = config.gamma_value
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
@@ -229,7 +230,7 @@ def _run_trials(config: ExperimentConfig, groups,
                                               fixed_overlap)
             T0 = ChunkSupport.empty(scenario.M)
             if reads_prior:
-                T0 = estimate_frame(scenario, first, "mmv_sp", T0, gamma).T_hat
+                T0 = estimate_support(scenario, first, "mmv_sp", T0, gamma)
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
                     last.setdefault((position, algorithm), []).append(

@@ -1,9 +1,10 @@
 """Downlink channel estimation as a chunk-sparse recovery problem.
 
 A base station with M antennas sends T pilot symbols to an N_ue antenna
-user. The channel is sparse in the angular domain: H = U H_a V^H with U, V
-unitary DFT matrices and the rows of H_a sharing a small column support
-that drifts slowly frame to frame. The received block Z = sqrt(P) H Theta
+user. The channel is sparse in the angular domain: H = U H_a V^H, with U
+and V fixed to the unitary DFT matrices dft_unitary(N_ue) and
+dft_unitary(M), and the rows of H_a sharing a small column support that
+drifts slowly frame to frame. The received block Z = sqrt(P) H Theta
 + W is rearranged into Y = Phi X + N with a column-normalized sensing
 matrix, recovered with a pursuit, and mapped back to the antenna domain.
 """
@@ -20,7 +21,7 @@ from .errors import DimensionError, MetricError
 from .pursuit import (PursuitConfig, StopReason, cmsp_recover, genie_ls,
                       mmv_sp_recover, msp_recover, sp_recover)
 from .sparsity import PriorSupportInfo, SupportEvolutionParams, \
-    generate_support_sequence
+    _complex_gaussian, generate_support_sequence
 
 __all__ = [
     "MimoScenario",
@@ -35,6 +36,7 @@ __all__ = [
     "recover_channel",
     "nmse",
     "simulate_frames",
+    "estimate_support",
     "estimate_frame",
     "run_frame_sequence",
 ]
@@ -110,28 +112,22 @@ def generate_pilots(M: int, T: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_channel(scenario: MimoScenario, T_true: ChunkSupport,
-                     rng: np.random.Generator,
-                     U: Optional[np.ndarray] = None,
-                     V: Optional[np.ndarray] = None) -> ChannelFrame:
-    """Random channel whose angular rows share the column support T_true;
-    nonzero entries are unit-variance complex Gaussian."""
+                     rng: np.random.Generator) -> ChannelFrame:
+    """Random channel H = U H_a V^H whose angular rows share the column
+    support T_true; nonzero entries are unit-variance complex Gaussian."""
     if T_true.K != scenario.M:
         raise DimensionError(f"support universe {T_true.K} != M={scenario.M}")
     n, m = scenario.N_ue, scenario.M
     H_a = np.zeros((n, m), dtype=np.complex128)
     cols = _zero_based(T_true)
-    vals = rng.standard_normal((n, len(cols))) + 1j * rng.standard_normal(
-        (n, len(cols)))
-    H_a[:, cols] = vals / np.sqrt(2.0)
-    U = dft_unitary(n) if U is None else U
-    V = dft_unitary(m) if V is None else V
-    H = U @ H_a @ V.conj().T
+    H_a[:, cols] = _complex_gaussian(rng, (n, len(cols)))
+    H = dft_unitary(n) @ H_a @ dft_unitary(m).conj().T
     return ChannelFrame(H=H, H_a=H_a, T_true=T_true)
 
 
-def to_cs_problem(Z, Theta, U, V, P: float, T: int,
-                  M: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rearrange a received block into sparse-recovery form.
+def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rearrange a received N_ue x T block Z, sent with M x T pilots Theta,
+    into sparse-recovery form.
 
     Returns (Y, Phi, scale) with Y = Z^H U (T x N_ue), Phi = sqrt(M/T)
     Theta^H V (T x M, unit expected column norm), and scale = sqrt(P T / M)
@@ -139,32 +135,29 @@ def to_cs_problem(Z, Theta, U, V, P: float, T: int,
     """
     Z = as_matrix(Z, "Z")
     Theta = as_matrix(Theta, "Theta")
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    if Z.shape[1] != T or Theta.shape != (M, T):
-        raise DimensionError(
-            f"Z {Z.shape} and Theta {Theta.shape} must be N_ue x {T} and {M} x {T}")
-    if U.shape != (Z.shape[0], Z.shape[0]) or V.shape != (M, M):
-        raise DimensionError("U and V must be square transforms of N_ue and M")
+    (n, t), m = Z.shape, Theta.shape[0]
+    if min(n, t, m) < 1 or Theta.shape[1] != t:
+        raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
+                             "nonempty N_ue x T and M x T")
     if P <= 0:
         raise ValueError(f"P must be positive, got {P}")
-    Y = Z.conj().T @ U
-    Phi = np.sqrt(M / T) * (Theta.conj().T @ V)
-    scale = float(np.sqrt(P * T / M))
+    Y = Z.conj().T @ dft_unitary(n)
+    Phi = np.sqrt(m / t) * (Theta.conj().T @ dft_unitary(m))
+    scale = float(np.sqrt(P * t / m))
     return Y, Phi, scale
 
 
-def recover_channel(X_hat, U, V, P: float, T: int, M: int) -> np.ndarray:
-    """Map a recovered sparse-domain matrix back to the antenna domain:
-    H_hat = sqrt(M/(P T)) U X_hat^H V^H."""
+def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
+    """Map a recovered M x N_ue sparse-domain matrix back to the antenna
+    domain: H_hat = sqrt(M/(P T)) U X_hat^H V^H."""
     X_hat = as_matrix(X_hat, "X_hat")
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    if X_hat.shape[0] != M:
-        raise DimensionError(f"X_hat has {X_hat.shape[0]} rows, M={M}")
+    m, n = X_hat.shape
+    if min(m, n) < 1:
+        raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
     if P <= 0 or T < 1:
         raise ValueError("P and T must be positive")
-    return np.sqrt(M / (P * T)) * (U @ X_hat.conj().T @ V.conj().T)
+    return np.sqrt(m / (P * T)) * (dft_unitary(n) @ X_hat.conj().T
+                                   @ dft_unitary(m).conj().T)
 
 
 def nmse(pairs) -> float:
@@ -178,10 +171,6 @@ def nmse(pairs) -> float:
     if not ratios:
         raise MetricError("nmse needs at least one pair")
     return float(np.mean(ratios))
-
-
-def _complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def default_gamma(N_ue: int, T: int) -> float:
@@ -205,12 +194,58 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
     for T_true in supports:
         frame = generate_channel(scenario, T_true, rng)
         Theta = generate_pilots(m, t, rng)
-        W = _complex_noise(rng, (n, t)) if noise else np.zeros((n, t), complex)
+        W = _complex_gaussian(rng, (n, t)) if noise else np.zeros((n, t), complex)
         Z = np.sqrt(scenario.P) * frame.H @ Theta + W
-        Y, Phi, _ = to_cs_problem(Z, Theta, dft_unitary(n), dft_unitary(m),
-                                  scenario.P, t, m)
+        Y, Phi, _ = to_cs_problem(Z, Theta, scenario.P)
         frames.append((frame, Y, Phi))
     return frames
+
+
+def _estimate(scenario: MimoScenario, frame, algorithm: str,
+              T0: ChunkSupport, gamma: Optional[float],
+              believed_s_c: Optional[int]):
+    """(X_hat, T_hat, iterations, stop reason, rank flag) of one algorithm
+    on one simulate_frames entry; see estimate_frame for the prior rule."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
+    m, n, t = scenario.M, scenario.N_ue, scenario.T
+    gamma_val = default_gamma(n, t) if gamma is None else float(gamma)
+    s_c_alg = scenario.evolution.s_c if believed_s_c is None else believed_s_c
+    if s_c_alg < 0:
+        raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
+    channel, Y, Phi = frame
+    T_true = channel.T_true
+    if algorithm == "genie":
+        return genie_ls(Y, Phi, T_true, d=1).data, T_true, 0.0, None, False
+    if algorithm == "sp":
+        # one scalar-sparse problem per receive antenna, supports pooled
+        runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
+                           gamma_val / np.sqrt(n))
+                for j in range(n)]
+        return (np.hstack([res.X_hat.data for res in runs]),
+                ChunkSupport.of([k for res in runs for k in res.T_hat], m),
+                float(np.mean([res.iterations for res in runs])), None,
+                any(res.rank_deficient_ls for res in runs))
+    if algorithm in PRIOR_ALGORITHMS:
+        cap = (len(T0) if believed_s_c is not None else
+               len(T0.intersection(T_true)))
+        prior = PriorSupportInfo(T0, min(s_c_alg, cap))
+        cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
+                            gamma=gamma_val, d=1)
+        solver = cmsp_recover if algorithm == "cmsp" else msp_recover
+        res = solver(Y, Phi, cfg)
+    else:
+        res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val)
+    return (res.X_hat.data, res.T_hat, float(res.iterations), res.stop_reason,
+            res.rank_deficient_ls)
+
+
+def estimate_support(scenario: MimoScenario, frame, algorithm: str,
+                     T0: ChunkSupport, gamma: Optional[float] = None,
+                     believed_s_c: Optional[int] = None) -> ChunkSupport:
+    """The support estimate_frame would find, not mapped back or scored: all
+    that a frame which only supplies the next frame's prior T0 needs."""
+    return _estimate(scenario, frame, algorithm, T0, gamma, believed_s_c)[1]
 
 
 def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
@@ -224,55 +259,15 @@ def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
     frame's true support T, which no receiver has; criterion 08 passes only
     with it. An explicit believed_s_c is passed as told, clamped only to
     |T0|, and may overstate it (the mismatch study)."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
-    m, n, t = scenario.M, scenario.N_ue, scenario.T
-    gamma_val = default_gamma(n, t) if gamma is None else float(gamma)
-    s_c_alg = scenario.evolution.s_c if believed_s_c is None else believed_s_c
-    if s_c_alg < 0:
-        raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
-    channel, Y, Phi = frame
-    T_true = channel.T_true
-    if algorithm == "genie":
-        X_hat = genie_ls(Y, Phi, T_true, d=1).data
-        T_hat = T_true
-        iterations = 0.0
-        stop: Optional[StopReason] = None
-        deficient = False
-    elif algorithm == "sp":
-        # one scalar-sparse problem per receive antenna, supports pooled
-        runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
-                           gamma_val / np.sqrt(n))
-                for j in range(n)]
-        X_hat = np.hstack([res.X_hat.data for res in runs])
-        T_hat = ChunkSupport.of([k for res in runs for k in res.T_hat], m)
-        iterations = float(np.mean([res.iterations for res in runs]))
-        stop = None
-        deficient = any(res.rank_deficient_ls for res in runs)
-    else:
-        if algorithm in PRIOR_ALGORITHMS:
-            cap = (len(T0) if believed_s_c is not None else
-                   len(T0.intersection(T_true)))
-            prior = PriorSupportInfo(T0, min(s_c_alg, cap))
-            cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
-                                gamma=gamma_val, d=1)
-            solver = cmsp_recover if algorithm == "cmsp" else msp_recover
-            res = solver(Y, Phi, cfg)
-        else:
-            res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val)
-        X_hat = res.X_hat.data
-        T_hat = res.T_hat
-        iterations = float(res.iterations)
-        stop = res.stop_reason
-        deficient = res.rank_deficient_ls
-
-    H_hat = recover_channel(X_hat, dft_unitary(n), dft_unitary(m),
-                            scenario.P, t, m)
+    X_hat, T_hat, iterations, stop, deficient = _estimate(
+        scenario, frame, algorithm, T0, gamma, believed_s_c)
+    channel = frame[0]
+    H_hat = recover_channel(X_hat, scenario.P, scenario.T)
     return FrameRecord(
         nmse_ratio=nmse([(channel.H, H_hat)]),
-        support_exact=(T_hat == T_true), iterations=iterations,
+        support_exact=(T_hat == channel.T_true), iterations=iterations,
         stop_reason=stop, rank_deficient_ls=deficient,
-        T_true=T_true, T_hat=T_hat)
+        T_true=channel.T_true, T_hat=T_hat)
 
 
 def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,

@@ -97,6 +97,12 @@ def chunk_support(X: ChunkSparseMatrix, tol: float = 0.0) -> ChunkSupport:
     return ChunkSupport.of(hot.tolist(), X.idx.K)
 
 
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance circular complex Gaussian draw: real part, then
+    imaginary part, each scaled by 1/sqrt(2)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],
                           rng: np.random.Generator) -> ChunkSparseMatrix:
     """Random chunk-sparse matrix: i.i.d. complex unit-variance Gaussian
@@ -107,8 +113,7 @@ def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],
     chunks = ChunkSupport.of(T, K)  # ValueError outside 1..K
     data = np.zeros((idx.total_rows, L), dtype=np.complex128)
     for k in chunks:
-        block = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
-        data[idx.rows_of([k])] = block / np.sqrt(2.0)
+        data[idx.rows_of([k])] = _complex_gaussian(rng, (d, L))
     return ChunkSparseMatrix(data, idx)
 
 

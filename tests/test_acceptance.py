@@ -215,17 +215,17 @@ def test_criterion_07():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         T_true = ChunkSupport.of(sorted(rng.choice(M, size=4, replace=False) + 1), M)
-        frame = generate_channel(scen, T_true, rng, U=U, V=V)
+        frame = generate_channel(scen, T_true, rng)
         Theta = generate_pilots(M, T, rng)
         W = _cplx(rng, (N_ue, T)) / np.sqrt(2)
         Z = np.sqrt(scen.P) * frame.H @ Theta
-        Y, Phi, scale = to_cs_problem(Z + W, Theta, U, V, scen.P, T, M)
-        N_eff, _, _ = to_cs_problem(W, Theta, U, V, scen.P, T, M)
+        Y, Phi, scale = to_cs_problem(Z + W, Theta, scen.P)
+        N_eff, _, _ = to_cs_problem(W, Theta, scen.P)
         X = scale * frame.H_a.conj().T
         worst_model = max(worst_model,
                           frobenius(Y - (Phi @ X + N_eff)) / frobenius(Y))
         H_ref = U @ frame.H_a @ V.conj().T
-        H_back = recover_channel(X, U, V, scen.P, T, M)
+        H_back = recover_channel(X, scen.P, T)
         worst_trip = max(worst_trip,
                          frobenius(H_back - H_ref) / frobenius(H_ref))
     _check(7, worst_model <= 1e-9 and worst_trip <= 1e-9,

@@ -306,6 +306,14 @@ class TestTrialSharing:
         run_mismatch(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
+    def test_only_measured_frames_are_scored(self, monkeypatch):
+        # frame 1 supplies only its support, so it is never mapped back
+        calls = self._count_calls(monkeypatch, "recover_channel")
+        cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
+        run_sweep(cfg)
+        assert len(calls) == (cfg.n_trials * len(cfg.sweep_values)
+                              * len(cfg.algorithms))
+
     def test_first_frame_skipped_without_prior_readers(self, monkeypatch):
         # genie and sp read no prior, so frame 1 is never estimated
         calls = self._count_calls(monkeypatch, "mmv_sp_recover")

@@ -4,7 +4,7 @@ import pytest
 
 import cspursuit.mimo as mimo
 from cspursuit.core import frobenius
-from cspursuit.errors import MetricError
+from cspursuit.errors import DimensionError, MetricError
 from cspursuit.mimo import (ALGORITHMS, MimoScenario, default_gamma, dft_unitary,
                             generate_channel, generate_pilots, nmse,
                             recover_channel, run_frame_sequence, to_cs_problem)
@@ -58,7 +58,7 @@ class TestChannelModel:
         U = dft_unitary(scen.N_ue)
         V = dft_unitary(scen.M)
         T_true = ChunkSupport.of([2, 5, 9], scen.M)
-        frame = generate_channel(scen, T_true, rng, U=U, V=V)
+        frame = generate_channel(scen, T_true, rng)
         np.testing.assert_allclose(frame.H, U @ frame.H_a @ V.conj().T, atol=1e-12)
         assert frame.T_true == T_true
         # angular rows outside the support are zero
@@ -69,13 +69,11 @@ class TestChannelModel:
         # the pilot-domain rewrite reproduces the raw measurements exactly
         scen = make_scenario()
         rng = np.random.default_rng(3)
-        U = dft_unitary(scen.N_ue)
-        V = dft_unitary(scen.M)
         T_true = ChunkSupport.of([1, 4, 11], scen.M)
-        frame = generate_channel(scen, T_true, rng, U=U, V=V)
+        frame = generate_channel(scen, T_true, rng)
         Theta = generate_pilots(scen.M, scen.T, rng)
         Z = np.sqrt(scen.P) * frame.H @ Theta
-        Y, Phi, scale = to_cs_problem(Z, Theta, U, V, scen.P, scen.T, scen.M)
+        Y, Phi, scale = to_cs_problem(Z, Theta, scen.P)
         X = scale * frame.H_a.conj().T
         np.testing.assert_allclose(Y, Phi @ X, atol=1e-10)
         assert scale == pytest.approx(np.sqrt(scen.P * scen.T / scen.M))
@@ -84,24 +82,34 @@ class TestChannelModel:
         scen = make_scenario()
         rng = np.random.default_rng(4)
         Theta = generate_pilots(scen.M, scen.T, rng)
-        V = dft_unitary(scen.M)
-        U = dft_unitary(scen.N_ue)
         Z = np.zeros((scen.N_ue, scen.T), dtype=complex)
-        _, Phi, _ = to_cs_problem(Z, Theta, U, V, scen.P, scen.T, scen.M)
+        _, Phi, _ = to_cs_problem(Z, Theta, scen.P)
         assert np.trace(Phi @ Phi.conj().T).real == pytest.approx(scen.M)
 
     def test_recover_channel_roundtrip(self):
         scen = make_scenario()
         rng = np.random.default_rng(5)
-        U = dft_unitary(scen.N_ue)
-        V = dft_unitary(scen.M)
-        frame = generate_channel(scen, ChunkSupport.of([3, 7], scen.M), rng,
-                                 U=U, V=V)
+        frame = generate_channel(scen, ChunkSupport.of([3, 7], scen.M), rng)
         scale = np.sqrt(scen.P * scen.T / scen.M)
         X = scale * frame.H_a.conj().T
-        H_back = recover_channel(X, U, V, scen.P, scen.T, scen.M)
+        H_back = recover_channel(X, scen.P, scen.T)
         rel = frobenius(frame.H - H_back) / frobenius(frame.H)
         assert rel <= 1e-12
+
+    @pytest.mark.parametrize("fn, args", [
+        (to_cs_problem, (np.ones((0, 4)), np.ones((8, 4)), 1.0)),
+        (to_cs_problem, (np.ones((2, 0)), np.ones((8, 0)), 1.0)),
+        (to_cs_problem, (np.ones((2, 4)), np.ones((0, 4)), 1.0)),
+        (to_cs_problem, (np.ones((2, 4)), np.ones((8, 5)), 1.0)),
+        (recover_channel, (np.ones((0, 2)), 1.0, 4)),
+        (recover_channel, (np.ones((8, 0)), 1.0, 4)),
+    ], ids=["no_antennas", "no_pilots", "no_base_antennas", "T_mismatch",
+            "X_no_rows", "X_no_columns"])
+    def test_degenerate_shapes_raise(self, fn, args):
+        # sizes come from the arrays; an empty one must not reach sqrt(M/T)
+        # or dft_unitary(0)
+        with pytest.raises(DimensionError):
+            fn(*args)
 
 
 class TestNmse:
@@ -152,6 +160,16 @@ class TestFrameSequence:
         supports = {alg: tuple(r.T_true for r in recs)
                     for alg, recs in runs.items()}
         assert len(set(supports.values())) == 1
+
+    def test_estimate_support_is_the_frame_estimate(self):
+        scen = make_scenario()
+        first, measured = mimo.simulate_frames(scen, 2,
+                                               np.random.default_rng(10))
+        T0 = mimo.estimate_support(scen, first, "mmv_sp",
+                                   ChunkSupport.empty(scen.M))
+        for alg in ALGORITHMS:
+            record = mimo.estimate_frame(scen, measured, alg, T0)
+            assert mimo.estimate_support(scen, measured, alg, T0) == record.T_hat
 
     def test_genie_beats_pursuit_in_median(self):
         scen = make_scenario(T=8)
