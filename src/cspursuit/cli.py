@@ -187,12 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None,
                    help="CSMAT1 matrix to enumerate deltas from")
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--delta-sbar", type=float, default=None)
-    p.add_argument("--delta-s1", type=float, default=None)
-    p.add_argument("--delta-s2", type=float, default=None)
-    p.add_argument("--delta-2sbar", type=float, default=None)
-    p.add_argument("--delta-2sbar-sc", type=float, default=None)
-    p.add_argument("--delta-3sbar-sc", type=float, default=None)
+    for dest in dict.fromkeys(f for flags, *_ in _VARIANTS.values() for f in flags):
+        p.add_argument("--" + dest.replace("_", "-"), type=float, default=None)
     p.add_argument("--overlap", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)

@@ -17,7 +17,7 @@ passes only with it (see estimate_frame). Only the believed_s_c axis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -26,11 +26,9 @@ from .core import ChunkSupport
 from .errors import ConfigError
 from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frame,
                    estimate_support, simulate_frames)
-from .sparsity import SupportEvolutionParams
 
 __all__ = [
     "SWEEP_AXES",
-    "GAMMA_RULES",
     "ExperimentConfig",
     "ResultRow",
     "load_config",
@@ -41,15 +39,12 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("pilot_length", "snr_db", "s_c", "believed_s_c")
-GAMMA_RULES = ("sqrt_2nt", "explicit")
 
-CSV_COLUMNS = ("sweep_axis", "sweep_value", "algorithm", "nmse", "nmse_median",
-               "nmse_ci95_halfwidth", "mean_iterations",
-               "support_recovery_rate", "n_trials", "base_seed")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario dimensions plus sweep and trial bookkeeping."""
+    """Scenario dimensions plus sweep and trial bookkeeping. gamma_value is
+    the residue stopping threshold; None means sqrt(2 N_ue T) per scenario."""
 
     M: int
     N_ue: int
@@ -62,7 +57,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...]
     n_trials: int = 100
     base_seed: int = 0
-    gamma_rule: str = "sqrt_2nt"
     gamma_value: Optional[float] = None
     true_overlap: Optional[int] = None
 
@@ -72,26 +66,24 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.s_c < 0:
             raise ConfigError("s_c must be nonnegative")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(
                 f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not self.sweep_values:
             raise ConfigError("sweep_values must be nonempty")
+        if not all(math.isfinite(v) for v in self.sweep_values):
+            raise ConfigError(f"sweep_values must be finite, got {self.sweep_values}")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(
                     f"algorithms entry {alg!r} not one of {ALGORITHMS}")
-        if self.gamma_rule not in GAMMA_RULES:
+        if self.gamma_value is not None and not 0 <= self.gamma_value < math.inf:
             raise ConfigError(
-                f"gamma_rule must be one of {GAMMA_RULES}, got {self.gamma_rule!r}")
-        if self.gamma_rule == "explicit" and (self.gamma_value is None
-                                              or self.gamma_value < 0):
-            raise ConfigError(
-                "gamma_value must be a nonnegative number when gamma_rule=explicit")
-        if self.gamma_rule != "explicit" and self.gamma_value is not None:
-            raise ConfigError("gamma_value is only read when gamma_rule=explicit")
+                f"gamma_value must be finite and nonnegative, got {self.gamma_value}")
         if self.true_overlap is not None and self.true_overlap < 0:
             raise ConfigError("true_overlap must be nonnegative")
 
@@ -112,14 +104,16 @@ class ResultRow:
     base_seed: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
 _INT_KEYS = ("M", "N_ue", "s_bar", "s_c", "pilot_length", "n_trials",
              "base_seed", "true_overlap")
 _FLOAT_KEYS = ("snr_db", "gamma_value")
-_STR_KEYS = ("sweep_axis", "gamma_rule")
+_STR_KEYS = ("sweep_axis",)
 _LIST_KEYS = ("sweep_values", "algorithms")
 _ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _LIST_KEYS
-_REQUIRED = ("M", "N_ue", "s_bar", "s_c", "pilot_length", "snr_db",
-             "sweep_axis", "sweep_values", "algorithms")
+_REQUIRED = tuple(f.name for f in fields(ExperimentConfig)
+                  if f.default is MISSING)
 
 
 def _parse_number(text: str, key: str, want_int: bool):
@@ -158,24 +152,24 @@ def load_config(path) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    fields: dict = {}
+    parsed: dict = {}
     for key in _INT_KEYS:
         if key in raw:
-            fields[key] = _parse_number(raw[key], key, want_int=True)
+            parsed[key] = _parse_number(raw[key], key, want_int=True)
     for key in _FLOAT_KEYS:
         if key in raw:
-            fields[key] = _parse_number(raw[key], key, want_int=False)
+            parsed[key] = _parse_number(raw[key], key, want_int=False)
     for key in _STR_KEYS:
         if key in raw:
-            fields[key] = raw[key]
-    fields["algorithms"] = tuple(
+            parsed[key] = raw[key]
+    parsed["algorithms"] = tuple(
         s.strip() for s in raw["algorithms"].split(",") if s.strip())
-    values_want_int = fields["sweep_axis"] != "snr_db"
+    values_want_int = parsed["sweep_axis"] != "snr_db"
     parts = [s.strip() for s in raw["sweep_values"].split(",") if s.strip()]
-    fields["sweep_values"] = tuple(
+    parsed["sweep_values"] = tuple(
         _parse_number(p, "sweep_values", want_int=values_want_int)
         for p in parts)
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**parsed)
 
 
 def _scenario_at(config: ExperimentConfig, value) -> MimoScenario:
@@ -189,10 +183,8 @@ def _scenario_at(config: ExperimentConfig, value) -> MimoScenario:
         snr_db = float(value)
     elif config.sweep_axis == "s_c":
         s_c = int(value)
-    evolution = SupportEvolutionParams(s_bar=config.s_bar, s_c=s_c, K=config.M)
     return MimoScenario(M=config.M, N_ue=config.N_ue, T=t,
-                        P=10.0 ** (snr_db / 10.0), s_bar=config.s_bar,
-                        evolution=evolution)
+                        P=10.0 ** (snr_db / 10.0), s_bar=config.s_bar, s_c=s_c)
 
 
 def _summary_row(config: ExperimentConfig, value, algorithm: str,
@@ -219,8 +211,7 @@ def _run_trials(config: ExperimentConfig, groups,
     prior, and its measured frame estimated and scored by every algorithm at
     every sweep position of its group. Rows come out in (sweep position,
     algorithm) order."""
-    # None (rule sqrt_2nt) makes estimate_frame use sqrt(2 N T) per scenario
-    gamma = config.gamma_value
+    gamma = config.gamma_value  # None: estimate_frame's sqrt(2 N T)
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
     for scenario, members in groups:
@@ -249,6 +240,8 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     estimated T0 keeps with the measured frame's true support."""
     if config.sweep_axis == "believed_s_c":
         raise ConfigError("sweep_axis believed_s_c runs through run_mismatch")
+    if config.true_overlap is not None:
+        raise ConfigError("true_overlap is read only by run_mismatch")
     groups = [(_scenario_at(config, value), [(position, None)])
               for position, value in enumerate(config.sweep_values)]
     return _run_trials(config, groups, fixed_overlap=None, noise=noise)

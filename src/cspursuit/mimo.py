@@ -10,7 +10,7 @@ matrix, recovered with a pursuit, and mapped back to the antenna domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -47,26 +47,26 @@ ALGORITHMS = PRIOR_ALGORITHMS + ("mmv_sp", "sp", "genie")
 
 @dataclass(frozen=True)
 class MimoScenario:
-    """Static problem dimensions. P is linear transmit power."""
+    """Static problem dimensions. P is linear transmit power; supports hold
+    s_bar of the M angular columns, and consecutive true supports share at
+    least s_c of them. evolution is derived: the support generator's
+    parameters, built once from s_bar, s_c and K = M."""
 
     M: int
     N_ue: int
     T: int
     P: float
     s_bar: int
-    evolution: SupportEvolutionParams
+    s_c: int
+    evolution: SupportEvolutionParams = field(init=False)
 
     def __post_init__(self) -> None:
         if min(self.M, self.N_ue, self.T) < 1:
             raise ValueError("M, N_ue, T must be positive")
-        if self.P <= 0:
+        if not self.P > 0:
             raise ValueError(f"P must be positive, got {self.P}")
-        if self.evolution.K != self.M:
-            raise ValueError(
-                f"evolution universe K={self.evolution.K} must equal M={self.M}")
-        if self.evolution.s_bar != self.s_bar:
-            raise ValueError(
-                f"evolution s_bar={self.evolution.s_bar} != scenario {self.s_bar}")
+        object.__setattr__(self, "evolution",
+                           SupportEvolutionParams(self.s_bar, self.s_c, K=self.M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,14 +160,18 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
                                    @ dft_unitary(m).conj().T)
 
 
+def _nmse_ratio(H: np.ndarray, H_hat: np.ndarray) -> float:
+    """||H - H_hat||_F^2 / ||H||_F^2 of two validated arrays."""
+    denom = frobenius(H)
+    if denom == 0.0:
+        raise MetricError("reference channel has zero norm")
+    return (frobenius(H_hat - H) / denom) ** 2
+
+
 def nmse(pairs) -> float:
     """Mean of ||H - H_hat||_F^2 / ||H||_F^2 over (H, H_hat) pairs."""
-    ratios = []
-    for H, H_hat in pairs:
-        denom = frobenius(as_matrix(H, "H"))
-        if denom == 0.0:
-            raise MetricError("reference channel has zero norm")
-        ratios.append((frobenius(as_matrix(H_hat, "H_hat") - H) / denom) ** 2)
+    ratios = [_nmse_ratio(as_matrix(H, "H"), as_matrix(H_hat, "H_hat"))
+              for H, H_hat in pairs]
     if not ratios:
         raise MetricError("nmse needs at least one pair")
     return float(np.mean(ratios))
@@ -209,14 +213,14 @@ def _estimate(scenario: MimoScenario, frame, algorithm: str,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
     m, n, t = scenario.M, scenario.N_ue, scenario.T
-    gamma_val = default_gamma(n, t) if gamma is None else float(gamma)
-    s_c_alg = scenario.evolution.s_c if believed_s_c is None else believed_s_c
+    s_c_alg = scenario.s_c if believed_s_c is None else believed_s_c
     if s_c_alg < 0:
         raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
     channel, Y, Phi = frame
     T_true = channel.T_true
     if algorithm == "genie":
         return genie_ls(Y, Phi, T_true, d=1).data, T_true, 0.0, None, False
+    gamma_val = default_gamma(n, t) if gamma is None else float(gamma)
     if algorithm == "sp":
         # one scalar-sparse problem per receive antenna, supports pooled
         runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
@@ -253,8 +257,8 @@ def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
                    believed_s_c: Optional[int] = None) -> FrameRecord:
     """Estimate and score one simulate_frames entry with one algorithm; the
     PRIOR_ALGORITHMS read T0, the previous frame's estimated support (empty
-    for a first frame). The evolution s_c floors only the overlap of true
-    supports, so by default the prior's s_c is min(evolution s_c, |T0 ∩ T|)
+    for a first frame). The scenario's s_c floors only the overlap of true
+    supports, so by default the prior's s_c is min(scenario s_c, |T0 ∩ T|)
     and the promise |T0 ∩ T| >= s_c holds. That count reads the measured
     frame's true support T, which no receiver has; criterion 08 passes only
     with it. An explicit believed_s_c is passed as told, clamped only to
@@ -264,7 +268,7 @@ def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
     channel = frame[0]
     H_hat = recover_channel(X_hat, scenario.P, scenario.T)
     return FrameRecord(
-        nmse_ratio=nmse([(channel.H, H_hat)]),
+        nmse_ratio=_nmse_ratio(channel.H, H_hat),
         support_exact=(T_hat == channel.T_true), iterations=iterations,
         stop_reason=stop, rank_deficient_ls=deficient,
         T_true=channel.T_true, T_hat=T_hat)

@@ -58,7 +58,7 @@ class PursuitConfig:
     def __post_init__(self) -> None:
         if self.s_bar < 1:
             raise ValueError(f"s_bar must be positive, got {self.s_bar}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # also rejects nan, which disables the stop
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")

@@ -23,8 +23,7 @@ from cspursuit.mimo import (MimoScenario, dft_unitary, generate_channel,
 from cspursuit.oracle import exhaustive_best_support, rip_bruteforce_reference
 from cspursuit.pursuit import (PursuitConfig, cmsp_recover, msp_recover,
                                sp_recover)
-from cspursuit.sparsity import (ChunkSparseMatrix, PriorSupportInfo,
-                                SupportEvolutionParams)
+from cspursuit.sparsity import ChunkSparseMatrix, PriorSupportInfo
 
 
 def _check(num: int, ok: bool, detail: str) -> None:
@@ -153,11 +152,10 @@ def test_criterion_04(certified_family):
     n_ok = sum(r["iterations"] <= math.ceil(r["n_co"]) for r in fam)
 
     # doubling the SNR in dB never more than doubles the median iterations
-    evo = SupportEvolutionParams(s_bar=8, s_c=4, K=64)
     meds = {}
     for p_db in (10.0, 20.0, 40.0):
         scen = MimoScenario(M=64, N_ue=2, T=24, P=10.0 ** (p_db / 10.0),
-                            s_bar=8, evolution=evo)
+                            s_bar=8, s_c=4)
         iters = [run_frame_sequence(scen, 2, "msp",
                                     np.random.default_rng(t))[1].iterations
                  for t in range(100)]
@@ -207,8 +205,7 @@ def test_criterion_06():
 
 def test_criterion_07():
     M, N_ue, T = 32, 2, 16
-    evo = SupportEvolutionParams(s_bar=4, s_c=2, K=M)
-    scen = MimoScenario(M=M, N_ue=N_ue, T=T, P=50.0, s_bar=4, evolution=evo)
+    scen = MimoScenario(M=M, N_ue=N_ue, T=T, P=50.0, s_bar=4, s_c=2)
     U = dft_unitary(N_ue)
     V = dft_unitary(M)
     worst_model = worst_trip = 0.0

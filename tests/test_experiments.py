@@ -6,11 +6,10 @@ import pytest
 
 import cspursuit.mimo as mimo
 from cspursuit.errors import ConfigError
-from cspursuit.experiments import (CSV_COLUMNS, GAMMA_RULES, SWEEP_AXES,
+from cspursuit.experiments import (CSV_COLUMNS, SWEEP_AXES,
                                    ExperimentConfig, load_config, run_mismatch,
                                    run_sweep, rows_to_csv_text, write_csv)
 from cspursuit.mimo import ALGORITHMS, MimoScenario, run_frame_sequence
-from cspursuit.sparsity import SupportEvolutionParams
 
 
 def small_config(**overrides):
@@ -48,7 +47,7 @@ class TestLoadConfig:
         assert all(isinstance(v, int) for v in cfg.sweep_values)
         assert cfg.algorithms == ("genie", "msp")
         assert cfg.n_trials == 4 and cfg.base_seed == 9
-        assert cfg.gamma_rule == "sqrt_2nt" and cfg.gamma_value is None
+        assert cfg.gamma_value is None
 
     def test_snr_axis_parses_floats(self, tmp_path):
         text = VALID_TEXT.replace("sweep_axis = pilot_length",
@@ -98,6 +97,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="key=value"):
             load_config(path)
 
+    @pytest.mark.parametrize("line,pattern", [
+        ("gamma_value = nan", "gamma_value must be finite"),
+        ("gamma_rule = explicit", "unknown key 'gamma_rule'"),
+    ])
+    def test_threshold_line(self, tmp_path, line, pattern):
+        path = tmp_path / "bad.cfg"
+        path.write_text(VALID_TEXT + line + "\n")
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(path)
+
     def test_non_numeric_int(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(VALID_TEXT.replace("M = 16", "M = sixteen"))
@@ -117,10 +126,13 @@ class TestConfigValidation:
         (dict(algorithms=()), "algorithms"),
         (dict(algorithms=("nope",)), "nope"),
         (dict(n_trials=0), "n_trials"),
-        (dict(gamma_rule="bogus"), "gamma_rule"),
-        (dict(gamma_rule="explicit"), "gamma_value"),
+        (dict(snr_db=float("nan")), "snr_db"),
+        (dict(gamma_value=float("nan")), "gamma_value"),
         (dict(true_overlap=-1), "true_overlap"),
-        (dict(gamma_value=3.0), "gamma_value"),
+        (dict(gamma_value=-1.0), "gamma_value"),
+        (dict(sweep_axis="snr_db", sweep_values=(5.0, float("inf"))),
+         "sweep_values"),
+        (dict(gamma_value=float("inf")), "gamma_value"),
     ])
     def test_rejects(self, overrides, pattern):
         with pytest.raises(ConfigError, match=pattern):
@@ -128,7 +140,6 @@ class TestConfigValidation:
 
     def test_constant_tuples(self):
         assert SWEEP_AXES == ("pilot_length", "snr_db", "s_c", "believed_s_c")
-        assert GAMMA_RULES == ("sqrt_2nt", "explicit")
         assert CSV_COLUMNS == ("sweep_axis", "sweep_value", "algorithm",
                                "nmse", "nmse_median", "nmse_ci95_halfwidth",
                                "mean_iterations", "support_recovery_rate",
@@ -166,6 +177,11 @@ class TestRunSweep:
                            true_overlap=1)
         with pytest.raises(ConfigError, match="run_mismatch"):
             run_sweep(cfg)
+
+    def test_rejects_true_overlap(self):
+        # run_sweep draws unpinned overlaps, so it would ignore the setting
+        with pytest.raises(ConfigError, match="true_overlap"):
+            run_sweep(small_config(true_overlap=1))
 
     def test_s_c_axis_forwards_belief(self):
         # at s_c = 0 the prior carries no guarantee, so msp collapses to
@@ -268,10 +284,9 @@ class TestTrialSharing:
 
     @staticmethod
     def _scenario(cfg, T, s_c):
-        evo = SupportEvolutionParams(s_bar=cfg.s_bar, s_c=s_c, K=cfg.M)
         return MimoScenario(M=cfg.M, N_ue=cfg.N_ue, T=T,
                             P=10.0 ** (cfg.snr_db / 10.0), s_bar=cfg.s_bar,
-                            evolution=evo)
+                            s_c=s_c)
 
     @staticmethod
     def _fields(rows):

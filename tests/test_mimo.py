@@ -4,7 +4,7 @@ import pytest
 
 import cspursuit.mimo as mimo
 from cspursuit.core import frobenius
-from cspursuit.errors import DimensionError, MetricError
+from cspursuit.errors import DimensionError, GenerationError, MetricError
 from cspursuit.mimo import (ALGORITHMS, MimoScenario, default_gamma, dft_unitary,
                             generate_channel, generate_pilots, nmse,
                             recover_channel, run_frame_sequence, to_cs_problem)
@@ -13,8 +13,7 @@ from cspursuit.sparsity import ChunkSupport, SupportEvolutionParams
 
 
 def make_scenario(M=16, N_ue=2, T=16, P=100.0, s_bar=3, s_c=1):
-    evo = SupportEvolutionParams(s_bar=s_bar, s_c=s_c, K=M)
-    return MimoScenario(M=M, N_ue=N_ue, T=T, P=P, s_bar=s_bar, evolution=evo)
+    return MimoScenario(M=M, N_ue=N_ue, T=T, P=P, s_bar=s_bar, s_c=s_c)
 
 
 class TestDftUnitary:
@@ -271,16 +270,14 @@ class TestPriorPromise:
 class TestScenarioValidation:
     @pytest.mark.parametrize("kw", [
         dict(M=0), dict(N_ue=0), dict(T=0), dict(P=0.0), dict(s_bar=0),
-        dict(s_bar=17),
+        dict(s_bar=17), dict(P=float("nan")),
     ])
     def test_invalid_fields(self, kw):
-        base = dict(M=16, N_ue=2, T=16, P=100.0, s_bar=3)
+        base = dict(M=16, N_ue=2, T=16, P=100.0, s_bar=3, s_c=1)
         base.update(kw)
-        evo = SupportEvolutionParams(s_bar=3, s_c=1, K=16)
-        with pytest.raises(Exception):
-            MimoScenario(evolution=evo, **base)
+        with pytest.raises((ValueError, GenerationError)):
+            MimoScenario(**base)
 
-    def test_s_bar_mismatch_with_evolution(self):
-        evo = SupportEvolutionParams(s_bar=4, s_c=1, K=16)
-        with pytest.raises(Exception):
-            MimoScenario(M=16, N_ue=2, T=16, P=100.0, s_bar=3, evolution=evo)
+    def test_evolution_is_derived(self):
+        scen = make_scenario(M=16, s_bar=3, s_c=1)
+        assert scen.evolution == SupportEvolutionParams(s_bar=3, s_c=1, K=16)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cspursuit.core import (ChunkIndexing, frobenius, ls_solve,
                             submatrix_by_chunks)
-from cspursuit.errors import DimensionError, SelectionError
+from cspursuit.errors import CsPursuitError, DimensionError, SelectionError
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
                                mmv_sp_recover, msp_recover, msp_support_merge,
@@ -285,6 +285,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             PursuitConfig(s_bar=1, prior=prior, gamma=0.0, max_iter=0)
 
+    def test_nan_gamma_rejected(self):
+        # residue <= nan is never true, so nan would disable the stop
+        with pytest.raises(ValueError, match="gamma"):
+            PursuitConfig(s_bar=1, prior=PriorSupportInfo.empty(4),
+                          gamma=float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["Y", "Phi"])
+    def test_non_finite_entries_rejected(self, where, bad):
+        # rejected by as_matrix at the boundary, as a plain ValueError
+        problem = {"Y": np.ones((4, 1), dtype=complex),
+                   "Phi": np.eye(4, dtype=complex)}
+        problem[where][1, 0] = bad
+        Y, Phi = problem["Y"], problem["Phi"]
+        cfg = PursuitConfig(s_bar=1, prior=PriorSupportInfo.empty(4), gamma=0.0)
+        for run in (lambda: msp_recover(Y, Phi, cfg),
+                    lambda: cmsp_recover(Y, Phi, cfg),
+                    lambda: mmv_sp_recover(Y, Phi, 1, 0.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                run()
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), s_c=st.integers(0, 2), l_cols=st.integers(1, 3))
@@ -364,3 +385,44 @@ def test_empty_prior_is_mmv_sp(seed, d, l_cols, gamma):
         assert res.residue_norms == expected.residue_norms
         assert res.rank_deficient_ls == expected.rank_deficient_ls
         np.testing.assert_array_equal(res.X_hat.data, expected.X_hat.data)
+
+
+def _degenerate_problem(rng, case, d, l_cols):
+    """A random problem made degenerate in one way: Y = 0, a zero or a
+    duplicated column in Phi, or a budget of every chunk."""
+    K, M = 6, 5 + 2 * d
+    Phi = random_complex(rng, (M, K * d)) / np.sqrt(2 * M)
+    Y = random_complex(rng, (M, l_cols))
+    j = int(rng.integers(K * d))
+    if case == "zero_y":
+        Y[:] = 0
+    elif case == "zero_column":
+        Phi[:, j] = 0
+    elif case == "duplicate_column":
+        Phi[:, j] = Phi[:, (j + 1) % (K * d)]
+    s_bar = K if case == "s_bar_is_K" else 3
+    T0 = ChunkSupport.of(rng.choice(K, size=2, replace=False) + 1, K)
+    return Y, Phi, s_bar, PriorSupportInfo(T0, s_c=1)
+
+
+@pytest.mark.parametrize("case", ["zero_y", "zero_column", "duplicate_column",
+                                  "s_bar_is_K"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([1, 2]),
+       l_cols=st.sampled_from([1, 3]), gamma=st.sampled_from([0.0, 0.1]))
+def test_degenerate_inputs(case, seed, d, l_cols, gamma):
+    """A well-formed result (s_bar chunks, or none after the empty-support
+    stop, a full residue trace and a finite X_hat) or a CsPursuitError."""
+    Y, Phi, s_bar, prior = _degenerate_problem(np.random.default_rng(seed),
+                                               case, d, l_cols)
+    cfg = PursuitConfig(s_bar=s_bar, prior=prior, gamma=gamma, d=d)
+    for run in (lambda: msp_recover(Y, Phi, cfg),
+                lambda: cmsp_recover(Y, Phi, cfg),
+                lambda: mmv_sp_recover(Y, Phi, s_bar, gamma, d=d)):
+        try:
+            res = run()
+        except CsPursuitError:
+            continue
+        assert len(res.T_hat) in (s_bar, 0)
+        assert len(res.residue_norms) == res.iterations + 1
+        assert np.all(np.isfinite(res.X_hat.data))
