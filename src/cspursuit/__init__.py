@@ -19,8 +19,8 @@ from .core import (ChunkIndexing, ChunkSupport, as_matrix, chunk_norms,
                    submatrix_by_chunks, top_k_chunks, write_matrix)
 from .errors import (BoundPreconditionError, ConfigError, CsPursuitError,
                      DimensionError, EnumerationCapError, FormatError,
-                     GenerationError, MetricError, PriorInfoError,
-                     RipViolationError, SelectionError)
+                     GenerationError, MetricError, NonFiniteError,
+                     PriorInfoError, RipViolationError, SelectionError)
 from .experiments import (ExperimentConfig, ResultRow, load_config,
                           run_mismatch, run_sweep, write_csv)
 from .mimo import (ALGORITHMS, ChannelFrame, FrameRecord, MimoScenario,
@@ -45,7 +45,7 @@ __all__ = [
     "CsPursuitError", "DimensionError", "SelectionError", "FormatError",
     "PriorInfoError", "GenerationError", "EnumerationCapError",
     "RipViolationError", "BoundPreconditionError", "MetricError",
-    "ConfigError",
+    "ConfigError", "NonFiniteError",
     # core
     "ChunkIndexing", "ChunkSupport", "as_matrix", "chunk_norms", "frobenius",
     "top_k_chunks", "submatrix_by_chunks", "ls_solve", "ls_solve_with_rank",

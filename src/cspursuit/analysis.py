@@ -43,6 +43,9 @@ __all__ = [
 
 ENUMERATION_CAP = 2_000_000
 
+# supports whose Grams _max_deviation forms at once
+_SUPPORT_BLOCK = 128
+
 # contraction factor threshold: below this delta the pursuit provably
 # converges geometrically
 CONTRACTION_DELTA = 0.246
@@ -69,13 +72,26 @@ def _gram_extremes(sub: np.ndarray) -> tuple[float, float]:
 
 
 def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing, supports) -> float:
-    """Largest deviation from 1 of an eigenvalue of Phi_T^H Phi_T, from T's
-    own columns of Phi, over supports T given as tuples of 0-based chunks."""
+    """Largest deviation from 1 of an eigenvalue of Phi_T^H Phi_T over
+    supports T given as tuples of 0-based chunks.
+
+    Supports are taken in blocks of _SUPPORT_BLOCK: each block gathers its
+    supports' own columns of Phi, forms their Grams with one batched matmul
+    and takes one stacked eigvalsh. Memory stays bounded by the block, and
+    the K d x K d Gram of all of Phi is never formed.
+    """
+    # row j of Phi^H is column j of Phi, conjugated
+    phi_h = Phi.conj().T
     delta = 0.0
-    for chunks in supports:
-        sub = Phi[:, _rows(np.array(chunks, dtype=np.intp), idx.d)]
-        lam_max, lam_min = _gram_extremes(sub)
-        delta = max(delta, lam_max - 1.0, 1.0 - lam_min)
+    supports = iter(supports)
+    while block := list(itertools.islice(supports, _SUPPORT_BLOCK)):
+        chunks = np.array(block, dtype=np.intp)
+        cols = _rows(chunks.ravel(), idx.d).reshape(len(block), -1)
+        sub_h = phi_h[cols]
+        eigs = np.linalg.eigvalsh(sub_h @ sub_h.conj().transpose(0, 2, 1))
+        # a wide submatrix has a singular Gram
+        lam_min = 0.0 if cols.shape[1] > Phi.shape[0] else eigs[:, 0].min()
+        delta = max(delta, eigs[:, -1].max() - 1.0, 1.0 - lam_min)
     return float(delta)
 
 
@@ -356,7 +372,7 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
     if min(M, N_ue, T) < 1:
         raise ValueError("M, N_ue, T must be positive")
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be positive, got {P}")
     nt = N_ue * T
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, SelectionError
+from .errors import (DimensionError, FormatError, NonFiniteError,
+                     SelectionError)
 
 # file format: magic, u32 rows, u32 cols, u8 dtype tag, 3 reserved bytes,
 # then row-major complex128 little-endian (real, imag) pairs
@@ -35,7 +36,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 

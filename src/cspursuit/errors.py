@@ -41,5 +41,9 @@ class MetricError(CsPursuitError):
     """A metric is undefined for the given inputs."""
 
 
+class NonFiniteError(CsPursuitError, ValueError):
+    """A matrix holds NaN or infinite entries."""
+
+
 class ConfigError(CsPursuitError):
     """An experiment configuration is invalid; the message names the field."""

@@ -139,7 +139,7 @@ def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
     if min(n, t, m) < 1 or Theta.shape[1] != t:
         raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
                              "nonempty N_ue x T and M x T")
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be positive, got {P}")
     Y = Z.conj().T @ dft_unitary(n)
     Phi = np.sqrt(m / t) * (Theta.conj().T @ dft_unitary(m))
@@ -154,7 +154,7 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
     m, n = X_hat.shape
     if min(m, n) < 1:
         raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
-    if P <= 0 or T < 1:
+    if not P > 0 or T < 1:
         raise ValueError("P and T must be positive")
     return np.sqrt(m / (P * T)) * (dft_unitary(n) @ X_hat.conj().T
                                    @ dft_unitary(m).conj().T)

@@ -1,5 +1,6 @@
 """Tests for isometry-constant computation and the recovery guarantee bounds."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
-                                block_rip_exact, block_rip_montecarlo,
-                                channel_recovery_bound, cmsp_constants,
-                                cmsp_convergence_bound, cmsp_distortion_bound,
+                                _gram_extremes, block_rip_exact,
+                                block_rip_montecarlo, channel_recovery_bound,
+                                cmsp_constants, cmsp_convergence_bound,
+                                cmsp_distortion_bound,
                                 cmsp_refined_distortion_bound, lemma1_check,
                                 msp_constants, msp_convergence_bound,
                                 msp_distortion_bound, msp_refined_distortion_bound)
@@ -106,6 +108,42 @@ def test_rip_matches_oracle(M, d, K, k, seed):
     mc = block_rip_montecarlo(Phi, q, n_samples=math.comb(K, k),
                               rng=np.random.default_rng(seed))
     assert mc == pytest.approx(reference, abs=1e-10)
+
+
+def test_support_blocks_match_per_support_loop():
+    # C(10, 4) = 210 supports are one full block of 128 and a partial one.
+    # Chunks 7-10 are scaled up, so the worst support is the last one,
+    # (6, 7, 8, 9) 0-based, which falls in the partial block.
+    rng = np.random.default_rng(7)
+    Phi = random_complex(rng, (6, 10)) / np.sqrt(12)
+    Phi[:, 6:] *= 3.0
+    q = RipQuery(4, 1)
+    idx = ChunkIndexing(10, 1)
+
+    def deviations_of(supports):
+        deviations = []
+        for chunks in supports:
+            lam_max, lam_min = _gram_extremes(
+                Phi[:, idx.rows_of(c + 1 for c in chunks)])
+            deviations.append(max(lam_max - 1.0, 1.0 - lam_min))
+        return deviations
+
+    every = list(itertools.combinations(range(10), 4))
+    deviations = deviations_of(every)
+    assert len(every) == 210
+    assert int(np.argmax(deviations)) == len(every) - 1
+    assert block_rip_exact(Phi, q) == pytest.approx(
+        rip_bruteforce_reference(Phi, 4, 1), abs=1e-10)
+
+    # the sampled path: the same draws, deduplicated and sorted
+    n_samples = 209
+    draw = np.random.default_rng(11)
+    seen = sorted({tuple(sorted(draw.choice(10, size=4, replace=False)))
+                   for _ in range(n_samples)})
+    assert len(seen) > 128
+    mc = block_rip_montecarlo(Phi, q, n_samples=n_samples,
+                              rng=np.random.default_rng(11))
+    assert mc == pytest.approx(max(deviations_of(seen)), abs=1e-10)
 
 
 class TestConstantShapes:
@@ -258,6 +296,12 @@ class TestChannelBound:
     def test_bad_power(self):
         with pytest.raises(ValueError):
             channel_recovery_bound(0.1, 6.0, 0.0, M=16, N_ue=2, T=16, P=0.0)
+
+    def test_nan_power(self):
+        # nan passes a P <= 0 test and would make the bound nan
+        with pytest.raises(ValueError, match="P must be positive"):
+            channel_recovery_bound(0.1, 6.0, 0.0, M=16, N_ue=2, T=16,
+                                   P=float("nan"))
 
 
 class TestLemma1:

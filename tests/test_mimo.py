@@ -110,6 +110,15 @@ class TestChannelModel:
         with pytest.raises(DimensionError):
             fn(*args)
 
+    @pytest.mark.parametrize("fn, args", [
+        (to_cs_problem, (np.ones((2, 4)), np.ones((8, 4)), float("nan"))),
+        (recover_channel, (np.ones((4, 2)), float("nan"), 3)),
+    ], ids=["to_cs_problem", "recover_channel"])
+    def test_nan_power_rejected(self, fn, args):
+        # nan passes a P <= 0 test and would make the scale or H_hat nan
+        with pytest.raises(ValueError, match="must be positive"):
+            fn(*args)
+
 
 class TestNmse:
     def test_mean_of_ratios(self):

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cspursuit.analysis import RipQuery, block_rip_exact
 from cspursuit.core import (ChunkIndexing, frobenius, ls_solve,
                             submatrix_by_chunks)
-from cspursuit.errors import CsPursuitError, DimensionError, SelectionError
+from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
+                              SelectionError)
+from cspursuit.mimo import nmse, to_cs_problem
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
                                mmv_sp_recover, msp_recover, msp_support_merge,
@@ -294,7 +297,8 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["Y", "Phi"])
     def test_non_finite_entries_rejected(self, where, bad):
-        # rejected by as_matrix at the boundary, as a plain ValueError
+        # rejected by as_matrix at the boundary, as a NonFiniteError, which
+        # is also a ValueError
         problem = {"Y": np.ones((4, 1), dtype=complex),
                    "Phi": np.eye(4, dtype=complex)}
         problem[where][1, 0] = bad
@@ -305,6 +309,21 @@ class TestValidation:
                     lambda: mmv_sp_recover(Y, Phi, 1, 0.0)):
             with pytest.raises(ValueError, match="non-finite"):
                 run()
+
+    def test_non_finite_is_package_error(self):
+        # every public entry validates through as_matrix, so nan reaches
+        # callers as the package's own error type
+        bad = np.eye(4, dtype=complex)
+        bad[1, 0] = np.nan
+        ones = np.ones((4, 4), dtype=complex)
+        cfg = PursuitConfig(s_bar=1, prior=PriorSupportInfo.empty(4), gamma=0.0)
+        for run in (lambda: msp_recover(ones[:, :1], bad, cfg),
+                    lambda: to_cs_problem(bad, ones, 1.0),
+                    lambda: nmse([(ones, bad)]),
+                    lambda: block_rip_exact(bad, RipQuery(1, 1))):
+            with pytest.raises(NonFiniteError, match="non-finite") as info:
+                run()
+            assert isinstance(info.value, CsPursuitError)
 
 
 @settings(max_examples=40, deadline=None)
