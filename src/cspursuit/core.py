@@ -20,6 +20,10 @@ import numpy as np
 from .errors import (DimensionError, FormatError, NonFiniteError,
                      SelectionError)
 
+__all__ = ["ChunkIndexing", "ChunkSupport", "as_matrix", "chunk_norms",
+           "frobenius", "top_k_chunks", "submatrix_by_chunks", "ls_solve",
+           "ls_solve_with_rank", "read_matrix", "write_matrix"]
+
 # file format: magic, u32 rows, u32 cols, u8 dtype tag, 3 reserved bytes,
 # then row-major complex128 little-endian (real, imag) pairs
 _MAGIC = b"CSMAT1\x00\x00"

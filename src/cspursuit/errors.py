@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = ["CsPursuitError", "DimensionError", "SelectionError", "FormatError",
+           "PriorInfoError", "GenerationError", "EnumerationCapError",
+           "RipViolationError", "BoundPreconditionError", "MetricError",
+           "NonFiniteError", "ConfigError"]
+
 
 class CsPursuitError(Exception):
     """Base class for every error raised by this package."""

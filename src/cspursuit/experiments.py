@@ -6,7 +6,8 @@ estimated once, by mmv_sp (what msp and cmsp are under the empty prior),
 and only when a configured algorithm reads a prior; its support estimate is
 the prior T0 of every algorithm and believed value. Trial t uses seed
 base_seed + t; its data are generated once per sweep value (once in all
-for run_mismatch) and shared by every algorithm. Across s_c values the
+for run_mismatch, where the algorithms that read no prior are estimated
+once per trial) and shared by every algorithm. Across s_c values the
 frame-2 data differ, because the support generator's draws depend on s_c.
 The s_c axis sets the generator's overlap floor on the true supports. By
 default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
@@ -208,9 +209,9 @@ def _run_trials(config: ExperimentConfig, groups,
     """The one trial loop. groups holds (scenario, [(position, believed_s_c)])
     pairs: trial t of a scenario is generated once, from seed base_seed + t,
     only its first frame's support estimated, once, if an algorithm reads a
-    prior, and its measured frame estimated and scored by every algorithm at
-    every sweep position of its group. Rows come out in (sweep position,
-    algorithm) order."""
+    prior, and its measured frame estimated and scored by every algorithm:
+    by those in PRIOR_ALGORITHMS at every sweep position of its group, by the
+    others once. Rows come out in (sweep position, algorithm) order."""
     gamma = config.gamma_value  # None: estimate_frame's sqrt(2 N T)
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
@@ -222,11 +223,14 @@ def _run_trials(config: ExperimentConfig, groups,
             T0 = ChunkSupport.empty(scenario.M)
             if reads_prior:
                 T0 = estimate_support(scenario, first, "mmv_sp", T0, gamma)
+            shared = {}  # records of the algorithms that read no prior
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
-                    last.setdefault((position, algorithm), []).append(
-                        estimate_frame(scenario, measured, algorithm, T0,
-                                       gamma, believed_s_c))
+                    record = shared.get(algorithm) or estimate_frame(
+                        scenario, measured, algorithm, T0, gamma, believed_s_c)
+                    if algorithm not in PRIOR_ALGORITHMS:
+                        shared[algorithm] = record
+                    last.setdefault((position, algorithm), []).append(record)
     return [_summary_row(config, value, algorithm, last[position, algorithm])
             for position, value in enumerate(config.sweep_values)
             for algorithm in config.algorithms]
@@ -268,8 +272,6 @@ def run_mismatch(config: ExperimentConfig, noise: bool = True) -> list[ResultRow
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):
         return format(v, ".9g")
     return str(v)

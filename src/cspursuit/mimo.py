@@ -35,6 +35,7 @@ __all__ = [
     "to_cs_problem",
     "recover_channel",
     "nmse",
+    "default_gamma",
     "simulate_frames",
     "estimate_support",
     "estimate_frame",

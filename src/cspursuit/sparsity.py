@@ -13,7 +13,6 @@ from .core import ChunkIndexing, ChunkSupport, as_matrix, chunk_norms
 from .errors import DimensionError, GenerationError, PriorInfoError
 
 __all__ = [
-    "ChunkSupport",
     "ChunkSparseMatrix",
     "PriorSupportInfo",
     "SupportEvolutionParams",
@@ -150,10 +149,10 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
         else:
             want = int(rng.integers(params.s_c, params.s_c + 3))
         ov = min(want, len(prev), sizes[i])
-        keep = rng.choice(np.fromiter(prev, dtype=int, count=len(prev)),
-                          size=ov, replace=False)
-        pool = np.array(sorted(set(range(1, params.K + 1)) - prev.as_set()), dtype=int)
-        fresh = rng.choice(pool, size=sizes[i] - ov, replace=False)
+        keep = rng.choice(np.array(prev.indices, dtype=int), size=ov,
+                          replace=False)
+        fresh = rng.choice(np.array(prev.complement().indices, dtype=int),
+                           size=sizes[i] - ov, replace=False)
         supports.append(ChunkSupport.of(keep.tolist() + fresh.tolist(), params.K))
     return supports
 

@@ -321,6 +321,19 @@ class TestTrialSharing:
         run_mismatch(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
+    def test_mismatch_estimates_prior_free_algorithms_once(self, monkeypatch):
+        # genie, sp and mmv_sp read no prior, so the believed value cannot
+        # change their estimate; sp runs once per antenna, mmv_sp also for
+        # frame 1
+        counts = {name: self._count_calls(monkeypatch, name)
+                  for name in ("genie_ls", "sp_recover", "mmv_sp_recover")}
+        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
+                           algorithms=ALGORITHMS, true_overlap=1)
+        run_mismatch(cfg)
+        n = cfg.n_trials
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "genie_ls": n, "sp_recover": n * cfg.N_ue, "mmv_sp_recover": 2 * n}
+
     def test_only_measured_frames_are_scored(self, monkeypatch):
         # frame 1 supplies only its support, so it is never mapped back
         calls = self._count_calls(monkeypatch, "recover_channel")

@@ -1,0 +1,56 @@
+"""Tests for the package surface: each public name is declared once, in its
+module's __all__, and the package exports their union."""
+import importlib
+
+import cspursuit
+
+MODULES = ("errors", "core", "sparsity", "pursuit", "analysis", "mimo",
+           "oracle", "experiments")
+
+
+def _module_alls():
+    return {name: importlib.import_module(f"cspursuit.{name}").__all__
+            for name in MODULES}
+
+
+def test_module_all_names_resolve_to_the_package_objects():
+    for module_name, names in _module_alls().items():
+        module = importlib.import_module(f"cspursuit.{module_name}")
+        for name in names:
+            assert hasattr(module, name), f"{module_name}.{name}"
+            assert getattr(cspursuit, name) is getattr(module, name)
+
+
+def test_each_name_in_one_module_all():
+    homes = {}
+    for module_name, names in _module_alls().items():
+        for name in names:
+            homes.setdefault(name, []).append(module_name)
+    assert {n: m for n, m in homes.items() if len(m) > 1} == {}
+
+
+def test_package_all_is_the_union():
+    alls = _module_alls()
+    union = [name for module_name in MODULES for name in alls[module_name]]
+    assert cspursuit.__all__ == ["__version__"] + union
+    assert len(set(cspursuit.__all__)) == len(cspursuit.__all__)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from cspursuit import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(cspursuit.__all__)
+
+
+def test_simulation_api_imports_from_package():
+    from cspursuit import estimate_frame, estimate_support, simulate_frames
+    from cspursuit.mimo import (estimate_frame as ef, estimate_support as es,
+                                simulate_frames as sf)
+    assert (simulate_frames, estimate_frame, estimate_support) == (sf, ef, es)
+
+
+def test_explicit_reexports_still_import():
+    from cspursuit.core import ChunkSupport
+    from cspursuit.sparsity import ChunkSupport as from_sparsity
+    assert from_sparsity is ChunkSupport
