@@ -1,6 +1,12 @@
 """Complex matrix utilities: chunk indexing, top-k chunk selection,
 minimum-norm least squares, and a small binary matrix file format.
 
+Least squares solves the normal equations on the Gram G = A^H A when the
+1-norm condition number of G is at most 1e4: cond_2(A)^2 <= cond_1(G) then
+keeps sigma_min / sigma_max of A at 1e-2 or more, full rank at LS_RCOND.
+Every other A takes the SVD route (np.linalg.lstsq), which gives the
+minimum-norm solution.
+
 Matrices are 2-D numpy arrays of complex128. Rows of a signal matrix are
 grouped into K chunks of d consecutive rows; chunk indices are 1-based,
 so chunk k covers rows (k-1)*d .. k*d-1 (0-based row numbers).
@@ -32,6 +38,9 @@ _HEADER_LEN = 20
 
 # relative singular value cutoff for rank decisions in least squares
 LS_RCOND = 1e-12
+# largest 1-norm condition number of A^H A at which least squares trusts
+# the normal equations; above it the SVD route decides rank and solution
+_GRAM_COND_MAX = 1e4
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -166,13 +175,17 @@ def chunk_norms(X, idx: ChunkIndexing) -> np.ndarray:
     return _chunk_norms(X, idx.d)
 
 
-def _top_k(scores: np.ndarray, k: int, pool: np.ndarray) -> np.ndarray:
-    """The k highest-scoring chunks of an ascending 0-based pool, ascending.
+def _ranked(scores: np.ndarray) -> np.ndarray:
+    """Positions from highest to lowest score. The one home of the
+    tie-break: the stable sort puts the smaller index first among equal
+    scores, so restricted to any subset it is that subset's ranking."""
+    return np.argsort(-scores, kind="stable")
 
-    The one home of the tie-break: the stable sort keeps equal scores in
-    pool order, so ties go to the smaller index. Needs 0 <= k <= len(pool).
-    """
-    return np.sort(pool[np.argsort(-scores[pool], kind="stable")[:k]])
+
+def _top_k(scores: np.ndarray, k: int, pool: np.ndarray) -> np.ndarray:
+    """The k highest-scoring chunks of an ascending 0-based pool, ascending,
+    ranked by _ranked. Needs 0 <= k <= len(pool)."""
+    return np.sort(pool[_ranked(scores[pool])[:k]])
 
 
 def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
@@ -209,14 +222,20 @@ def submatrix_by_chunks(Phi, T: Iterable[int], idx: ChunkIndexing) -> np.ndarray
 
 def ls_solve(A, B) -> np.ndarray:
     """Minimum-Frobenius-norm solution X of the least squares problem
-    min ||A X - B||_F."""
+    min ||A X - B||_F.
+
+    Solved on the inverted Gram A^H A when its 1-norm condition number is
+    at most 1e4, which certifies full column rank; otherwise by the SVD
+    (np.linalg.lstsq with rcond=LS_RCOND)."""
     X, _ = ls_solve_with_rank(A, B)
     return X
 
 
 def ls_solve_with_rank(A, B) -> tuple[np.ndarray, bool]:
     """As ls_solve, also reporting whether the minimizer was non-unique
-    (numerical rank of A below its column count)."""
+    (numerical rank of A below its column count). A certified Gram solve
+    reports False; the flag of the SVD fallback is np.linalg.lstsq's rank
+    at rcond=LS_RCOND."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
@@ -227,6 +246,17 @@ def ls_solve_with_rank(A, B) -> tuple[np.ndarray, bool]:
 def _lstsq(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
     if A.shape[1] == 0:
         return np.zeros((0, B.shape[1]), dtype=np.complex128), False
+    AH = A.conj().T
+    G = AH @ A
+    try:
+        G_inv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # the 1-norm condition number; nan or inf fails the test
+        cond = np.abs(G).sum(axis=0).max() * np.abs(G_inv).sum(axis=0).max()
+        if cond <= _GRAM_COND_MAX:
+            return G_inv @ (AH @ B), False
     X, _, rank, _ = np.linalg.lstsq(A, B, rcond=LS_RCOND)
     return X, bool(rank < A.shape[1])
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq, _rows,
-                   _top_k, _zero_based, as_matrix, chunking, frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq, _ranked,
+                   _rows, _top_k, _zero_based, as_matrix, chunking, frobenius)
 from .errors import DimensionError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo, validate_prior
 
@@ -109,11 +109,16 @@ def _checked_prior(cfg: PursuitConfig, K: int) -> np.ndarray:
 # ascending. They return ascending arrays.
 
 def _msp_refine(scores: np.ndarray, T0: np.ndarray, cfg: PursuitConfig) -> np.ndarray:
-    # the s_c best prior chunks, then the s_bar - s_c best of all others
-    locked = _top_k(scores, cfg.prior.s_c, T0)
-    others = np.delete(np.arange(len(scores)), locked)
-    rest = _top_k(scores, cfg.s_bar - cfg.prior.s_c, others)
-    return np.union1d(locked, rest)
+    # the s_c best prior chunks, then the s_bar - s_c best of all others,
+    # both read off one ranking of every chunk
+    order = _ranked(scores)
+    prior = np.zeros(len(scores), dtype=bool)
+    prior[T0] = True
+    locked = order[prior[order]][:cfg.prior.s_c]
+    free = np.ones(len(scores), dtype=bool)
+    free[locked] = False
+    rest = order[free[order]][:cfg.s_bar - cfg.prior.s_c]
+    return np.sort(np.concatenate((locked, rest)))
 
 
 def _msp_merge(scores: np.ndarray, T: np.ndarray, T0: np.ndarray,
@@ -131,7 +136,7 @@ def _cmsp_merge(scores: np.ndarray, T: np.ndarray, T0: np.ndarray,
     held = (T0[:, None] == T).any(axis=1)
     shortfall = cfg.prior.s_c - int(np.count_nonzero(held))
     topup = _top_k(scores, max(shortfall, 0), T0[~held])
-    return np.union1d(np.union1d(T, topup), _cmsp_refine(scores, T0, cfg))
+    return np.unique(np.concatenate((T, topup, _cmsp_refine(scores, T0, cfg))))
 
 
 def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:

@@ -18,6 +18,7 @@ from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
 from cspursuit.core import ChunkIndexing
 from cspursuit.errors import (BoundPreconditionError, DimensionError,
                               EnumerationCapError, RipViolationError)
+from cspursuit.mimo import MimoScenario, simulate_frames
 from cspursuit.oracle import rip_bruteforce_reference
 from cspursuit.sparsity import ChunkSparseMatrix, ChunkSupport
 
@@ -144,6 +145,27 @@ def test_support_blocks_match_per_support_loop():
     mc = block_rip_montecarlo(Phi, q, n_samples=n_samples,
                               rng=np.random.default_rng(11))
     assert mc == pytest.approx(max(deviations_of(seen)), abs=1e-10)
+
+
+@pytest.mark.parametrize("T", [24, 40])
+def test_guarantees_do_not_cover_criterion_08_frames(T):
+    """A sampled delta_8 is a lower bound on delta_8, and deltas grow with
+    the order, so it also bounds msp's governing delta (order s2 = 20) and
+    cmsp's (3 s_bar + s_c = 28) from below. On the measured frame of
+    criterion 08's first trial it is past the contraction threshold, so
+    neither pursuit's guarantee applies at these pilot lengths."""
+    scenario = MimoScenario(M=64, N_ue=2, T=T, P=10 ** 2.5, s_bar=8, s_c=4)
+    Phi = simulate_frames(scenario, 2, np.random.default_rng(0))[1][2]
+    lower = block_rip_montecarlo(Phi, RipQuery(8, 1), 200,
+                                 np.random.default_rng(0))
+    assert lower >= CONTRACTION_DELTA
+    # the least value every delta of order >= 8 can take in the domain [0, 1)
+    # of the constants
+    delta = min(lower, np.nextafter(1.0, 0.0))
+    assert not msp_constants(delta, delta, delta, s_bar=8, t0_size=8,
+                             s_c=4).valid
+    assert not cmsp_constants(delta, delta, delta, delta, s_bar=8, s_c=4,
+                              t0_size=8).valid
 
 
 class TestConstantShapes:

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cspursuit.core import (ChunkIndexing, ChunkSupport, as_matrix, chunk_norms,
-                            chunking, frobenius, ls_solve, ls_solve_with_rank,
-                            read_matrix, submatrix_by_chunks, top_k_chunks,
-                            write_matrix)
+from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, as_matrix,
+                            chunk_norms, chunking, frobenius, ls_solve,
+                            ls_solve_with_rank, read_matrix, submatrix_by_chunks,
+                            top_k_chunks, write_matrix)
 from cspursuit.errors import DimensionError, FormatError, SelectionError
 
 
@@ -182,6 +182,37 @@ class TestLeastSquares:
     def test_row_mismatch(self):
         with pytest.raises(DimensionError):
             ls_solve(np.zeros((3, 2)), np.zeros((4, 1)))
+
+    def test_ill_conditioned_gram_takes_the_svd_route(self):
+        # full column rank, but cond_1(A^H A) is about 1e8, past the Gram
+        # route's cutoff: the answer is np.linalg.lstsq's, bit for bit
+        rng = np.random.default_rng(5)
+        A = random_complex(rng, (6, 2)) * np.array([1.0, 1e-4])
+        B = random_complex(rng, (6, 3))
+        sol, deficient = ls_solve_with_rank(A, B)
+        want, _, rank, _ = np.linalg.lstsq(A, B, rcond=LS_RCOND)
+        np.testing.assert_array_equal(sol, want)
+        assert rank == 2 and not deficient
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), l_cols=st.integers(1, 3),
+       seed=st.integers(0, 10**6),
+       tweak=st.sampled_from(["none", "duplicate", 1e-1, 1e-3, 1e-6, 1e-9]))
+def test_ls_matches_svd_lstsq(rows, cols, l_cols, seed, tweak):
+    """Tall, square and wide A, with a duplicated or a near-collinear column:
+    the rank flag is np.linalg.lstsq's and the solution agrees with it."""
+    rng = np.random.default_rng(seed)
+    A = random_complex(rng, (rows, cols))
+    if cols > 1 and tweak == "duplicate":
+        A[:, -1] = A[:, 0]
+    elif cols > 1 and tweak != "none":
+        A[:, -1] = A[:, 0] + tweak * random_complex(rng, rows)
+    B = random_complex(rng, (rows, l_cols))
+    sol, deficient = ls_solve_with_rank(A, B)
+    want, _, rank, _ = np.linalg.lstsq(A, B, rcond=LS_RCOND)
+    assert deficient == (rank < cols)
+    assert np.linalg.norm(sol - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestMatrixFile:

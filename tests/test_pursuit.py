@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cspursuit.analysis import RipQuery, block_rip_exact
-from cspursuit.core import (ChunkIndexing, frobenius, ls_solve,
-                            submatrix_by_chunks)
+from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
+                            ls_solve, submatrix_by_chunks)
 from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
                               SelectionError)
 from cspursuit.mimo import nmse, to_cs_problem
@@ -404,6 +404,30 @@ def test_empty_prior_is_mmv_sp(seed, d, l_cols, gamma):
         assert res.residue_norms == expected.residue_norms
         assert res.rank_deficient_ls == expected.rank_deficient_ls
         np.testing.assert_array_equal(res.X_hat.data, expected.X_hat.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(K=st.integers(1, 9), d=st.sampled_from([1, 2]), data=st.data())
+def test_msp_refine_heavy_ties_match_two_pass_rule(K, d, data):
+    """The refine, one stable sort over all chunks, picks what the two-pass
+    rule picks: the s_c best prior chunks, then the s_bar - s_c best of
+    every chunk not already taken. Integer entries make most picks cross a
+    tie, which both rules give to the smaller index."""
+    s_bar = data.draw(st.integers(1, K))
+    T0 = ChunkSupport.of(data.draw(st.lists(st.integers(1, K), unique=True,
+                                            max_size=s_bar)), K)
+    s_c = data.draw(st.integers(0, len(T0)))
+    entries = data.draw(st.lists(st.integers(0, 2), min_size=K * d,
+                                 max_size=K * d))
+    idx = ChunkIndexing(K, d)
+    Z = ChunkSparseMatrix(np.array(entries, dtype=complex)[:, None], idx)
+    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo(T0, s_c),
+                        gamma=0.0, d=d)
+    scores = chunk_norms(Z.data, idx)
+    locked = _top_k(scores, s_c, np.array(T0.indices, dtype=np.intp) - 1)
+    others = np.delete(np.arange(K), locked)
+    want = np.union1d(locked, _top_k(scores, s_bar - s_c, others)) + 1
+    assert msp_support_refine(Z, cfg).indices == tuple(want.tolist())
 
 
 def _degenerate_problem(rng, case, d, l_cols):
