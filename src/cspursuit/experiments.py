@@ -18,6 +18,7 @@ passes only with it (see estimate_frame). Only the believed_s_c axis
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
@@ -42,10 +43,22 @@ __all__ = [
 SWEEP_AXES = ("pilot_length", "snr_db", "s_c", "believed_s_c")
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, or ConfigError naming the field if it is not whole."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario dimensions plus sweep and trial bookkeeping. gamma_value is
-    the residue stopping threshold; None means sqrt(2 N_ue T) per scenario."""
+    """Scenario dimensions plus sweep and trial bookkeeping, typed and
+    checked here once. The int fields, and sweep_values on every axis but
+    snr_db, must be whole numbers and are stored as int: 16.0 reads as 16,
+    12.5 raises ConfigError. snr_db is the total transmit power per pilot
+    slot, P = 10^(snr_db/10), over unit-variance noise per receive antenna
+    and slot. gamma_value is the residue stopping threshold; None means
+    sqrt(2 N_ue T) per scenario."""
 
     M: int
     N_ue: int
@@ -62,11 +75,17 @@ class ExperimentConfig:
     true_overlap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("M", "N_ue", "s_bar", "pilot_length", "n_trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.s_c < 0:
-            raise ConfigError("s_c must be nonnegative")
+        for name, least in (("M", 1), ("N_ue", 1), ("s_bar", 1),
+                            ("pilot_length", 1), ("n_trials", 1), ("s_c", 0),
+                            ("base_seed", 0), ("true_overlap", 0)):
+            value = getattr(self, name)
+            if value is None and name == "true_overlap":
+                continue
+            value = _whole(name, value)
+            object.__setattr__(self, name, value)
+            if value < least:
+                raise ConfigError(
+                    f"{name} must be {'positive' if least else 'nonnegative'}")
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.sweep_axis not in SWEEP_AXES:
@@ -76,6 +95,9 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must be nonempty")
         if not all(math.isfinite(v) for v in self.sweep_values):
             raise ConfigError(f"sweep_values must be finite, got {self.sweep_values}")
+        if self.sweep_axis != "snr_db":
+            object.__setattr__(self, "sweep_values", tuple(
+                _whole("sweep_values", v) for v in self.sweep_values))
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for alg in self.algorithms:
@@ -85,8 +107,6 @@ class ExperimentConfig:
         if self.gamma_value is not None and not 0 <= self.gamma_value < math.inf:
             raise ConfigError(
                 f"gamma_value must be finite and nonnegative, got {self.gamma_value}")
-        if self.true_overlap is not None and self.true_overlap < 0:
-            raise ConfigError("true_overlap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,26 +127,16 @@ class ResultRow:
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
-_INT_KEYS = ("M", "N_ue", "s_bar", "s_c", "pilot_length", "n_trials",
-             "base_seed", "true_overlap")
-_FLOAT_KEYS = ("snr_db", "gamma_value")
-_STR_KEYS = ("sweep_axis",)
-_LIST_KEYS = ("sweep_values", "algorithms")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _LIST_KEYS
+_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _REQUIRED = tuple(f.name for f in fields(ExperimentConfig)
                   if f.default is MISSING)
 
 
-def _parse_number(text: str, key: str, want_int: bool):
+def _number(text: str, key: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
-    if want_int:
-        if not value.is_integer():
-            raise ConfigError(f"{key} must be an integer, got {text!r}")
-        return int(value)
-    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -143,7 +153,7 @@ def load_config(path) -> ExperimentConfig:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -153,39 +163,22 @@ def load_config(path) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    parsed: dict = {}
-    for key in _INT_KEYS:
-        if key in raw:
-            parsed[key] = _parse_number(raw[key], key, want_int=True)
-    for key in _FLOAT_KEYS:
-        if key in raw:
-            parsed[key] = _parse_number(raw[key], key, want_int=False)
-    for key in _STR_KEYS:
-        if key in raw:
-            parsed[key] = raw[key]
-    parsed["algorithms"] = tuple(
-        s.strip() for s in raw["algorithms"].split(",") if s.strip())
-    values_want_int = parsed["sweep_axis"] != "snr_db"
-    parts = [s.strip() for s in raw["sweep_values"].split(",") if s.strip()]
-    parsed["sweep_values"] = tuple(
-        _parse_number(p, "sweep_values", want_int=values_want_int)
-        for p in parts)
-    return ExperimentConfig(**parsed)
+    axis = raw.pop("sweep_axis")
+    algorithms, values = (
+        tuple(s.strip() for s in raw.pop(key).split(",") if s.strip())
+        for key in ("algorithms", "sweep_values"))
+    parsed = {key: _number(text, key) for key, text in raw.items()}
+    parsed["sweep_values"] = tuple(_number(v, "sweep_values") for v in values)
+    return ExperimentConfig(sweep_axis=axis, algorithms=algorithms, **parsed)
 
 
 def _scenario_at(config: ExperimentConfig, value) -> MimoScenario:
     """Scenario for one sweep point (believed_s_c never changes the data)."""
-    t = config.pilot_length
-    snr_db = config.snr_db
-    s_c = config.s_c
-    if config.sweep_axis == "pilot_length":
-        t = int(value)
-    elif config.sweep_axis == "snr_db":
-        snr_db = float(value)
-    elif config.sweep_axis == "s_c":
-        s_c = int(value)
-    return MimoScenario(M=config.M, N_ue=config.N_ue, T=t,
-                        P=10.0 ** (snr_db / 10.0), s_bar=config.s_bar, s_c=s_c)
+    if config.sweep_axis != "believed_s_c":
+        config = replace(config, **{config.sweep_axis: value})
+    return MimoScenario(M=config.M, N_ue=config.N_ue, T=config.pilot_length,
+                        P=10.0 ** (config.snr_db / 10.0), s_bar=config.s_bar,
+                        s_c=config.s_c)
 
 
 def _summary_row(config: ExperimentConfig, value, algorithm: str,
@@ -263,11 +256,10 @@ def run_mismatch(config: ExperimentConfig, noise: bool = True) -> list[ResultRow
     if config.true_overlap > config.s_bar - 2:
         raise ConfigError(
             f"true_overlap must be <= s_bar - 2 = {config.s_bar - 2}")
-    believed = [int(value) for value in config.sweep_values]
-    if min(believed) < 0:
+    if min(config.sweep_values) < 0:
         raise ConfigError("believed s_c values must be nonnegative")
     scenario = _scenario_at(replace(config, s_c=config.true_overlap), None)
-    return _run_trials(config, [(scenario, list(enumerate(believed)))],
+    return _run_trials(config, [(scenario, list(enumerate(config.sweep_values)))],
                        fixed_overlap=config.true_overlap, noise=noise)
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq, _ranked,
-                   _rows, _top_k, _zero_based, as_matrix, chunking, frobenius)
+from .core import (LS_RCOND, ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq,
+                   _ranked, _rows, _top_k, _zero_based, as_matrix, chunking,
+                   frobenius)
 from .errors import DimensionError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo, validate_prior
 
@@ -44,9 +45,11 @@ class PursuitConfig:
     """Shared knobs for the pursuit algorithms.
 
     s_bar is the sparsity budget, gamma the residue-norm stopping
-    threshold, d the chunk height. Final supports have exactly s_bar
-    chunks, or none if the first iteration does not lower the residue (a
-    zero X_hat, RESIDUE_NON_DECREASING after 1 iteration).
+    threshold, d the chunk height. A residue at or below LS_RCOND ||Y||_F
+    is an exact fit up to rounding and counts as meeting gamma. Final
+    supports have exactly s_bar chunks, or none if the first iteration does
+    not lower the residue (a zero X_hat, RESIDUE_NON_DECREASING after 1
+    iteration).
     """
 
     s_bar: int
@@ -193,6 +196,7 @@ def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing,
     X_prev = np.zeros((0, Y.shape[1]), dtype=np.complex128)
     R_prev = Y
     r_prev = frobenius(Y)
+    stop_at = max(cfg.gamma, LS_RCOND * r_prev)
     trace = [r_prev]
     deficient = False
 
@@ -213,7 +217,7 @@ def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing,
         R_next = Y - sub @ X_next
         r_next = frobenius(R_next)
         trace.append(r_next)
-        if r_next <= cfg.gamma:
+        if r_next <= stop_at:
             return result(T_next, X_next, it, StopReason.THRESHOLD_MET)
         if r_next >= r_prev:
             return result(T_prev, X_prev, it, StopReason.RESIDUE_NON_DECREASING)

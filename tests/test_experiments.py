@@ -133,10 +133,32 @@ class TestConfigValidation:
         (dict(sweep_axis="snr_db", sweep_values=(5.0, float("inf"))),
          "sweep_values"),
         (dict(gamma_value=float("inf")), "gamma_value"),
+        (dict(n_trials=2.5), "n_trials"),
+        (dict(M=16.5), "M"),
+        (dict(base_seed=-1), "base_seed"),
+        (dict(true_overlap=0.5), "true_overlap"),
+        (dict(sweep_values=(12.5, 12)), "sweep_values"),
+        (dict(sweep_axis="believed_s_c", sweep_values=(1.5,), true_overlap=1),
+         "sweep_values"),
+        (dict(n_trials=None), "n_trials"),
+        (dict(M="16"), "M"),
     ])
     def test_rejects(self, overrides, pattern):
         with pytest.raises(ConfigError, match=pattern):
             small_config(**overrides)
+
+    def test_whole_floats_stored_as_ints(self):
+        cfg = small_config(M=16.0, sweep_values=(8.0, 12.0))
+        assert isinstance(cfg.M, int)
+        rows = run_sweep(cfg)
+        assert [r.sweep_value for r in rows] == [8, 12]
+        assert all(isinstance(r.sweep_value, int) for r in rows)
+        assert [line.split(",")[1] for line in
+                rows_to_csv_text(rows).splitlines()[1:]] == ["8", "12"]
+
+    def test_bad_sweep_point_names_its_field(self):
+        with pytest.raises(ConfigError, match="pilot_length"):
+            run_sweep(small_config(sweep_values=(8, 0)))
 
     def test_constant_tuples(self):
         assert SWEEP_AXES == ("pilot_length", "snr_db", "s_c", "believed_s_c")

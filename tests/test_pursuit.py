@@ -142,6 +142,17 @@ class TestStopping:
         assert len(res.residue_norms) == res.iterations + 1
         assert res.residue_norms[0] == pytest.approx(frobenius(Y))
 
+    def test_exact_fit_stops_at_threshold(self):
+        # s_bar d = rows: the first refined LS fits Y exactly, so a residue
+        # of rounding noise must count as meeting gamma = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            Phi = random_complex(rng, (8, 20))
+            Y = random_complex(rng, (8, 2))
+            res = mmv_sp_recover(Y, Phi, s_bar=4, gamma=0.0, d=2)
+            assert res.stop_reason is StopReason.THRESHOLD_MET, seed
+            assert res.iterations == 1, seed
+
     def test_no_first_decrease_returns_empty_support(self):
         # Y is orthogonal to every column of Phi, so no support lowers the
         # residue and the run stops before any support is accepted
