@@ -130,10 +130,9 @@ def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
     # which _exact_delta rejects
     if n_samples >= math.comb(idx.K, q.k):
         return _exact_delta(Phi, idx, q.k, n_samples)
-    seen = set()
-    for _ in range(n_samples):
-        seen.add(tuple(sorted(rng.choice(idx.K, size=q.k, replace=False))))
-    return _max_deviation(Phi, idx, sorted(seen))
+    # row i's first k entries of a random permutation are support i
+    draws = np.argsort(rng.random((n_samples, idx.K)), axis=1)[:, :q.k]
+    return _max_deviation(Phi, idx, np.unique(np.sort(draws, axis=1), axis=0))
 
 
 @dataclass(frozen=True)
@@ -271,50 +270,39 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
         c5=c5, c6=c6, c7=c7, valid=d_3sbar_sc < CONTRACTION_DELTA)
 
 
-def _require_contraction(constants: BoundConstants, label: str) -> None:
-    if not constants.valid:
+def _pursuit_terms(constants: BoundConstants) -> tuple[float, ...]:
+    """(contraction, loss, steady state, floor delta) of the pursuit the
+    constants belong to: c1, c2, c4, delta_s1 under delta_s2 when c1 is set,
+    else c5, c6, c7, delta_2s_bar under delta_s3. Raises RipViolationError
+    when the governing delta is past the contraction threshold."""
+    c = constants
+    label, terms = (("s2", (c.c1, c.c2, c.c4, c.delta["s1"]))
+                    if c.c1 is not None else
+                    ("s3", (c.c5, c.c6, c.c7, c.delta["2s_bar"])))
+    if not c.valid:
         raise RipViolationError(
-            f"delta_{label} = {constants.delta[label]} >= {CONTRACTION_DELTA}, "
+            f"delta_{label} = {c.delta[label]} >= {CONTRACTION_DELTA}, "
             "guarantee does not apply")
+    return terms
 
 
 def msp_distortion_bound(constants: BoundConstants, gamma: float,
                          eta: float) -> float:
-    """Worst-case ||X - X_hat||_F after the modified pursuit stops, for
-    noise norm eta and stopping threshold gamma."""
-    _require_contraction(constants, "s2")
-    return max(constants.c4 * eta,
-               (gamma + eta) / math.sqrt(1.0 - constants.delta["s1"]))
+    """Worst-case ||X - X_hat||_F after the pursuit the constants belong to
+    (msp or cmsp) stops, for noise norm eta and stopping threshold gamma."""
+    _, _, steady, d_floor = _pursuit_terms(constants)
+    return max(steady * eta, (gamma + eta) / math.sqrt(1.0 - d_floor))
 
 
 def msp_refined_distortion_bound(constants: BoundConstants, gamma: float,
                                  eta: float, min_chunk_energy: float) -> float:
     """Tighter bound available when every true chunk is energetic enough:
     min_chunk_energy must exceed the plain bound, else
-    BoundPreconditionError."""
+    BoundPreconditionError. Takes either pursuit's constants."""
     base = msp_distortion_bound(constants, gamma, eta)
     if not min_chunk_energy > base:
         raise BoundPreconditionError(
             f"min chunk energy > plain bound violated: {min_chunk_energy} <= {base}")
-    return eta / math.sqrt(1.0 - constants.delta["s_bar"])
-
-
-def cmsp_distortion_bound(constants: BoundConstants, gamma: float,
-                          eta: float) -> float:
-    """Worst-case ||X - X_hat||_F after the conservative pursuit stops."""
-    _require_contraction(constants, "s3")
-    return max(constants.c7 * eta,
-               (gamma + eta) / math.sqrt(1.0 - constants.delta["2s_bar"]))
-
-
-def cmsp_refined_distortion_bound(constants: BoundConstants, gamma: float,
-                                  eta: float, min_chunk_energy: float) -> float:
-    """Conservative counterpart of the refined bound: min_chunk_energy must
-    exceed cmsp_distortion_bound, else BoundPreconditionError."""
-    gate = cmsp_distortion_bound(constants, gamma, eta)
-    if not min_chunk_energy > gate:
-        raise BoundPreconditionError(
-            f"min chunk energy > gate violated: {min_chunk_energy} <= {gate}")
     return eta / math.sqrt(1.0 - constants.delta["s_bar"])
 
 
@@ -346,19 +334,17 @@ def _convergence_iterations(c_contraction: float, c_loss: float,
 
 def msp_convergence_bound(constants: BoundConstants, gamma: float, eta: float,
                           rho: float) -> float:
-    """Iterations needed before the modified pursuit's stopping threshold
-    is provably met; rho is the total signal energy ||X||_F^2."""
-    _require_contraction(constants, "s2")
-    return _convergence_iterations(constants.c1, constants.c2,
-                                   constants.delta["s_bar"], gamma, eta, rho)
+    """Iterations needed before the threshold of the pursuit the constants
+    belong to is provably met; rho is the total signal energy ||X||_F^2."""
+    contraction, loss, _, _ = _pursuit_terms(constants)
+    return _convergence_iterations(contraction, loss, constants.delta["s_bar"],
+                                   gamma, eta, rho)
 
 
-def cmsp_convergence_bound(constants: BoundConstants, gamma: float, eta: float,
-                           rho: float) -> float:
-    """Conservative-pursuit counterpart of msp_convergence_bound."""
-    _require_contraction(constants, "s3")
-    return _convergence_iterations(constants.c5, constants.c6,
-                                   constants.delta["s_bar"], gamma, eta, rho)
+# each bound reads its pursuit from the constants it is given
+cmsp_distortion_bound = msp_distortion_bound
+cmsp_refined_distortion_bound = msp_refined_distortion_bound
+cmsp_convergence_bound = msp_convergence_bound
 
 
 def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,

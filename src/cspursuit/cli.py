@@ -16,8 +16,7 @@ import numpy as np
 
 from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
                        block_rip_montecarlo, channel_recovery_bound,
-                       cmsp_constants, cmsp_convergence_bound,
-                       cmsp_distortion_bound, isometry_orders, msp_constants,
+                       cmsp_constants, isometry_orders, msp_constants,
                        msp_convergence_bound, msp_distortion_bound)
 from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
@@ -58,23 +57,20 @@ def _cmd_rip(args) -> int:
 
 
 # per pursuit variant: the --delta-* dests, one per isometry_orders entry;
-# the constants; the keys printed before the deltas; the bounds
+# the constants; the keys printed before the deltas
 _VARIANTS = {
     False: (("delta_sbar", "delta_s1", "delta_s2"),
             lambda a, ds: msp_constants(*ds, a.s_bar, a.t0_size, a.s_c),
-            ("c1", "c2", "c4", "s1", "s2", "valid"),
-            msp_distortion_bound, msp_convergence_bound),
+            ("c1", "c2", "c4", "s1", "s2", "valid")),
     True: (("delta_sbar", "delta_2sbar", "delta_2sbar_sc", "delta_3sbar_sc"),
            lambda a, ds: cmsp_constants(*ds, a.s_bar, a.s_c, a.t0_size,
                                         overlap=a.overlap),
-           ("c5", "c6", "c7", "s3", "valid"),
-           cmsp_distortion_bound, cmsp_convergence_bound),
+           ("c5", "c6", "c7", "s3", "valid")),
 }
 
 
 def _cmd_bounds(args) -> int:
-    flags, make_constants, keys, distortion, convergence = \
-        _VARIANTS[args.conservative]
+    flags, make_constants, keys = _VARIANTS[args.conservative]
     if args.matrix is not None:
         Phi = read_matrix(args.matrix)
         orders = isometry_orders(args.s_bar, args.s_c, args.t0_size,
@@ -94,9 +90,10 @@ def _cmd_bounds(args) -> int:
     out += [(f"delta_{label}", v) for label, v in constants.delta.items()]
     if args.gamma is not None and args.eta is not None:
         out.append(("distortion_bound",
-                    distortion(constants, args.gamma, args.eta)))
+                    msp_distortion_bound(constants, args.gamma, args.eta)))
         if args.rho is not None:
-            n_co = convergence(constants, args.gamma, args.eta, args.rho)
+            n_co = msp_convergence_bound(constants, args.gamma, args.eta,
+                                         args.rho)
             out.append(("convergence_iterations", n_co))
             out.append(("convergence_iterations_ceil", math.ceil(n_co)))
     # the channel bound exists for the modified pursuit only

@@ -43,6 +43,10 @@ __all__ = [
 SWEEP_AXES = ("pilot_length", "snr_db", "s_c", "believed_s_c")
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _whole(name: str, value) -> int:
     """value as an int, or ConfigError naming the field if it is not whole."""
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
@@ -86,27 +90,33 @@ class ExperimentConfig:
             if value < least:
                 raise ConfigError(
                     f"{name} must be {'positive' if least else 'nonnegative'}")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not _finite(self.snr_db):
+            raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(
                 f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must be nonempty")
-        if not all(math.isfinite(v) for v in self.sweep_values):
-            raise ConfigError(f"sweep_values must be finite, got {self.sweep_values}")
+        try:
+            values = tuple(self.sweep_values)
+        except TypeError:
+            values = ()
+        if not values:
+            raise ConfigError(f"sweep_values must be nonempty and a sequence, "
+                              f"got {self.sweep_values!r}")
+        if not all(_finite(v) for v in values):
+            raise ConfigError(f"sweep_values must be finite numbers, got {values}")
         if self.sweep_axis != "snr_db":
-            object.__setattr__(self, "sweep_values", tuple(
-                _whole("sweep_values", v) for v in self.sweep_values))
+            values = tuple(_whole("sweep_values", v) for v in values)
+        object.__setattr__(self, "sweep_values", values)
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(
                     f"algorithms entry {alg!r} not one of {ALGORITHMS}")
-        if self.gamma_value is not None and not 0 <= self.gamma_value < math.inf:
+        if self.gamma_value is not None and not (
+                _finite(self.gamma_value) and self.gamma_value >= 0):
             raise ConfigError(
-                f"gamma_value must be finite and nonnegative, got {self.gamma_value}")
+                f"gamma_value must be finite and nonnegative, got {self.gamma_value!r}")
 
 
 @dataclass(frozen=True)

@@ -136,11 +136,11 @@ def test_support_blocks_match_per_support_loop():
     assert block_rip_exact(Phi, q) == pytest.approx(
         rip_bruteforce_reference(Phi, 4, 1), abs=1e-10)
 
-    # the sampled path: the same draws, deduplicated and sorted
+    # the sampled path: the same draws, the first 4 chunks of each of
+    # n_samples random permutations, deduplicated and sorted
     n_samples = 209
-    draw = np.random.default_rng(11)
-    seen = sorted({tuple(sorted(draw.choice(10, size=4, replace=False)))
-                   for _ in range(n_samples)})
+    order = np.argsort(np.random.default_rng(11).random((n_samples, 10)), axis=1)
+    seen = np.unique(np.sort(order[:, :4], axis=1), axis=0)
     assert len(seen) > 128
     mc = block_rip_montecarlo(Phi, q, n_samples=n_samples,
                               rng=np.random.default_rng(11))
@@ -255,6 +255,23 @@ class TestDistortionBounds:
         assert refined == pytest.approx(0.05)
         with pytest.raises(BoundPreconditionError):
             cmsp_refined_distortion_bound(con, 0.1, 0.05, 0.01)
+
+
+def test_bounds_read_the_pursuit_off_the_constants():
+    gamma, eta = 0.1, 0.05
+    cons = cmsp_constants(0.05, 0.1, 0.12, 0.2, s_bar=2, s_c=1, t0_size=2)
+    assert msp_distortion_bound(cons, gamma, eta) == pytest.approx(
+        max(cons.c7 * eta, (gamma + eta) / math.sqrt(1.0 - cons.delta["2s_bar"])))
+    mod = msp_constants(0.05, 0.1, 0.2, s_bar=2, t0_size=2, s_c=1)
+    n = msp_convergence_bound(mod, gamma=0.3, eta=0.001, rho=100.0)
+    assert n > 0.0
+    assert cmsp_convergence_bound(mod, gamma=0.3, eta=0.001, rho=100.0) == n
+    assert cmsp_distortion_bound is msp_distortion_bound
+    assert cmsp_refined_distortion_bound is msp_refined_distortion_bound
+    assert cmsp_convergence_bound is msp_convergence_bound
+    bad = cmsp_constants(0.0, 0.0, 0.0, 0.3, s_bar=2, s_c=1, t0_size=2)
+    with pytest.raises(RipViolationError, match="delta_s3"):
+        msp_distortion_bound(bad, gamma, eta)
 
 
 class TestConvergenceBound:
@@ -386,3 +403,48 @@ class TestLemma1:
         Phi, T1, T2, X = self._instance(seed=9, K=4, d=2)
         rep = lemma1_check(Phi, T1, T2, X, RipQuery(3, 2))
         assert rep.all_pass
+
+
+def _lemma1(**changes):
+    """lemma1_check on TestLemma1's instance, with some arguments replaced."""
+    Phi, T1, T2, X = TestLemma1()._instance()
+    args = dict(Phi=Phi, T1=T1, T2=T2, X=X, q=RipQuery(3, 1))
+    args.update(changes)
+    return lemma1_check(**args)
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: RipQuery(k=0, d=1), ValueError, "k and d must be positive"),
+    (lambda: block_rip_exact(np.eye(4, dtype=complex), RipQuery(5, 1)),
+     DimensionError, "k=5 exceeds K=4"),
+    (lambda: block_rip_montecarlo(np.eye(4, dtype=complex), RipQuery(2, 1),
+                                  0, np.random.default_rng(0)),
+     ValueError, "n_samples must be positive"),
+    (lambda: msp_constants(0.0, 0.0, 0.0, s_bar=2, t0_size=1, s_c=2),
+     ValueError, r"s_c <= \|T0\|"),
+    (lambda: cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=2, t0_size=1),
+     ValueError, r"s_c <= \|T0\|"),
+    (lambda: cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2,
+                            overlap=3),
+     ValueError, r"overlap must be in 0..\|T0\|"),
+    (lambda: cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1,
+                            t0_size=2).c3(1),
+     ValueError, "c3 needs the modified-pursuit constants"),
+    (lambda: msp_convergence_bound(dataclasses.replace(
+        msp_constants(0.0, 0.0, 0.0, s_bar=2, t0_size=2, s_c=1), c1=1.5),
+        0.5, 0.0, 1.0),
+     RipViolationError, "contraction factor 1.5 >= 1"),
+    (lambda: channel_recovery_bound(0.1, 6.0, 0.0, M=0, N_ue=2, T=16, P=1.0),
+     ValueError, "M, N_ue, T must be positive"),
+    (lambda: _lemma1(T2=ChunkSupport.of([4], 7)),
+     DimensionError, "support universes must equal K=6"),
+    (lambda: _lemma1(T1=ChunkSupport.empty(6)), ValueError,
+     "T1 and T2 must be nonempty"),
+    (lambda: _lemma1(q=RipQuery(7, 1)), DimensionError, "q.k=7 exceeds K=6"),
+    (lambda: _lemma1(X=ChunkSparseMatrix(np.zeros((6, 1)),
+                                         ChunkIndexing(3, 2))),
+     DimensionError, "X indexing must match"),
+])
+def test_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()

@@ -80,6 +80,14 @@ class TestBounds:
         want = channel_recovery_bound(0.0, 6.0, 0.0, 104, 4, 26, 4.0)
         assert float(out_lines(capsys)["channel_bound"]) == pytest.approx(want)
 
+    def test_channel_bound_needs_every_flag(self, capsys):
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0", "--delta-s2", "0",
+                   "--chan-m", "16", "--chan-t", "8"])
+        assert rc == 2
+        assert ("channel bound needs --chan-n-ue --chan-p-db"
+                in capsys.readouterr().err)
+
     def test_deltas_from_matrix(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         Phi = (rng.standard_normal((6, 8))

@@ -142,6 +142,12 @@ class TestConfigValidation:
          "sweep_values"),
         (dict(n_trials=None), "n_trials"),
         (dict(M="16"), "M"),
+        (dict(snr_db="25"), "snr_db"),
+        (dict(snr_db=None), "snr_db"),
+        (dict(gamma_value="1"), "gamma_value"),
+        (dict(sweep_values=("8",)), "sweep_values"),
+        (dict(sweep_axis="snr_db", sweep_values=("8",)), "sweep_values"),
+        (dict(sweep_values=8), "sweep_values"),
     ])
     def test_rejects(self, overrides, pattern):
         with pytest.raises(ConfigError, match=pattern):
