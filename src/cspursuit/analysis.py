@@ -273,17 +273,20 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
 def _pursuit_terms(constants: BoundConstants) -> tuple[float, ...]:
     """(contraction, loss, steady state, floor delta) of the pursuit the
     constants belong to: c1, c2, c4, delta_s1 under delta_s2 when c1 is set,
-    else c5, c6, c7, delta_2s_bar under delta_s3. Raises RipViolationError
-    when the governing delta is past the contraction threshold."""
+    else c5, c6, c7, delta_2s_bar under delta_s3. Raises
+    BoundPreconditionError when a term or delta of that set is missing, and
+    RipViolationError when the governing delta is past the threshold."""
     c = constants
-    label, terms = (("s2", (c.c1, c.c2, c.c4, c.delta["s1"]))
-                    if c.c1 is not None else
-                    ("s3", (c.c5, c.c6, c.c7, c.delta["2s_bar"])))
+    maker, label, floor, terms = (
+        ("msp_constants", "s2", "s1", (c.c1, c.c2, c.c4)) if c.c1 is not None
+        else ("cmsp_constants", "s3", "2s_bar", (c.c5, c.c6, c.c7)))
+    if None in terms or not {"s_bar", label, floor} <= c.delta.keys():
+        raise BoundPreconditionError(f"constants lack a term of {maker}")
     if not c.valid:
         raise RipViolationError(
             f"delta_{label} = {c.delta[label]} >= {CONTRACTION_DELTA}, "
             "guarantee does not apply")
-    return terms
+    return (*terms, c.delta[floor])
 
 
 def msp_distortion_bound(constants: BoundConstants, gamma: float,

@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands: sweep and mismatch run config-driven Monte-Carlo experiments
-to CSV; rip evaluates isometry constants of a stored matrix; bounds prints
-guarantee constants and bounds; recover runs one pursuit on stored Y and
-Phi matrices. SNR is taken in dB here and converted once.
+Subcommands: sweep (alias mismatch) runs the config's Monte-Carlo sweep to
+CSV; rip evaluates isometry constants of a stored matrix; bounds prints
+guarantee constants and bounds; recover runs one pursuit, sp and mmv_sp as
+msp on the empty prior, on stored Y and Phi. SNR is in dB, converted once.
 """
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
                        msp_convergence_bound, msp_distortion_bound)
 from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
-from .experiments import load_config, run_mismatch, run_sweep, write_csv
-from .pursuit import (PursuitConfig, StopReason, cmsp_recover, mmv_sp_recover,
-                      msp_recover)
+from .experiments import load_config, run_sweep, write_csv
+from .pursuit import PursuitConfig, StopReason, cmsp_recover, msp_recover
 from .sparsity import PriorSupportInfo
 
 
@@ -32,8 +31,7 @@ def _cmd_sweep(args) -> int:
         config = replace(config, base_seed=args.seed)
     if args.trials is not None:
         config = replace(config, n_trials=args.trials)
-    runner = run_mismatch if args.mismatch else run_sweep
-    rows = runner(config)
+    rows = run_sweep(config)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -56,21 +54,29 @@ def _cmd_rip(args) -> int:
     return 0
 
 
+_CHANNEL = ("chan_m", "chan_n_ue", "chan_t", "chan_p_db")
+
 # per pursuit variant: the --delta-* dests, one per isometry_orders entry;
-# the constants; the keys printed before the deltas
+# the constants; the keys printed before the deltas; the dests it refuses
+# (the channel bound exists for the modified pursuit only)
 _VARIANTS = {
     False: (("delta_sbar", "delta_s1", "delta_s2"),
             lambda a, ds: msp_constants(*ds, a.s_bar, a.t0_size, a.s_c),
-            ("c1", "c2", "c4", "s1", "s2", "valid")),
+            ("c1", "c2", "c4", "s1", "s2", "valid"), ("overlap",)),
     True: (("delta_sbar", "delta_2sbar", "delta_2sbar_sc", "delta_3sbar_sc"),
            lambda a, ds: cmsp_constants(*ds, a.s_bar, a.s_c, a.t0_size,
                                         overlap=a.overlap),
-           ("c5", "c6", "c7", "s3", "valid")),
+           ("c5", "c6", "c7", "s3", "valid"), _CHANNEL),
 }
 
 
 def _cmd_bounds(args) -> int:
-    flags, make_constants, keys = _VARIANTS[args.conservative]
+    flags, make_constants, keys, refused = _VARIANTS[args.conservative]
+    noun = "conservative bounds" if args.conservative else "bounds"
+    given = ["--" + f.replace("_", "-") for f in refused
+             if getattr(args, f) is not None]
+    if given:
+        raise ConfigError(f"{noun} do not read {' '.join(given)}")
     if args.matrix is not None:
         Phi = read_matrix(args.matrix)
         orders = isometry_orders(args.s_bar, args.s_c, args.t0_size,
@@ -81,7 +87,6 @@ def _cmd_bounds(args) -> int:
     else:
         deltas = [getattr(args, flag) for flag in flags]
         if any(v is None for v in deltas):
-            noun = "conservative bounds" if args.conservative else "bounds"
             names = " ".join("--" + f.replace("_", "-") for f in flags)
             raise ConfigError(f"{noun} need --matrix or all of {names}")
     constants = make_constants(args, deltas)
@@ -96,12 +101,9 @@ def _cmd_bounds(args) -> int:
                                          args.rho)
             out.append(("convergence_iterations", n_co))
             out.append(("convergence_iterations_ceil", math.ceil(n_co)))
-    # the channel bound exists for the modified pursuit only
-    if args.chan_m is not None and not args.conservative:
-        missing = [name for name, v in (("--chan-n-ue", args.chan_n_ue),
-                                        ("--chan-t", args.chan_t),
-                                        ("--chan-p-db", args.chan_p_db))
-                   if v is None]
+    if any(getattr(args, f) is not None for f in _CHANNEL):
+        missing = ["--" + f.replace("_", "-") for f in _CHANNEL
+                   if getattr(args, f) is None]
         if missing:
             raise ConfigError(f"channel bound needs {' '.join(missing)}")
         bound = channel_recovery_bound(
@@ -124,18 +126,18 @@ def _cmd_bounds(args) -> int:
 def _cmd_recover(args) -> int:
     Y = read_matrix(args.y)
     Phi = read_matrix(args.phi)
-    if args.algorithm in ("sp", "mmv_sp"):
-        d = 1 if args.algorithm == "sp" else args.d  # sp is mmv_sp at d=1
-        result = mmv_sp_recover(Y, Phi, args.s_bar, args.gamma, d=d,
-                                max_iter=args.max_iter)
-    else:
-        K = chunking(Phi, args.d).K
-        t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
-        prior = PriorSupportInfo(ChunkSupport.of(t0_indices, K), args.s_c)
-        cfg = PursuitConfig(s_bar=args.s_bar, prior=prior, gamma=args.gamma,
-                            d=args.d, max_iter=args.max_iter)
-        solver = cmsp_recover if args.algorithm == "cmsp" else msp_recover
-        result = solver(Y, Phi, cfg)
+    t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
+    # sp and mmv_sp are msp on the empty prior, sp with scalar chunks
+    if args.algorithm in ("sp", "mmv_sp") and (t0_indices or args.s_c):
+        raise ConfigError(f"{args.algorithm} reads no prior: drop --t0 and --s-c")
+    if args.algorithm == "sp" and args.d != 1:
+        raise ConfigError(f"sp has scalar chunks: --d must be 1, got {args.d}")
+    K = chunking(Phi, args.d).K
+    prior = PriorSupportInfo(ChunkSupport.of(t0_indices, K), args.s_c)
+    cfg = PursuitConfig(s_bar=args.s_bar, prior=prior, gamma=args.gamma,
+                        d=args.d, max_iter=args.max_iter)
+    solver = cmsp_recover if args.algorithm == "cmsp" else msp_recover
+    result = solver(Y, Phi, cfg)
     returned_residue = (result.residue_norms[-2]
                         if result.stop_reason is StopReason.RESIDUE_NON_DECREASING
                         else result.residue_norms[-1])
@@ -156,15 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chunk-sparse recovery with prior support information")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, mismatch in (("sweep", False), ("mismatch", True)):
-        p = sub.add_parser(name, help=f"run a {name} experiment to CSV")
-        p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override base_seed")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override n_trials")
-        p.set_defaults(func=_cmd_sweep, mismatch=mismatch)
+    p = sub.add_parser("sweep", aliases=["mismatch"],
+                       help="run the config's sweep axis to CSV")
+    p.add_argument("--config", required=True, help="key=value config file")
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override base_seed")
+    p.add_argument("--trials", type=int, default=None,
+                   help="override n_trials")
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rip", help="isometry constant of a stored matrix")
     p.add_argument("--matrix", required=True, help="CSMAT1 matrix file")

@@ -5,15 +5,15 @@ Each trial simulates two frames and measures the second. Frame 1 is
 estimated once, by mmv_sp (what msp and cmsp are under the empty prior),
 and only when a configured algorithm reads a prior; its support estimate is
 the prior T0 of every algorithm and believed value. Trial t uses seed
-base_seed + t; its data are generated once per sweep value (once in all
-for run_mismatch, where the algorithms that read no prior are estimated
-once per trial) and shared by every algorithm. Across s_c values the
-frame-2 data differ, because the support generator's draws depend on s_c.
-The s_c axis sets the generator's overlap floor on the true supports. By
-default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
+base_seed + t; its data are generated once per sweep value (once in all on
+the believed_s_c axis, where the algorithms that read no prior are
+estimated once per trial) and shared by every algorithm. Across s_c values
+the frame-2 data differ, because the support generator's draws depend on
+s_c. The s_c axis sets the generator's overlap floor on the true supports.
+By default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
 from the measured frame's true support that no receiver has; criterion 08
-passes only with it (see estimate_frame). Only the believed_s_c axis
-(run_mismatch) tells the pursuits a floor that may be wrong.
+passes only with it (see estimate_frame). Only the believed_s_c axis, the
+mismatch study, tells the pursuits a floor that may be wrong.
 """
 from __future__ import annotations
 
@@ -182,15 +182,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(sweep_axis=axis, algorithms=algorithms, **parsed)
 
 
-def _scenario_at(config: ExperimentConfig, value) -> MimoScenario:
-    """Scenario for one sweep point (believed_s_c never changes the data)."""
-    if config.sweep_axis != "believed_s_c":
-        config = replace(config, **{config.sweep_axis: value})
-    return MimoScenario(M=config.M, N_ue=config.N_ue, T=config.pilot_length,
-                        P=10.0 ** (config.snr_db / 10.0), s_bar=config.s_bar,
-                        s_c=config.s_c)
-
-
 def _summary_row(config: ExperimentConfig, value, algorithm: str,
                  records) -> ResultRow:
     ratios = [r.nmse_ratio for r in records]
@@ -207,22 +198,30 @@ def _summary_row(config: ExperimentConfig, value, algorithm: str,
         n_trials=n, base_seed=config.base_seed)
 
 
-def _run_trials(config: ExperimentConfig, groups,
-                fixed_overlap: Optional[int], noise: bool) -> list[ResultRow]:
-    """The one trial loop. groups holds (scenario, [(position, believed_s_c)])
-    pairs: trial t of a scenario is generated once, from seed base_seed + t,
-    only its first frame's support estimated, once, if an algorithm reads a
-    prior, and its measured frame estimated and scored by every algorithm:
-    by those in PRIOR_ALGORITHMS at every sweep position of its group, by the
-    others once. Rows come out in (sweep position, algorithm) order."""
+def _run_trials(config: ExperimentConfig, noise: bool) -> list[ResultRow]:
+    """The one trial loop. A group is a config point and its (position,
+    believed_s_c) members: one per sweep value, or one at s_c = true_overlap
+    for every believed value. Trial t of a group is generated once, from
+    seed base_seed + t, only its first frame's support estimated, once, if
+    an algorithm reads a prior, and its measured frame estimated and scored
+    by every algorithm: by those in PRIOR_ALGORITHMS at every member, by
+    the others once. Rows come out in (sweep position, algorithm) order."""
+    positions = list(enumerate(config.sweep_values))
+    groups = ([(replace(config, s_c=config.true_overlap), positions)]
+              if config.sweep_axis == "believed_s_c" else
+              [(replace(config, **{config.sweep_axis: value}), [(position, None)])
+               for position, value in positions])
     gamma = config.gamma_value  # None: estimate_frame's sqrt(2 N T)
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
-    for scenario, members in groups:
+    for point, members in groups:
+        scenario = MimoScenario(M=point.M, N_ue=point.N_ue, T=point.pilot_length,
+                                P=10.0 ** (point.snr_db / 10.0),
+                                s_bar=point.s_bar, s_c=point.s_c)
         for trial in range(config.n_trials):
             rng = np.random.default_rng(config.base_seed + trial)
             first, measured = simulate_frames(scenario, 2, rng, noise,
-                                              fixed_overlap)
+                                              config.true_overlap)
             T0 = ChunkSupport.empty(scenario.M)
             if reads_prior:
                 T0 = estimate_support(scenario, first, "mmv_sp", T0, gamma)
@@ -235,42 +234,30 @@ def _run_trials(config: ExperimentConfig, groups,
                         shared[algorithm] = record
                     last.setdefault((position, algorithm), []).append(record)
     return [_summary_row(config, value, algorithm, last[position, algorithm])
-            for position, value in enumerate(config.sweep_values)
+            for position, value in positions
             for algorithm in config.algorithms]
 
 
 def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
-    """Run the sweep described by config; rows come out in (sweep value,
-    algorithm) order. Each (sweep value, trial) is generated once and shared
-    by every algorithm. On the s_c axis the value is the generator's overlap
-    floor, and each prior's s_c is that floor clamped to the overlap the
-    estimated T0 keeps with the measured frame's true support."""
-    if config.sweep_axis == "believed_s_c":
-        raise ConfigError("sweep_axis believed_s_c runs through run_mismatch")
-    if config.true_overlap is not None:
-        raise ConfigError("true_overlap is read only by run_mismatch")
-    groups = [(_scenario_at(config, value), [(position, None)])
-              for position, value in enumerate(config.sweep_values)]
-    return _run_trials(config, groups, fixed_overlap=None, noise=noise)
-
-
-def run_mismatch(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
-    """Sweep the believed s_c while the true consecutive overlap stays
-    pinned at config.true_overlap. The generated data never changes across
-    sweep values, only what the algorithms are told, so each trial is
-    generated once and shared by every believed value and algorithm."""
-    if config.sweep_axis != "believed_s_c":
-        raise ConfigError("run_mismatch needs sweep_axis = believed_s_c")
-    if config.true_overlap is None:
-        raise ConfigError("true_overlap is required for a mismatch sweep")
-    if config.true_overlap > config.s_bar - 2:
+    """Run the sweep described by config, on any axis; rows come out in
+    (sweep value, algorithm) order. On the s_c axis the value is the
+    generator's overlap floor, and each prior's s_c is that floor clamped
+    to the overlap the estimated T0 keeps with the measured frame's true
+    support. On the believed_s_c axis the value is the s_c the pursuits are
+    told, while the true consecutive overlap stays pinned at true_overlap."""
+    believed = config.sweep_axis == "believed_s_c"
+    if (config.true_overlap is None) == believed:
+        raise ConfigError("true_overlap is required on the believed_s_c axis "
+                          "and rejected on every other")
+    if believed and config.true_overlap > config.s_bar - 2:
         raise ConfigError(
             f"true_overlap must be <= s_bar - 2 = {config.s_bar - 2}")
-    if min(config.sweep_values) < 0:
+    if believed and min(config.sweep_values) < 0:
         raise ConfigError("believed s_c values must be nonnegative")
-    scenario = _scenario_at(replace(config, s_c=config.true_overlap), None)
-    return _run_trials(config, [(scenario, list(enumerate(config.sweep_values)))],
-                       fixed_overlap=config.true_overlap, noise=noise)
+    return _run_trials(config, noise)
+
+
+run_mismatch = run_sweep  # the mismatch study is the believed_s_c axis
 
 
 def _format_value(v) -> str:

@@ -413,6 +413,13 @@ def _lemma1(**changes):
     return lemma1_check(**args)
 
 
+# hand-built constants that are neither pursuit's set: no c1, so read as
+# conservative with no c5, c6, c7 or delta_2s_bar; c1 without c2 and c4
+_LACKING_C1 = BoundConstants(delta={"s_bar": 0.0}, valid=True)
+_LACKING_C2 = BoundConstants(delta={"s_bar": 0, "s1": 0, "s2": 0}, c1=0.1,
+                             valid=True)
+
+
 @pytest.mark.parametrize("call,error,pattern", [
     (lambda: RipQuery(k=0, d=1), ValueError, "k and d must be positive"),
     (lambda: block_rip_exact(np.eye(4, dtype=complex), RipQuery(5, 1)),
@@ -436,6 +443,14 @@ def _lemma1(**changes):
      RipViolationError, "contraction factor 1.5 >= 1"),
     (lambda: channel_recovery_bound(0.1, 6.0, 0.0, M=0, N_ue=2, T=16, P=1.0),
      ValueError, "M, N_ue, T must be positive"),
+    (lambda: msp_distortion_bound(_LACKING_C1, 1.0, 0.1),
+     BoundPreconditionError, "lack a term of cmsp_constants"),
+    (lambda: msp_convergence_bound(_LACKING_C1, 1.0, 0.1, 1.0),
+     BoundPreconditionError, "lack a term of cmsp_constants"),
+    (lambda: msp_distortion_bound(_LACKING_C2, 1.0, 0.1),
+     BoundPreconditionError, "lack a term of msp_constants"),
+    (lambda: msp_convergence_bound(_LACKING_C2, 1.0, 0.1, 1.0),
+     BoundPreconditionError, "lack a term of msp_constants"),
     (lambda: _lemma1(T2=ChunkSupport.of([4], 7)),
      DimensionError, "support universes must equal K=6"),
     (lambda: _lemma1(T1=ChunkSupport.empty(6)), ValueError,

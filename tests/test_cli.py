@@ -88,6 +88,23 @@ class TestBounds:
         assert ("channel bound needs --chan-n-ue --chan-p-db"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("extra,flag", [
+        (["--conservative", "--delta-2sbar", "0", "--delta-2sbar-sc", "0",
+          "--delta-3sbar-sc", "0", "--chan-m", "16"], "--chan-m"),
+        (["--conservative", "--delta-2sbar", "0", "--delta-2sbar-sc", "0",
+          "--delta-3sbar-sc", "0", "--chan-p-db", "10"], "--chan-p-db"),
+        (["--delta-s1", "0", "--delta-s2", "0", "--overlap", "1"], "--overlap"),
+        # a channel flag without --chan-m names what the bound still needs
+        (["--delta-s1", "0", "--delta-s2", "0", "--chan-t", "8",
+          "--chan-n-ue", "2"], "channel bound needs --chan-m --chan-p-db"),
+    ])
+    def test_refuses_flags_it_would_drop(self, extra, flag, capsys):
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0"] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+
     def test_deltas_from_matrix(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         Phi = (rng.standard_normal((6, 8))
@@ -156,6 +173,24 @@ class TestRecover:
         assert rc == 0
         assert out_lines(capsys)["support"] == "1,5,9"
 
+    @pytest.mark.parametrize("algorithm", ["sp", "mmv_sp"])
+    def test_prior_free_refuses_prior(self, locked_paths, algorithm, capsys):
+        # sp and mmv_sp run as msp on the empty prior, so a prior would
+        # quietly turn them into msp
+        y, phi = locked_paths
+        rc = main(["recover", "--y", y, "--phi", phi, "--algorithm",
+                   algorithm, "--s-bar", "3", "--gamma", "0", "--t0", "1,2",
+                   "--s-c", "1"])
+        assert rc == 2
+        assert f"error: {algorithm} reads no prior" in capsys.readouterr().err
+
+    def test_sp_refuses_chunk_height(self, locked_paths, capsys):
+        y, phi = locked_paths
+        rc = main(["recover", "--y", y, "--phi", phi, "--algorithm", "sp",
+                   "--s-bar", "3", "--gamma", "0", "--d", "2"])
+        assert rc == 2
+        assert "--d must be 1" in capsys.readouterr().err
+
     def test_unknown_algorithm_exits(self, locked_paths):
         y, phi = locked_paths
         with pytest.raises(SystemExit):
@@ -177,3 +212,19 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis_lines", [
+        "sweep_axis = pilot_length\nsweep_values = 8, 12\n",
+        "sweep_axis = believed_s_c\nsweep_values = 0, 1\ntrue_overlap = 1\n",
+    ], ids=["pilot_length", "believed_s_c"])
+    def test_mismatch_is_an_alias(self, tmp_path, axis_lines):
+        # the config's axis selects the study, not the subcommand's name
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
+                       "pilot_length = 12\nsnr_db = 25\n"
+                       "algorithms = msp, mmv_sp, genie\nn_trials = 3\n"
+                       + axis_lines)
+        outs = [tmp_path / f"{name}.csv" for name in ("sweep", "mismatch")]
+        for name, out in zip(("sweep", "mismatch"), outs):
+            assert main([name, "--config", str(cfg), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()

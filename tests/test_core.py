@@ -322,3 +322,15 @@ def test_frobenius_matches_numpy():
     rng = np.random.default_rng(4)
     M = random_complex(rng, (3, 4))
     assert frobenius(M) == pytest.approx(np.linalg.norm(M))
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: ChunkSupport((), -1), ValueError, "K must be nonnegative, got -1"),
+    (lambda: top_k_chunks([1.0, 2.0], -1, [1]), SelectionError,
+     "k must be nonnegative, got -1"),
+    (lambda: top_k_chunks([1.0, 2.0], 1, [3]), IndexError,
+     r"candidate outside 1..2: \[3\]"),
+])
+def test_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()

@@ -200,11 +200,9 @@ class TestRunSweep:
             assert 0.0 <= r.support_recovery_rate <= 1.0
             assert r.nmse_ci95_halfwidth >= 0.0
 
-    def test_rejects_believed_axis(self):
-        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(1,),
-                           true_overlap=1)
-        with pytest.raises(ConfigError, match="run_mismatch"):
-            run_sweep(cfg)
+    def test_mismatch_is_the_sweep(self):
+        # the config's axis selects the mismatch study; one runner runs it
+        assert run_mismatch is run_sweep
 
     def test_rejects_true_overlap(self):
         # run_sweep draws unpinned overlaps, so it would ignore the setting

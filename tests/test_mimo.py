@@ -290,3 +290,26 @@ class TestScenarioValidation:
     def test_evolution_is_derived(self):
         scen = make_scenario(M=16, s_bar=3, s_c=1)
         assert scen.evolution == SupportEvolutionParams(s_bar=3, s_c=1, K=16)
+
+
+def _estimate_believing(believed_s_c):
+    scen = make_scenario()
+    measured = mimo.simulate_frames(scen, 2, np.random.default_rng(0))[1]
+    return mimo.estimate_frame(scen, measured, "genie",
+                               ChunkSupport.empty(scen.M),
+                               believed_s_c=believed_s_c)
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: dft_unitary(0), ValueError, "n must be positive, got 0"),
+    (lambda: generate_pilots(0, 4, np.random.default_rng(0)), ValueError,
+     "M and T must be positive"),
+    (lambda: generate_channel(make_scenario(M=16), ChunkSupport.of([1], 17),
+                              np.random.default_rng(0)),
+     DimensionError, "support universe 17 != M=16"),
+    (lambda: _estimate_believing(-1), ValueError,
+     "believed s_c must be nonnegative, got -1"),
+])
+def test_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cspursuit.analysis import RipQuery, block_rip_exact
-from cspursuit.errors import EnumerationCapError, SelectionError
+from cspursuit.errors import DimensionError, EnumerationCapError, SelectionError
 from cspursuit.oracle import exhaustive_best_support, rip_bruteforce_reference
 from cspursuit.sparsity import ChunkSupport
 
@@ -115,3 +115,14 @@ class TestRipBruteforce:
         Phi = np.zeros((4, 40), dtype=complex)
         with pytest.raises(EnumerationCapError):
             rip_bruteforce_reference(Phi, k=10, d=1, cap=100)
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: exhaustive_best_support(np.zeros((3, 1)), np.eye(4), 1, 1),
+     DimensionError, "Y has 3 rows, Phi has 4"),
+    (lambda: rip_bruteforce_reference(np.eye(4), 5, 1),
+     DimensionError, "k must be in 1..4, got 5"),
+])
+def test_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()

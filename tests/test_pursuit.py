@@ -480,3 +480,15 @@ def test_degenerate_inputs(case, seed, d, l_cols, gamma):
         assert len(res.T_hat) in (s_bar, 0)
         assert len(res.residue_norms) == res.iterations + 1
         assert np.all(np.isfinite(res.X_hat.data))
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: msp_support_merge(np.ones((4, 1)), np.eye(4),
+                               ChunkSupport.of([1], 5),
+                               PursuitConfig(s_bar=1, gamma=0.0,
+                                             prior=PriorSupportInfo.empty(4))),
+     DimensionError, "running support universe 5 != 4"),
+])
+def test_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()

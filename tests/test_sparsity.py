@@ -176,3 +176,15 @@ def test_sequence_property(seed, s_bar, s_c):
     for a, b in zip(seq, seq[1:]):
         ov = len(a.as_set() & b.as_set())
         assert min(s_c, len(a), len(b)) <= ov <= s_c + 2
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: chunk_support(ChunkSparseMatrix(np.zeros((4, 1)),
+                                             ChunkIndexing(4, 1)), tol=-1.0),
+     ValueError, "tol must be nonnegative, got -1.0"),
+    (lambda: generate_chunk_sparse(4, 1, 0, [1], np.random.default_rng(0)),
+     ValueError, "L must be positive, got 0"),
+])
+def test_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()
