@@ -76,9 +76,14 @@ def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing, supports) -> float:
     supports T given as tuples of 0-based chunks.
 
     Supports are taken in blocks of _SUPPORT_BLOCK: each block gathers its
-    supports' own columns of Phi, forms their Grams with one batched matmul
-    and takes one stacked eigvalsh. Memory stays bounded by the block, and
-    the K d x K d Gram of all of Phi is never formed.
+    supports' own columns of Phi and forms their Grams G with one batched
+    matmul. Every eigenvalue of a Hermitian G lies within ||G - I||_2 <=
+    ||G - I||_F of 1, so only the Grams whose Frobenius bound plus a margin
+    of 1e-10 (1 + bound), far above eigvalsh's rounding, reaches the
+    running delta go to one stacked eigvalsh. A skipped Gram cannot raise
+    the computed maximum, so delta equals exhaustive enumeration's bit for
+    bit. Memory stays bounded by the block, and the K d x K d Gram of all
+    of Phi is never formed.
     """
     # row j of Phi^H is column j of Phi, conjugated
     phi_h = Phi.conj().T
@@ -88,7 +93,12 @@ def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing, supports) -> float:
         chunks = np.array(block, dtype=np.intp)
         cols = _rows(chunks.ravel(), idx.d).reshape(len(block), -1)
         sub_h = phi_h[cols]
-        eigs = np.linalg.eigvalsh(sub_h @ sub_h.conj().transpose(0, 2, 1))
+        grams = sub_h @ sub_h.conj().transpose(0, 2, 1)
+        bound = np.linalg.norm(grams - np.eye(cols.shape[1]), axis=(1, 2))
+        grams = grams[bound + 1e-10 * (1.0 + bound) >= delta]
+        if not len(grams):
+            continue
+        eigs = np.linalg.eigvalsh(grams)
         # a wide submatrix has a singular Gram
         lam_min = 0.0 if cols.shape[1] > Phi.shape[0] else eigs[:, 0].min()
         delta = max(delta, eigs[:, -1].max() - 1.0, 1.0 - lam_min)

@@ -70,13 +70,32 @@ _VARIANTS = {
 }
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _require(args, bound: str, dests) -> None:
+    """Raise ConfigError naming the flags of dests that bound needs and
+    args leaves unset."""
+    missing = [_flag(f) for f in dests if getattr(args, f) is None]
+    if missing:
+        raise ConfigError(f"{bound} needs {' '.join(missing)}")
+
+
 def _cmd_bounds(args) -> int:
     flags, make_constants, keys, refused = _VARIANTS[args.conservative]
     noun = "conservative bounds" if args.conservative else "bounds"
-    given = ["--" + f.replace("_", "-") for f in refused
-             if getattr(args, f) is not None]
+    given = [_flag(f) for f in refused if getattr(args, f) is not None]
     if given:
         raise ConfigError(f"{noun} do not read {' '.join(given)}")
+    # every bound flag given is read by a bound that has all it needs
+    channel = any(getattr(args, f) is not None for f in _CHANNEL)
+    if args.rho is not None:
+        _require(args, "convergence bound", ("gamma", "eta"))
+    elif args.eta is not None or (args.gamma is not None and not channel):
+        _require(args, "distortion bound", ("gamma", "eta"))
+    if channel:
+        _require(args, "channel bound", _CHANNEL + ("gamma",))
     if args.matrix is not None:
         Phi = read_matrix(args.matrix)
         orders = isometry_orders(args.s_bar, args.s_c, args.t0_size,
@@ -87,13 +106,13 @@ def _cmd_bounds(args) -> int:
     else:
         deltas = [getattr(args, flag) for flag in flags]
         if any(v is None for v in deltas):
-            names = " ".join("--" + f.replace("_", "-") for f in flags)
+            names = " ".join(map(_flag, flags))
             raise ConfigError(f"{noun} need --matrix or all of {names}")
     constants = make_constants(args, deltas)
     out: list[tuple[str, object]] = [(key, getattr(constants, key))
                                      for key in keys]
     out += [(f"delta_{label}", v) for label, v in constants.delta.items()]
-    if args.gamma is not None and args.eta is not None:
+    if args.eta is not None:
         out.append(("distortion_bound",
                     msp_distortion_bound(constants, args.gamma, args.eta)))
         if args.rho is not None:
@@ -101,14 +120,9 @@ def _cmd_bounds(args) -> int:
                                          args.rho)
             out.append(("convergence_iterations", n_co))
             out.append(("convergence_iterations_ceil", math.ceil(n_co)))
-    if any(getattr(args, f) is not None for f in _CHANNEL):
-        missing = ["--" + f.replace("_", "-") for f in _CHANNEL
-                   if getattr(args, f) is None]
-        if missing:
-            raise ConfigError(f"channel bound needs {' '.join(missing)}")
+    if channel:
         bound = channel_recovery_bound(
-            constants.delta["s2"], constants.c4,
-            args.gamma if args.gamma is not None else 0.0,
+            constants.delta["s2"], constants.c4, args.gamma,
             args.chan_m, args.chan_n_ue, args.chan_t,
             10.0 ** (args.chan_p_db / 10.0))
         out.append(("channel_bound", bound))
@@ -187,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSMAT1 matrix to enumerate deltas from")
     p.add_argument("--d", type=int, default=1)
     for dest in dict.fromkeys(f for flags, *_ in _VARIANTS.values() for f in flags):
-        p.add_argument("--" + dest.replace("_", "-"), type=float, default=None)
+        p.add_argument(_flag(dest), type=float, default=None)
     p.add_argument("--overlap", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)

@@ -147,6 +147,79 @@ def test_support_blocks_match_per_support_loop():
     assert mc == pytest.approx(max(deviations_of(seen)), abs=1e-10)
 
 
+def unpruned_delta(Phi, k, d):
+    """delta_{k|d} with every support's Gram sent to eigvalsh: the block
+    body of _max_deviation before it skipped Grams by their Frobenius
+    bound, kept here as the bit-for-bit reference."""
+    phi_h = Phi.conj().T
+    delta = 0.0
+    supports = itertools.combinations(range(Phi.shape[1] // d), k)
+    while block := list(itertools.islice(supports, 128)):
+        chunks = np.array(block, dtype=np.intp)
+        cols = (chunks.ravel()[:, None] * d + np.arange(d)).reshape(len(block), -1)
+        sub_h = phi_h[cols]
+        eigs = np.linalg.eigvalsh(sub_h @ sub_h.conj().transpose(0, 2, 1))
+        lam_min = 0.0 if cols.shape[1] > Phi.shape[0] else eigs[:, 0].min()
+        delta = max(delta, eigs[:, -1].max() - 1.0, 1.0 - lam_min)
+    return float(delta)
+
+
+def rip_instance(kind, M, K, d, seed):
+    n = K * d
+    if kind == "gaussian":
+        rng = np.random.default_rng(seed)
+        return random_complex(rng, (M, n)) / np.sqrt(2 * max(M, 1))
+    if kind == "identity":
+        return np.eye(M, n, dtype=complex)
+    # the first M rows of a unitary DFT: orthonormal columns when n <= M
+    size = max(M, n)
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(size), np.arange(size)) / size)
+    return dft[:M, :n] / np.sqrt(size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "identity", "dft"]),
+       M=st.integers(0, 9), d=st.sampled_from([1, 2]), K=st.integers(1, 10),
+       k=st.integers(1, 4), seed=st.integers(0, 10**6))
+@example(kind="gaussian", M=0, d=2, K=3, k=2, seed=0)  # no rows
+@example(kind="gaussian", M=3, d=2, K=3, k=2, seed=1)  # k*d > M
+@example(kind="gaussian", M=4, d=2, K=4, k=2, seed=2)  # k*d = M
+@example(kind="gaussian", M=8, d=1, K=10, k=4, seed=3)  # partial last block
+@example(kind="dft", M=8, d=2, K=4, k=2, seed=0)  # delta is rounding noise
+@example(kind="identity", M=9, d=1, K=9, k=4, seed=0)  # delta is 0
+@example(kind="identity", M=7, d=1, K=10, k=4, seed=0)  # zero columns
+# the benchmark's rip-exact instance
+@example(kind="gaussian", M=16, d=2, K=32, k=3, seed=0)
+@example(kind="gaussian", M=16, d=2, K=32, k=3, seed=1)
+@example(kind="gaussian", M=16, d=2, K=32, k=3, seed=2)
+def test_pruned_delta_is_bit_identical(kind, M, d, K, k, seed):
+    # skipping Grams by their Frobenius bound never changes delta's bits
+    k = min(k, K)
+    Phi = rip_instance(kind, M, K, d, seed)
+    q = RipQuery(k, d)
+    want = unpruned_delta(Phi, k, d)
+    assert block_rip_exact(Phi, q) == want
+    assert block_rip_montecarlo(Phi, q, n_samples=math.comb(K, k),
+                                rng=np.random.default_rng(seed)) == want
+
+
+def test_frobenius_bound_skips_most_grams(monkeypatch):
+    # the rip-exact instance: C(32, 3) = 4960 supports of 6 columns
+    Phi = rip_instance("gaussian", 16, 32, 2, 0)
+    eigvalsh = np.linalg.eigvalsh
+    received = []
+
+    def counting(a, *args, **kwargs):
+        received.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    delta = block_rip_exact(Phi, RipQuery(3, 2))
+    monkeypatch.undo()
+    assert delta == unpruned_delta(Phi, 3, 2)
+    assert 0 < sum(received) <= math.comb(32, 3) // 4
+
+
 @pytest.mark.parametrize("T", [24, 40])
 def test_guarantees_do_not_cover_criterion_08_frames(T):
     """A sampled delta_8 is a lower bound on delta_8, and deltas grow with

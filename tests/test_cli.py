@@ -105,6 +105,39 @@ class TestBounds:
         err = capsys.readouterr().err
         assert "error:" in err and flag in err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--gamma", "0.5"], "distortion bound needs --eta"),
+        (["--eta", "0.05"], "distortion bound needs --gamma"),
+        (["--gamma", "0.5", "--rho", "2"], "convergence bound needs --eta"),
+        (["--eta", "0.05", "--rho", "2"], "convergence bound needs --gamma"),
+        (["--rho", "2"], "convergence bound needs --gamma --eta"),
+        (["--chan-m", "16", "--chan-n-ue", "2", "--chan-t", "8",
+          "--chan-p-db", "10"], "channel bound needs --gamma"),
+        (["--eta", "0", "--chan-m", "16", "--chan-n-ue", "2", "--chan-t",
+          "8", "--chan-p-db", "10"], "distortion bound needs --gamma"),
+    ])
+    def test_refuses_bound_flags_without_their_partners(self, extra, message,
+                                                        capsys):
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0", "--delta-s2", "0"]
+                  + extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}\n" == captured.err
+        assert captured.out == ""
+
+    def test_channel_bound_reads_gamma_without_eta(self, capsys):
+        # the channel bound is the one reader of --gamma, so it is not dropped
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0", "--delta-s2", "0",
+                   "--gamma", "0.5", "--chan-m", "104", "--chan-n-ue", "4",
+                   "--chan-t", "26", "--chan-p-db", "0"])
+        assert rc == 0
+        got = out_lines(capsys)
+        assert "distortion_bound" not in got
+        want = channel_recovery_bound(0.0, 6.0, 0.5, 104, 4, 26, 1.0)
+        assert float(got["channel_bound"]) == pytest.approx(want)
+
     def test_deltas_from_matrix(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         Phi = (rng.standard_normal((6, 8))
