@@ -20,7 +20,7 @@ from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
                        msp_convergence_bound, msp_distortion_bound)
 from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
-from .experiments import load_config, run_sweep, write_csv
+from .experiments import _power, load_config, run_sweep, write_csv
 from .pursuit import PursuitConfig, StopReason, cmsp_recover, msp_recover
 from .sparsity import PriorSupportInfo
 
@@ -124,7 +124,7 @@ def _cmd_bounds(args) -> int:
         bound = channel_recovery_bound(
             constants.delta["s2"], constants.c4, args.gamma,
             args.chan_m, args.chan_n_ue, args.chan_t,
-            10.0 ** (args.chan_p_db / 10.0))
+            _power("--chan-p-db", args.chan_p_db))
         out.append(("channel_bound", bound))
 
     for key, value in out:

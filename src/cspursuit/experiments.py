@@ -1,19 +1,15 @@
 """Monte-Carlo experiment harness: seeded paired trials over a sweep axis,
 summary rows, a flat key=value config format, and deterministic CSV output.
 
-Each trial simulates two frames and measures the second. Frame 1 is
-estimated once, by mmv_sp (what msp and cmsp are under the empty prior),
-and only when a configured algorithm reads a prior; its support estimate is
-the prior T0 of every algorithm and believed value. Trial t uses seed
-base_seed + t; its data are generated once per sweep value (once in all on
-the believed_s_c axis, where the algorithms that read no prior are
-estimated once per trial) and shared by every algorithm. Across s_c values
-the frame-2 data differ, because the support generator's draws depend on
-s_c. The s_c axis sets the generator's overlap floor on the true supports.
+Each trial simulates two frames and measures the second; frame 1 only
+supplies the prior T0, its support as estimated by mmv_sp (what msp and
+cmsp are under the empty prior). The s_c axis sets the generator's overlap
+floor on the true supports, so the frame-2 data differ across s_c values.
 By default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
 from the measured frame's true support that no receiver has; criterion 08
 passes only with it (see estimate_frame). Only the believed_s_c axis, the
-mismatch study, tells the pursuits a floor that may be wrong.
+mismatch study, tells the pursuits a floor that may be wrong: it pins the
+true consecutive overlap at s_c and tells them each sweep value instead.
 """
 from __future__ import annotations
 
@@ -54,6 +50,14 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _power(name: str, db) -> float:
+    """10^(db/10), or ConfigError naming the setting if it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{name} of {db!r} dB overflows the linear power") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Scenario dimensions plus sweep and trial bookkeeping, typed and
@@ -76,15 +80,12 @@ class ExperimentConfig:
     n_trials: int = 100
     base_seed: int = 0
     gamma_value: Optional[float] = None
-    true_overlap: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name, least in (("M", 1), ("N_ue", 1), ("s_bar", 1),
                             ("pilot_length", 1), ("n_trials", 1), ("s_c", 0),
-                            ("base_seed", 0), ("true_overlap", 0)):
+                            ("base_seed", 0)):
             value = getattr(self, name)
-            if value is None and name == "true_overlap":
-                continue
             value = _whole(name, value)
             object.__setattr__(self, name, value)
             if value < least:
@@ -92,6 +93,7 @@ class ExperimentConfig:
                     f"{name} must be {'positive' if least else 'nonnegative'}")
         if not _finite(self.snr_db):
             raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")
+        _power("snr_db", self.snr_db)
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(
                 f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
@@ -104,9 +106,13 @@ class ExperimentConfig:
                               f"got {self.sweep_values!r}")
         if not all(_finite(v) for v in values):
             raise ConfigError(f"sweep_values must be finite numbers, got {values}")
-        if self.sweep_axis != "snr_db":
+        if self.sweep_axis == "snr_db":
+            _power("sweep_values", max(values))
+        else:
             values = tuple(_whole("sweep_values", v) for v in values)
         object.__setattr__(self, "sweep_values", values)
+        if self.sweep_axis == "believed_s_c" and min(values) < 0:
+            raise ConfigError("believed s_c values must be nonnegative")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for alg in self.algorithms:
@@ -198,17 +204,17 @@ def _summary_row(config: ExperimentConfig, value, algorithm: str,
         n_trials=n, base_seed=config.base_seed)
 
 
-def _run_trials(config: ExperimentConfig, noise: bool) -> list[ResultRow]:
-    """The one trial loop. A group is a config point and its (position,
-    believed_s_c) members: one per sweep value, or one at s_c = true_overlap
-    for every believed value. Trial t of a group is generated once, from
-    seed base_seed + t, only its first frame's support estimated, once, if
-    an algorithm reads a prior, and its measured frame estimated and scored
-    by every algorithm: by those in PRIOR_ALGORITHMS at every member, by
-    the others once. Rows come out in (sweep position, algorithm) order."""
+def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
+    """The one trial loop, on any axis; rows come out in (sweep value,
+    algorithm) order. A group is a config point and its (position,
+    believed_s_c) members: one per sweep value, or one for every believed
+    value. Trial t of a group is generated once, from seed base_seed + t,
+    its first frame estimated once if an algorithm reads a prior, and its
+    measured frame estimated and scored by the PRIOR_ALGORITHMS at every
+    member and by the others once."""
     positions = list(enumerate(config.sweep_values))
-    groups = ([(replace(config, s_c=config.true_overlap), positions)]
-              if config.sweep_axis == "believed_s_c" else
+    pinned = config.s_c if config.sweep_axis == "believed_s_c" else None
+    groups = ([(config, positions)] if pinned is not None else
               [(replace(config, **{config.sweep_axis: value}), [(position, None)])
                for position, value in positions])
     gamma = config.gamma_value  # None: estimate_frame's sqrt(2 N T)
@@ -216,12 +222,11 @@ def _run_trials(config: ExperimentConfig, noise: bool) -> list[ResultRow]:
     last = {}  # (position, algorithm) -> measured frame of every trial
     for point, members in groups:
         scenario = MimoScenario(M=point.M, N_ue=point.N_ue, T=point.pilot_length,
-                                P=10.0 ** (point.snr_db / 10.0),
+                                P=_power("snr_db", point.snr_db),
                                 s_bar=point.s_bar, s_c=point.s_c)
         for trial in range(config.n_trials):
             rng = np.random.default_rng(config.base_seed + trial)
-            first, measured = simulate_frames(scenario, 2, rng, noise,
-                                              config.true_overlap)
+            first, measured = simulate_frames(scenario, 2, rng, noise, pinned)
             T0 = ChunkSupport.empty(scenario.M)
             if reads_prior:
                 T0 = estimate_support(scenario, first, "mmv_sp", T0, gamma)
@@ -236,25 +241,6 @@ def _run_trials(config: ExperimentConfig, noise: bool) -> list[ResultRow]:
     return [_summary_row(config, value, algorithm, last[position, algorithm])
             for position, value in positions
             for algorithm in config.algorithms]
-
-
-def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
-    """Run the sweep described by config, on any axis; rows come out in
-    (sweep value, algorithm) order. On the s_c axis the value is the
-    generator's overlap floor, and each prior's s_c is that floor clamped
-    to the overlap the estimated T0 keeps with the measured frame's true
-    support. On the believed_s_c axis the value is the s_c the pursuits are
-    told, while the true consecutive overlap stays pinned at true_overlap."""
-    believed = config.sweep_axis == "believed_s_c"
-    if (config.true_overlap is None) == believed:
-        raise ConfigError("true_overlap is required on the believed_s_c axis "
-                          "and rejected on every other")
-    if believed and config.true_overlap > config.s_bar - 2:
-        raise ConfigError(
-            f"true_overlap must be <= s_bar - 2 = {config.s_bar - 2}")
-    if believed and min(config.sweep_values) < 0:
-        raise ConfigError("believed s_c values must be nonnegative")
-    return _run_trials(config, noise)
 
 
 run_mismatch = run_sweep  # the mismatch study is the believed_s_c axis

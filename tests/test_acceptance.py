@@ -271,10 +271,10 @@ def test_criterion_09():
 
 
 def test_criterion_10():
-    cfg = ExperimentConfig(M=64, N_ue=2, s_bar=8, s_c=4, pilot_length=24,
+    cfg = ExperimentConfig(M=64, N_ue=2, s_bar=8, s_c=3, pilot_length=24,
                            snr_db=25.0, sweep_axis="believed_s_c",
                            sweep_values=(6,), algorithms=("msp", "cmsp"),
-                           n_trials=200, base_seed=0, true_overlap=3)
+                           n_trials=200, base_seed=0)
     med = {r.algorithm: r.nmse_median for r in run_mismatch(cfg)}
 
     # deterministic instance: an overconfident prior locks the plain
@@ -343,7 +343,6 @@ sweep_values = 0, 2
 algorithms = msp, cmsp
 n_trials = 3
 base_seed = 5
-true_overlap = 1
 """
 
 

@@ -80,6 +80,14 @@ class TestBounds:
         want = channel_recovery_bound(0.0, 6.0, 0.0, 104, 4, 26, 4.0)
         assert float(out_lines(capsys)["channel_bound"]) == pytest.approx(want)
 
+    def test_channel_power_overflow(self, capsys):
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0", "--delta-s2", "0",
+                   "--gamma", "0", "--chan-m", "104", "--chan-n-ue", "4",
+                   "--chan-t", "26", "--chan-p-db", "4000"])
+        assert rc == 2
+        assert "error: --chan-p-db" in capsys.readouterr().err
+
     def test_channel_bound_needs_every_flag(self, capsys):
         rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
                    "--delta-sbar", "0", "--delta-s1", "0", "--delta-s2", "0",
@@ -246,9 +254,24 @@ class TestSweepCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines,key", [
+        ("snr_db = 4000\nsweep_axis = pilot_length\nsweep_values = 12\n",
+         "snr_db"),
+        ("snr_db = 25\nsweep_axis = snr_db\nsweep_values = 5, 4000\n",
+         "sweep_values"),
+    ], ids=["snr_db", "sweep_values"])
+    def test_snr_power_overflow(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
+                       "pilot_length = 12\nalgorithms = msp\n" + lines)
+        rc = main(["sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert f"error: {key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("axis_lines", [
         "sweep_axis = pilot_length\nsweep_values = 8, 12\n",
-        "sweep_axis = believed_s_c\nsweep_values = 0, 1\ntrue_overlap = 1\n",
+        "sweep_axis = believed_s_c\nsweep_values = 0, 1\n",
     ], ids=["pilot_length", "believed_s_c"])
     def test_mismatch_is_an_alias(self, tmp_path, axis_lines):
         # the config's axis selects the study, not the subcommand's name

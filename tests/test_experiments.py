@@ -1,11 +1,12 @@
 """Tests for the experiment harness: config parsing, sweeps, CSV output."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import cspursuit.mimo as mimo
-from cspursuit.errors import ConfigError
+from cspursuit.errors import ConfigError, GenerationError
 from cspursuit.experiments import (CSV_COLUMNS, SWEEP_AXES,
                                    ExperimentConfig, load_config, run_mismatch,
                                    run_sweep, rows_to_csv_text, write_csv)
@@ -128,7 +129,7 @@ class TestConfigValidation:
         (dict(n_trials=0), "n_trials"),
         (dict(snr_db=float("nan")), "snr_db"),
         (dict(gamma_value=float("nan")), "gamma_value"),
-        (dict(true_overlap=-1), "true_overlap"),
+        (dict(snr_db=4000.0), "snr_db"),
         (dict(gamma_value=-1.0), "gamma_value"),
         (dict(sweep_axis="snr_db", sweep_values=(5.0, float("inf"))),
          "sweep_values"),
@@ -136,10 +137,10 @@ class TestConfigValidation:
         (dict(n_trials=2.5), "n_trials"),
         (dict(M=16.5), "M"),
         (dict(base_seed=-1), "base_seed"),
-        (dict(true_overlap=0.5), "true_overlap"),
-        (dict(sweep_values=(12.5, 12)), "sweep_values"),
-        (dict(sweep_axis="believed_s_c", sweep_values=(1.5,), true_overlap=1),
+        (dict(sweep_axis="snr_db", sweep_values=(5.0, 4000.0)),
          "sweep_values"),
+        (dict(sweep_values=(12.5, 12)), "sweep_values"),
+        (dict(sweep_axis="believed_s_c", sweep_values=(1.5,)), "sweep_values"),
         (dict(n_trials=None), "n_trials"),
         (dict(M="16"), "M"),
         (dict(snr_db="25"), "snr_db"),
@@ -204,11 +205,6 @@ class TestRunSweep:
         # the config's axis selects the mismatch study; one runner runs it
         assert run_mismatch is run_sweep
 
-    def test_rejects_true_overlap(self):
-        # run_sweep draws unpinned overlaps, so it would ignore the setting
-        with pytest.raises(ConfigError, match="true_overlap"):
-            run_sweep(small_config(true_overlap=1))
-
     def test_s_c_axis_forwards_belief(self):
         # at s_c = 0 the prior carries no guarantee, so msp collapses to
         # the plain chunk-wise pursuit
@@ -220,31 +216,42 @@ class TestRunSweep:
 
 
 class TestRunMismatch:
-    def test_requires_axis(self):
-        cfg = small_config(true_overlap=1)
-        with pytest.raises(ConfigError, match="believed_s_c"):
-            run_mismatch(cfg)
-
-    def test_requires_overlap(self):
-        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(1,))
-        with pytest.raises(ConfigError, match="true_overlap"):
-            run_mismatch(cfg)
-
     def test_overlap_cap(self):
-        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(1,),
-                           true_overlap=2)
-        with pytest.raises(ConfigError, match="s_bar - 2"):
+        # s_c = 2 > s_bar - 2: refused as on every other axis
+        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(1,), s_c=2)
+        with pytest.raises(GenerationError, match="s_bar"):
             run_mismatch(cfg)
 
     def test_negative_believed_value(self):
-        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(-1,),
-                           true_overlap=1)
         with pytest.raises(ConfigError, match="nonnegative"):
-            run_mismatch(cfg)
+            small_config(sweep_axis="believed_s_c", sweep_values=(-1,))
+
+    @pytest.mark.parametrize("s_c", [0, 1])
+    def test_s_c_is_the_pinned_overlap(self, monkeypatch, s_c):
+        # s_c is the truth and the sweep values the belief: the two true
+        # supports of every trial share exactly s_c chunks
+        pairs = []
+        original = mimo.generate_support_sequence
+
+        def recording(*args, **kwargs):
+            pairs.append(original(*args, **kwargs))
+            return pairs[-1]
+        monkeypatch.setattr(mimo, "generate_support_sequence", recording)
+        cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1),
+                           s_c=s_c, n_trials=20)
+        run_mismatch(cfg)
+        assert ([len(a.intersection(b)) for a, b in pairs]
+                == [s_c] * cfg.n_trials)
+
+    def test_s_c_sets_the_data(self):
+        texts = [rows_to_csv_text(run_mismatch(small_config(
+                     sweep_axis="believed_s_c", sweep_values=(0, 1), s_c=s_c)))
+                 for s_c in (0, 1)]
+        assert texts[0] != texts[1]
 
     def test_genie_ignores_belief(self):
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1),
-                           algorithms=("genie",), true_overlap=1, n_trials=4)
+                           algorithms=("genie",), n_trials=4)
         rows = run_mismatch(cfg)
         assert rows[0].nmse == rows[1].nmse
         assert rows[0].nmse_median == rows[1].nmse_median
@@ -258,8 +265,7 @@ class TestRunMismatch:
         swept = run_sweep(ExperimentConfig(
             s_c=2, sweep_axis="s_c", sweep_values=(2,), **common))
         pinned = run_mismatch(ExperimentConfig(
-            s_c=2, sweep_axis="believed_s_c", sweep_values=(2,),
-            true_overlap=2, **common))
+            s_c=2, sweep_axis="believed_s_c", sweep_values=(2,), **common))
         ratio = pinned[0].nmse_median / swept[0].nmse_median
         assert 0.5 <= ratio <= 2.0
 
@@ -269,8 +275,7 @@ class TestRunMismatch:
         cfg = ExperimentConfig(
             M=64, N_ue=2, s_bar=8, s_c=3, pilot_length=24, snr_db=25.0,
             sweep_axis="believed_s_c", sweep_values=(2, 3, 4, 5, 6),
-            algorithms=("msp", "cmsp"), n_trials=200, base_seed=0,
-            true_overlap=3)
+            algorithms=("msp", "cmsp"), n_trials=200, base_seed=0)
         rows = run_mismatch(cfg)
         msp = [r.nmse_median for r in rows if r.algorithm == "msp"]
         cmsp = [r.nmse_median for r in rows if r.algorithm == "cmsp"]
@@ -329,7 +334,7 @@ class TestTrialSharing:
     def test_mismatch_generates_each_trial_once(self, monkeypatch):
         calls = self._count_calls(monkeypatch, "generate_support_sequence")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
-                           algorithms=ALGORITHMS, true_overlap=1)
+                           algorithms=ALGORITHMS)
         run_mismatch(cfg)
         assert len(calls) == cfg.n_trials
 
@@ -343,7 +348,7 @@ class TestTrialSharing:
     def test_mismatch_estimates_first_frame_once(self, monkeypatch):
         calls = self._count_calls(monkeypatch, "msp_recover")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
-                           algorithms=ALGORITHMS, true_overlap=1)
+                           algorithms=ALGORITHMS)
         run_mismatch(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
@@ -354,7 +359,7 @@ class TestTrialSharing:
         counts = {name: self._count_calls(monkeypatch, name)
                   for name in ("genie_ls", "sp_recover", "mmv_sp_recover")}
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
-                           algorithms=ALGORITHMS, true_overlap=1)
+                           algorithms=ALGORITHMS)
         run_mismatch(cfg)
         n = cfg.n_trials
         assert {name: len(calls) for name, calls in counts.items()} == {
@@ -383,11 +388,11 @@ class TestTrialSharing:
 
     def test_mismatch_rows_match_per_sequence_runs(self):
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 0),
-                           algorithms=ALGORITHMS, true_overlap=1)
-        scenario = self._scenario(cfg, cfg.pilot_length, cfg.true_overlap)
+                           algorithms=ALGORITHMS)
+        scenario = self._scenario(cfg, cfg.pilot_length, cfg.s_c)
         expected = [self._expected_row(cfg, value, alg, scenario,
                                        believed_s_c=value,
-                                       fixed_overlap=cfg.true_overlap)
+                                       fixed_overlap=cfg.s_c)
                     for value in cfg.sweep_values for alg in cfg.algorithms]
         assert self._fields(run_mismatch(cfg)) == expected
 
@@ -415,3 +420,23 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv(rows, path)
         assert path.read_text(encoding="utf-8") == rows_to_csv_text(rows)
+
+    # sha256 of the CSV each config writes; believed_s_c runs at s_c = 1
+    @pytest.mark.parametrize("axis,values,digest", [
+        ("pilot_length", (8, 12), "340e4c4b9ffaa8e74648bec3352ea12d"
+                                  "781d3defc9e7cbb1f05865454e14edfc"),
+        ("snr_db", (5.0, 25.0), "540b5f05a20d1a7e142c123e3639b6ed"
+                                "a0ef8b8fd4fea61b70eb0cf6083bcc6b"),
+        ("s_c", (0, 1), "5cdf2cfaaeb8b29eee91ee1a99afd41e"
+                        "a51190ee5f8e17c5b6099b69a234d875"),
+        ("believed_s_c", (0, 1, 3), "c09cd449f8e0d05be2afb59e785251d7"
+                                    "6c12e7360451f59bc067880f325ca756"),
+    ], ids=["pilot_length", "snr_db", "s_c", "believed_s_c"])
+    def test_seeded_bytes(self, axis, values, digest):
+        cfg = small_config(sweep_axis=axis, sweep_values=values,
+                           algorithms=ALGORITHMS, n_trials=4, base_seed=3)
+        text = rows_to_csv_text(run_sweep(cfg))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (
+            "seeded CSV bytes moved; a numpy or BLAS upgrade can move them, "
+            "and an intended change of the random stream must update these "
+            "digests and say so in CHANGES.md")
