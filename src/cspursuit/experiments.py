@@ -51,11 +51,15 @@ def _whole(name: str, value) -> int:
 
 
 def _power(name: str, db) -> float:
-    """10^(db/10), or ConfigError naming the setting if it overflows a float."""
+    """10^(db/10), or ConfigError naming the setting if it overflows a float
+    or underflows to zero."""
     try:
-        return 10.0 ** (db / 10.0)
+        power = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ConfigError(f"{name} of {db!r} dB overflows the linear power") from None
+    if power == 0.0:
+        raise ConfigError(f"{name} of {db!r} dB underflows the linear power to 0")
+    return power
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,7 @@ class ExperimentConfig:
         if not all(_finite(v) for v in values):
             raise ConfigError(f"sweep_values must be finite numbers, got {values}")
         if self.sweep_axis == "snr_db":
+            _power("sweep_values", min(values))
             _power("sweep_values", max(values))
         else:
             values = tuple(_whole("sweep_values", v) for v in values)
@@ -119,6 +124,8 @@ class ExperimentConfig:
             if alg not in ALGORITHMS:
                 raise ConfigError(
                     f"algorithms entry {alg!r} not one of {ALGORITHMS}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError(f"algorithms must not repeat, got {self.algorithms}")
         if self.gamma_value is not None and not (
                 _finite(self.gamma_value) and self.gamma_value >= 0):
             raise ConfigError(
@@ -206,24 +213,26 @@ def _summary_row(config: ExperimentConfig, value, algorithm: str,
 
 def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     """The one trial loop, on any axis; rows come out in (sweep value,
-    algorithm) order. A group is a config point and its (position,
+    algorithm) order. A group is a config point's scenario and its (position,
     believed_s_c) members: one per sweep value, or one for every believed
     value. Trial t of a group is generated once, from seed base_seed + t,
     its first frame estimated once if an algorithm reads a prior, and its
     measured frame estimated and scored by the PRIOR_ALGORITHMS at every
     member and by the others once."""
     positions = list(enumerate(config.sweep_values))
-    pinned = config.s_c if config.sweep_axis == "believed_s_c" else None
-    groups = ([(config, positions)] if pinned is not None else
+    pinned = config.sweep_axis == "believed_s_c"
+    points = ([(config, positions)] if pinned else
               [(replace(config, **{config.sweep_axis: value}), [(position, None)])
                for position, value in positions])
+    # every point's scenario is built, and so checked, before the first trial
+    groups = [(MimoScenario(M=point.M, N_ue=point.N_ue, T=point.pilot_length,
+                            P=_power("snr_db", point.snr_db),
+                            s_bar=point.s_bar, s_c=point.s_c), members)
+              for point, members in points]
     gamma = config.gamma_value  # None: estimate_frame's sqrt(2 N T)
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
-    for point, members in groups:
-        scenario = MimoScenario(M=point.M, N_ue=point.N_ue, T=point.pilot_length,
-                                P=_power("snr_db", point.snr_db),
-                                s_bar=point.s_bar, s_c=point.s_c)
+    for scenario, members in groups:
         for trial in range(config.n_trials):
             rng = np.random.default_rng(config.base_seed + trial)
             first, measured = simulate_frames(scenario, 2, rng, noise, pinned)

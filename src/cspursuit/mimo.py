@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ChunkSupport, _zero_based, as_matrix, frobenius
-from .errors import DimensionError, MetricError
+from .errors import DimensionError, GenerationError, MetricError
 from .pursuit import (PursuitConfig, StopReason, cmsp_recover, genie_ls,
                       mmv_sp_recover, msp_recover, sp_recover)
 from .sparsity import PriorSupportInfo, SupportEvolutionParams, \
@@ -49,9 +49,10 @@ ALGORITHMS = PRIOR_ALGORITHMS + ("mmv_sp", "sp", "genie")
 @dataclass(frozen=True)
 class MimoScenario:
     """Static problem dimensions. P is linear transmit power; supports hold
-    s_bar of the M angular columns, and consecutive true supports share at
-    least s_c of them. evolution is derived: the support generator's
-    parameters, built once from s_bar, s_c and K = M."""
+    s_bar-2..s_bar of the M angular columns, so s_bar >= 3 gives every
+    frame a path, and consecutive true supports share at least s_c of them.
+    evolution is derived: the support generator's parameters, built once
+    from s_bar, s_c and K = M."""
 
     M: int
     N_ue: int
@@ -66,6 +67,8 @@ class MimoScenario:
             raise ValueError("M, N_ue, T must be positive")
         if not self.P > 0:
             raise ValueError(f"P must be positive, got {self.P}")
+        if self.s_bar < 3:
+            raise GenerationError(f"s_bar must be at least 3, got {self.s_bar}")
         object.__setattr__(self, "evolution",
                            SupportEvolutionParams(self.s_bar, self.s_c, K=self.M))
 
@@ -186,15 +189,16 @@ def default_gamma(N_ue: int, T: int) -> float:
 
 def simulate_frames(scenario: MimoScenario, n_frames: int,
                     rng: np.random.Generator, noise: bool = True,
-                    fixed_overlap: Optional[int] = None
+                    pinned: bool = False
                     ) -> list[tuple[ChannelFrame, np.ndarray, np.ndarray]]:
     """Draw n_frames of data, each as (channel frame, Y, Phi) of the problem
     Y = Phi X + N. The rng is consumed in one order (supports, then per
     frame channel, pilots and noise), so a seed gives every algorithm the
-    same data. fixed_overlap pins the true consecutive overlap."""
+    same data. pinned makes every true consecutive overlap exactly the
+    scenario's s_c instead of drawing it (generate_support_sequence)."""
     m, n, t = scenario.M, scenario.N_ue, scenario.T
     supports = generate_support_sequence(scenario.evolution, n_frames, rng,
-                                         fixed_overlap=fixed_overlap)
+                                         pinned)
     frames = []
     for T_true in supports:
         frame = generate_channel(scenario, T_true, rng)
@@ -280,14 +284,14 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
                        gamma: Optional[float] = None,
                        noise: bool = True,
                        believed_s_c: Optional[int] = None,
-                       fixed_overlap: Optional[int] = None) -> list[FrameRecord]:
+                       pinned: bool = False) -> list[FrameRecord]:
     """n_frames of channel estimation with one algorithm: simulate_frames,
-    then estimate_frame per frame with T0 empty for frame 1 and the previous
-    frame's estimated support after it (see both for the data and the prior
-    rule)."""
+    pinned or not, then estimate_frame per frame with T0 empty for frame 1
+    and the previous frame's estimated support after it (see both for the
+    data and the prior rule)."""
     records: list[FrameRecord] = []
     T0 = ChunkSupport.empty(scenario.M)
-    for frame in simulate_frames(scenario, n_frames, rng, noise, fixed_overlap):
+    for frame in simulate_frames(scenario, n_frames, rng, noise, pinned):
         records.append(estimate_frame(scenario, frame, algorithm, T0, gamma,
                                       believed_s_c))
         T0 = records[-1].T_hat

@@ -15,8 +15,8 @@ import numpy as np
 from .core import (LS_RCOND, ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq,
                    _ranked, _rows, _top_k, _zero_based, as_matrix, chunking,
                    frobenius)
-from .errors import DimensionError, SelectionError
-from .sparsity import ChunkSparseMatrix, PriorSupportInfo, validate_prior
+from .errors import DimensionError, PriorInfoError, SelectionError
+from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
 __all__ = [
     "StopReason",
@@ -61,6 +61,9 @@ class PursuitConfig:
     def __post_init__(self) -> None:
         if self.s_bar < 1:
             raise ValueError(f"s_bar must be positive, got {self.s_bar}")
+        if len(self.prior.T0) > self.s_bar:  # the prior holds s_c <= |T0|
+            raise PriorInfoError(
+                f"|T0| <= s_bar violated: |T0|={len(self.prior.T0)}, s_bar={self.s_bar}")
         if not self.gamma >= 0:  # also rejects nan, which disables the stop
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.d < 1:
@@ -101,7 +104,6 @@ def _checked_prior(cfg: PursuitConfig, K: int) -> np.ndarray:
     below asks for more chunks than its pool holds; return T0 0-based."""
     if cfg.s_bar > K:
         raise SelectionError(f"s_bar={cfg.s_bar} exceeds K={K}")
-    validate_prior(cfg.prior, cfg.s_bar)
     if len(cfg.prior.T0) and cfg.prior.T0.K != K:
         raise DimensionError(f"prior universe {cfg.prior.T0.K} != K={K}")
     return _zero_based(cfg.prior.T0)

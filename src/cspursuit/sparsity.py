@@ -5,7 +5,7 @@ sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "chunk_support",
     "generate_chunk_sparse",
     "generate_support_sequence",
-    "validate_prior",
 ]
 
 
@@ -70,7 +69,9 @@ class PriorSupportInfo:
 
 @dataclass(frozen=True)
 class SupportEvolutionParams:
-    """Parameters of the correlated support sequence generator."""
+    """Parameters of the correlated support sequence generator: supports of
+    s_bar-2..s_bar of K chunks whose consecutive overlap is at least s_c.
+    K >= 2*s_bar - s_c lets two consecutive supports fit in the universe."""
 
     s_bar: int
     s_c: int
@@ -82,9 +83,10 @@ class SupportEvolutionParams:
         if self.s_c + 2 > self.s_bar:
             raise GenerationError(
                 f"s_c + 2 <= s_bar violated: s_c={self.s_c}, s_bar={self.s_bar}")
-        if self.s_bar > self.K:
+        if self.K < 2 * self.s_bar - self.s_c:
             raise GenerationError(
-                f"s_bar <= K violated: s_bar={self.s_bar}, K={self.K}")
+                f"K >= 2*s_bar - s_c violated: K={self.K}, s_bar={self.s_bar}, "
+                f"s_c={self.s_c}")
 
 
 def chunk_support(X: ChunkSparseMatrix, tol: float = 0.0) -> ChunkSupport:
@@ -118,24 +120,17 @@ def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],
 
 def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
                               rng: np.random.Generator,
-                              fixed_overlap: Optional[int] = None) -> list[ChunkSupport]:
+                              pinned: bool = False) -> list[ChunkSupport]:
     """Sequence of supports with |T_i| uniform on {s_bar-2..s_bar} and
-    consecutive overlap drawn uniform on {s_c..s_c+2} (or pinned to
-    fixed_overlap), clamped to min(|T_i|, |T_i+1|).
+    consecutive overlap drawn uniform on {s_c..s_c+2}, clamped to
+    min(|T_i|, |T_i+1|), or with pinned every overlap exactly s_c (no
+    overlap is drawn then).
 
     Overlap members are drawn uniformly from the previous support, the
-    remainder uniformly from its complement. Raises GenerationError when K
-    cannot host two consecutive supports.
+    remainder uniformly from its complement.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be positive, got {n_frames}")
-    if fixed_overlap is not None and fixed_overlap < 0:
-        raise GenerationError(f"fixed_overlap must be nonnegative, got {fixed_overlap}")
-    min_ov = params.s_c if fixed_overlap is None else min(params.s_c, fixed_overlap)
-    if params.K < 2 * params.s_bar - min_ov:
-        raise GenerationError(
-            f"K >= 2*s_bar - overlap violated: K={params.K}, s_bar={params.s_bar}, "
-            f"overlap floor {min_ov}")
 
     sizes = [int(rng.integers(params.s_bar - 2, params.s_bar + 1))
              for _ in range(n_frames)]
@@ -144,10 +139,7 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
     supports = [ChunkSupport.of(first.tolist(), params.K)]
     for i in range(1, n_frames):
         prev = supports[-1]
-        if fixed_overlap is not None:
-            want = fixed_overlap
-        else:
-            want = int(rng.integers(params.s_c, params.s_c + 3))
+        want = params.s_c if pinned else int(rng.integers(params.s_c, params.s_c + 3))
         ov = min(want, len(prev), sizes[i])
         keep = rng.choice(np.array(prev.indices, dtype=int), size=ov,
                           replace=False)
@@ -156,10 +148,3 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
         supports.append(ChunkSupport.of(keep.tolist() + fresh.tolist(), params.K))
     return supports
 
-
-def validate_prior(prior: PriorSupportInfo, s_bar: int) -> None:
-    """Check |T0| <= s_bar (PriorSupportInfo already holds s_c <= |T0|);
-    raises PriorInfoError naming the violated inequality."""
-    if len(prior.T0) > s_bar:
-        raise PriorInfoError(
-            f"|T0| <= s_bar violated: |T0|={len(prior.T0)}, s_bar={s_bar}")

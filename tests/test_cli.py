@@ -87,6 +87,13 @@ class TestBounds:
                    "--chan-t", "26", "--chan-p-db", "4000"])
         assert rc == 2
         assert "error: --chan-p-db" in capsys.readouterr().err
+        # a power that underflows to zero is refused the same way
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0", "--delta-s2", "0",
+                   "--gamma", "0", "--chan-m", "104", "--chan-n-ue", "4",
+                   "--chan-t", "26", "--chan-p-db", "-4000"])
+        assert rc == 2
+        assert "error: --chan-p-db" in capsys.readouterr().err
 
     def test_channel_bound_needs_every_flag(self, capsys):
         rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
@@ -259,7 +266,12 @@ class TestSweepCommand:
          "snr_db"),
         ("snr_db = 25\nsweep_axis = snr_db\nsweep_values = 5, 4000\n",
          "sweep_values"),
-    ], ids=["snr_db", "sweep_values"])
+        ("snr_db = -4000\nsweep_axis = pilot_length\nsweep_values = 12\n",
+         "snr_db"),
+        ("snr_db = 25\nsweep_axis = snr_db\nsweep_values = -4000, 25\n",
+         "sweep_values"),
+    ], ids=["snr_db", "sweep_values", "snr_db_underflow",
+            "sweep_values_underflow"])
     def test_snr_power_overflow(self, tmp_path, capsys, lines, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
@@ -268,6 +280,17 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         assert f"error: {key}" in capsys.readouterr().err
+
+    def test_repeated_algorithm(self, tmp_path, capsys):
+        # a repeat would pool both estimates of every trial into one row
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
+                       "pilot_length = 12\nsnr_db = 25\nalgorithms = msp, msp\n"
+                       "sweep_axis = pilot_length\nsweep_values = 12\n")
+        rc = main(["sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert "error: algorithms" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis_lines", [
         "sweep_axis = pilot_length\nsweep_values = 8, 12\n",

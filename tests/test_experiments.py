@@ -149,6 +149,10 @@ class TestConfigValidation:
         (dict(sweep_values=("8",)), "sweep_values"),
         (dict(sweep_axis="snr_db", sweep_values=("8",)), "sweep_values"),
         (dict(sweep_values=8), "sweep_values"),
+        (dict(snr_db=-4000.0), "snr_db"),
+        (dict(sweep_axis="snr_db", sweep_values=(-4000.0, 25.0)),
+         "sweep_values"),
+        (dict(algorithms=("msp", "msp")), "algorithms"),
     ])
     def test_rejects(self, overrides, pattern):
         with pytest.raises(ConfigError, match=pattern):
@@ -213,6 +217,13 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[0].nmse == rows[1].nmse
         assert rows[0].mean_iterations == rows[1].mean_iterations
+
+    def test_s_bar_below_three(self):
+        # supports of s_bar - 2 chunks would be empty at s_bar = 2, and an
+        # all-zero channel cannot be scored
+        cfg = small_config(s_bar=2, s_c=0, algorithms=("genie",), n_trials=20)
+        with pytest.raises(GenerationError, match="s_bar"):
+            run_sweep(cfg)
 
 
 class TestRunMismatch:
@@ -331,6 +342,13 @@ class TestTrialSharing:
         run_sweep(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
+    def test_unrunnable_point_refused_before_any_trial(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "generate_support_sequence")
+        cfg = small_config(s_bar=8, sweep_axis="s_c", sweep_values=(0, 2, 4, 7))
+        with pytest.raises(GenerationError, match="s_bar"):
+            run_sweep(cfg)
+        assert len(calls) == 0
+
     def test_mismatch_generates_each_trial_once(self, monkeypatch):
         calls = self._count_calls(monkeypatch, "generate_support_sequence")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
@@ -391,8 +409,7 @@ class TestTrialSharing:
                            algorithms=ALGORITHMS)
         scenario = self._scenario(cfg, cfg.pilot_length, cfg.s_c)
         expected = [self._expected_row(cfg, value, alg, scenario,
-                                       believed_s_c=value,
-                                       fixed_overlap=cfg.s_c)
+                                       believed_s_c=value, pinned=True)
                     for value in cfg.sweep_values for alg in cfg.algorithms]
         assert self._fields(run_mismatch(cfg)) == expected
 

@@ -200,7 +200,7 @@ class TestFrameSequence:
     def test_fixed_overlap_forwarded(self):
         scen = make_scenario(M=32, s_bar=6, s_c=2)
         recs = run_frame_sequence(scen, 3, "genie", np.random.default_rng(9),
-                                  fixed_overlap=2)
+                                  pinned=True)
         for a, b in zip(recs, recs[1:]):
             assert len(a.T_true.as_set() & b.T_true.as_set()) == 2
 
@@ -263,13 +263,13 @@ class TestPriorPromise:
 
     def test_explicit_belief_is_not_clamped_to_truth(self, monkeypatch):
         priors = self._record_priors(monkeypatch)
-        scen = make_scenario(**self.SCENARIO)
+        scen = make_scenario(**dict(self.SCENARIO, s_c=3))
         overstated = 0
         for seed in range(20):
             priors.clear()
             recs = run_frame_sequence(scen, 2, "msp",
                                       np.random.default_rng(seed),
-                                      believed_s_c=6, fixed_overlap=3)
+                                      believed_s_c=6, pinned=True)
             prior = priors[1]
             assert prior.s_c == min(6, len(prior.T0))
             overstated += prior.s_c > len(prior.T0.intersection(recs[1].T_true))
@@ -280,6 +280,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("kw", [
         dict(M=0), dict(N_ue=0), dict(T=0), dict(P=0.0), dict(s_bar=0),
         dict(s_bar=17), dict(P=float("nan")),
+        dict(s_bar=2, s_c=0),  # s_bar - 2 = 0: a support may hold no path
     ])
     def test_invalid_fields(self, kw):
         base = dict(M=16, N_ue=2, T=16, P=100.0, s_bar=3, s_c=1)

@@ -7,7 +7,7 @@ from cspursuit.analysis import RipQuery, block_rip_exact
 from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
                             ls_solve, submatrix_by_chunks)
 from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
-                              SelectionError)
+                              PriorInfoError, SelectionError)
 from cspursuit.mimo import nmse, to_cs_problem
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
@@ -298,6 +298,15 @@ class TestValidation:
             PursuitConfig(s_bar=1, prior=prior, gamma=0.0, d=0)
         with pytest.raises(ValueError):
             PursuitConfig(s_bar=1, prior=prior, gamma=0.0, max_iter=0)
+
+    def test_prior_larger_than_budget(self):
+        prior = PriorSupportInfo(ChunkSupport.of([1, 2, 3, 4], 8), s_c=1)
+        with pytest.raises(PriorInfoError, match="s_bar"):
+            PursuitConfig(s_bar=3, prior=prior, gamma=0.0)
+
+    def test_prior_at_budget(self):
+        prior = PriorSupportInfo(ChunkSupport.of([1, 2, 3], 8), s_c=3)
+        PursuitConfig(s_bar=3, prior=prior, gamma=0.0)
 
     def test_nan_gamma_rejected(self):
         # residue <= nan is never true, so nan would disable the stop

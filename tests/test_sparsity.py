@@ -9,8 +9,7 @@ from cspursuit.core import ChunkIndexing
 from cspursuit.errors import GenerationError, PriorInfoError
 from cspursuit.sparsity import (ChunkSparseMatrix, ChunkSupport, PriorSupportInfo,
                                 SupportEvolutionParams, chunk_support,
-                                generate_chunk_sparse, generate_support_sequence,
-                                validate_prior)
+                                generate_chunk_sparse, generate_support_sequence)
 
 
 class TestChunkSparseMatrix:
@@ -51,17 +50,6 @@ class TestPriorSupportInfo:
     def test_negative_s_c(self):
         with pytest.raises(PriorInfoError):
             PriorSupportInfo(ChunkSupport.of([1], 8), s_c=-1)
-
-
-class TestValidatePrior:
-    def test_names_violated_inequality(self):
-        p = PriorSupportInfo(ChunkSupport.of([1, 2, 3, 4], 8), s_c=1)
-        with pytest.raises(PriorInfoError, match="s_bar"):
-            validate_prior(p, s_bar=3)
-
-    def test_passes_at_equality(self):
-        p = PriorSupportInfo(ChunkSupport.of([1, 2, 3], 8), s_c=3)
-        validate_prior(p, s_bar=3)
 
 
 class TestEvolutionParams:
@@ -120,25 +108,17 @@ class TestGenerateSupportSequence:
             assert min(4, len(a), len(b)) <= ov <= 6
 
     def test_fixed_overlap_pinned(self):
-        params = SupportEvolutionParams(s_bar=8, s_c=4, K=64)
+        params = SupportEvolutionParams(s_bar=8, s_c=3, K=64)
         rng = np.random.default_rng(4)
-        seq = generate_support_sequence(params, 100, rng, fixed_overlap=3)
+        seq = generate_support_sequence(params, 100, rng, pinned=True)
         for a, b in zip(seq, seq[1:]):
             assert len(a.as_set() & b.as_set()) == 3
 
     def test_infeasible_universe(self):
-        params = SupportEvolutionParams(s_bar=8, s_c=4, K=64)
         ok = SupportEvolutionParams(s_bar=6, s_c=4, K=8)
         generate_support_sequence(ok, 2, np.random.default_rng(0))
-        bad = SupportEvolutionParams(s_bar=6, s_c=3, K=8)
-        with pytest.raises(GenerationError):
-            generate_support_sequence(bad, 2, np.random.default_rng(0))
-
-    def test_negative_fixed_overlap(self):
-        params = SupportEvolutionParams(s_bar=8, s_c=4, K=64)
-        with pytest.raises(GenerationError):
-            generate_support_sequence(params, 2, np.random.default_rng(0),
-                                      fixed_overlap=-1)
+        with pytest.raises(GenerationError, match="K >= 2"):
+            SupportEvolutionParams(s_bar=6, s_c=3, K=8)
 
     def test_deterministic(self):
         params = SupportEvolutionParams(s_bar=8, s_c=4, K=64)
