@@ -188,6 +188,12 @@ def _check_delta(name: str, value: float) -> float:
     return v
 
 
+def _check_nonnegative(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise BoundPreconditionError(f"{name} = {value} is negative or not finite")
+
+
 def _contraction(delta: float) -> float:
     # 2 d sqrt(1+d) sqrt(1 - d + 4 d^2 + 4 d^3) / (1-d)^2
     return (2.0 * delta * math.sqrt(1.0 + delta)
@@ -220,7 +226,11 @@ def isometry_orders(s_bar: int, s_c: int, t0_size: int,
     order msp_constants or cmsp_constants takes their deltas. Modified
     pursuit: s_bar, s1 = 2 s_bar + min(0, |T0| - 2 s_c) and
     s2 = 3 s_bar + min(0, |T0| - 3 s_c). Conservative pursuit: s_bar,
-    2 s_bar, 2 s_bar + s_c and 3 s_bar + s_c."""
+    2 s_bar, 2 s_bar + s_c and 3 s_bar + s_c. Raises ValueError unless
+    s_bar >= 1 and 0 <= s_c <= |T0|, the prior the guarantees assume."""
+    if not (s_bar >= 1 and 0 <= s_c <= t0_size):
+        raise ValueError(f"need s_bar >= 1 and 0 <= s_c <= |T0|, got "
+                         f"s_bar={s_bar}, s_c={s_c}, |T0|={t0_size}")
     if conservative:
         return s_bar, 2 * s_bar, 2 * s_bar + s_c, 3 * s_bar + s_c
     return (s_bar, 2 * s_bar + min(0, t0_size - 2 * s_c),
@@ -234,8 +244,6 @@ def msp_constants(delta_sbar: float, delta_s1: float, delta_s2: float,
     d_sbar = _check_delta("s_bar", delta_sbar)
     d_s1 = _check_delta("s1", delta_s1)
     d_s2 = _check_delta("s2", delta_s2)
-    if not 0 <= s_c <= t0_size:
-        raise ValueError(f"need 0 <= s_c <= |T0|, got s_c={s_c}, |T0|={t0_size}")
     _, s1, s2 = isometry_orders(s_bar, s_c, t0_size)
     c1 = _contraction(d_s2)
     c2 = _merge_loss(d_sbar, d_s1, d_s2, d_s1)
@@ -262,8 +270,6 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
     d_2sbar = _check_delta("2s_bar", delta_2sbar)
     d_2sbar_sc = _check_delta("2s_bar_plus_s_c", delta_2sbar_sc)
     d_3sbar_sc = _check_delta("3s_bar_plus_s_c", delta_3sbar_sc)
-    if not 0 <= s_c <= t0_size:
-        raise ValueError(f"need 0 <= s_c <= |T0|, got s_c={s_c}, |T0|={t0_size}")
     s3 = isometry_orders(s_bar, s_c, t0_size, conservative=True)[-1]
     if overlap is not None:
         if overlap < 0 or overlap > t0_size:
@@ -280,12 +286,13 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
         c5=c5, c6=c6, c7=c7, valid=d_3sbar_sc < CONTRACTION_DELTA)
 
 
-def _pursuit_terms(constants: BoundConstants) -> tuple[float, ...]:
+def _pursuit_terms(constants: BoundConstants, **inputs: float) -> tuple[float, ...]:
     """(contraction, loss, steady state, floor delta) of the pursuit the
     constants belong to: c1, c2, c4, delta_s1 under delta_s2 when c1 is set,
-    else c5, c6, c7, delta_2s_bar under delta_s3. Raises
-    BoundPreconditionError when a term or delta of that set is missing, and
-    RipViolationError when the governing delta is past the threshold."""
+    else c5, c6, c7, delta_2s_bar under delta_s3. BoundPreconditionError
+    names a negative or non-finite gamma, eta or rho, or a term or delta
+    the set lacks; RipViolationError a governing delta past the threshold."""
+    _check_nonnegative(**inputs)
     c = constants
     maker, label, floor, terms = (
         ("msp_constants", "s2", "s1", (c.c1, c.c2, c.c4)) if c.c1 is not None
@@ -303,7 +310,7 @@ def msp_distortion_bound(constants: BoundConstants, gamma: float,
                          eta: float) -> float:
     """Worst-case ||X - X_hat||_F after the pursuit the constants belong to
     (msp or cmsp) stops, for noise norm eta and stopping threshold gamma."""
-    _, _, steady, d_floor = _pursuit_terms(constants)
+    _, _, steady, d_floor = _pursuit_terms(constants, gamma=gamma, eta=eta)
     return max(steady * eta, (gamma + eta) / math.sqrt(1.0 - d_floor))
 
 
@@ -327,7 +334,10 @@ def _convergence_iterations(c_contraction: float, c_loss: float,
         raise RipViolationError(
             f"contraction factor {c_contraction} >= 1, no convergence guarantee")
     floor = c_loss * eta / (1.0 - c_contraction) if eta > 0 else 0.0
-    rho_gate = ((c_loss + c_contraction - 1.0) / (1.0 - c_contraction) * eta) ** 2
+    try:
+        rho_gate = ((c_loss + c_contraction - 1.0) / (1.0 - c_contraction) * eta) ** 2
+    except OverflowError:  # a gate past every float rejects every rho
+        rho_gate = math.inf
     if not rho > rho_gate:
         raise BoundPreconditionError(
             f"rho > ((C_loss + C_contraction - 1)/(1 - C_contraction) eta)^2 "
@@ -349,7 +359,7 @@ def msp_convergence_bound(constants: BoundConstants, gamma: float, eta: float,
                           rho: float) -> float:
     """Iterations needed before the threshold of the pursuit the constants
     belong to is provably met; rho is the total signal energy ||X||_F^2."""
-    contraction, loss, _, _ = _pursuit_terms(constants)
+    contraction, loss, _, _ = _pursuit_terms(constants, gamma=gamma, eta=eta, rho=rho)
     return _convergence_iterations(contraction, loss, constants.delta["s_bar"],
                                    gamma, eta, rho)
 
@@ -373,6 +383,7 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
         raise ValueError("M, N_ue, T must be positive")
     if not P > 0:
         raise ValueError(f"P must be positive, got {P}")
+    _check_nonnegative(gamma=gamma)
     nt = N_ue * T
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))
     scale = math.sqrt(M / (P * T))

@@ -2,8 +2,8 @@
 
 Subcommands: sweep (alias mismatch) runs the config's Monte-Carlo sweep to
 CSV; rip evaluates isometry constants of a stored matrix; bounds prints
-guarantee constants and bounds; recover runs one pursuit, sp and mmv_sp as
-msp on the empty prior, on stored Y and Phi. SNR is in dB, converted once.
+guarantee constants and bounds; recover runs one pursuit, mmv_sp as msp on
+the empty prior, on stored Y and Phi. SNR is in dB, converted once.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
 from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
 from .experiments import _power, load_config, run_sweep, write_csv
+from .mimo import PRIOR_ALGORITHMS
 from .pursuit import PursuitConfig, StopReason, cmsp_recover, msp_recover
 from .sparsity import PriorSupportInfo
 
@@ -141,11 +142,9 @@ def _cmd_recover(args) -> int:
     Y = read_matrix(args.y)
     Phi = read_matrix(args.phi)
     t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
-    # sp and mmv_sp are msp on the empty prior, sp with scalar chunks
-    if args.algorithm in ("sp", "mmv_sp") and (t0_indices or args.s_c):
+    # mmv_sp is msp on the empty prior
+    if args.algorithm not in PRIOR_ALGORITHMS and (t0_indices or args.s_c):
         raise ConfigError(f"{args.algorithm} reads no prior: drop --t0 and --s-c")
-    if args.algorithm == "sp" and args.d != 1:
-        raise ConfigError(f"sp has scalar chunks: --d must be 1, got {args.d}")
     K = chunking(Phi, args.d).K
     prior = PriorSupportInfo(ChunkSupport.of(t0_indices, K), args.s_c)
     cfg = PursuitConfig(s_bar=args.s_bar, prior=prior, gamma=args.gamma,
@@ -216,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="CSMAT1 measurement matrix")
     p.add_argument("--phi", required=True, help="CSMAT1 sensing matrix")
     p.add_argument("--algorithm", required=True,
-                   choices=("msp", "cmsp", "sp", "mmv_sp"),
-                   help="sp is one joint d=1 pursuit over all columns of Y")
+                   choices=PRIOR_ALGORITHMS + ("mmv_sp",))
     p.add_argument("--s-bar", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--d", type=int, default=1)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ChunkSupport
-from .errors import ConfigError
+from .errors import ConfigError, MetricError
 from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frame,
                    estimate_support, simulate_frames)
 
@@ -199,13 +199,15 @@ def _summary_row(config: ExperimentConfig, value, algorithm: str,
                  records) -> ResultRow:
     ratios = [r.nmse_ratio for r in records]
     n = len(ratios)
-    ci = 0.0
-    if n > 1:
-        ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(n)
+    mean, median = float(np.mean(ratios)), float(np.median(ratios))
+    ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    if not all(map(math.isfinite, (mean, median, ci))):
+        snr = value if config.sweep_axis == "snr_db" else config.snr_db
+        raise MetricError(f"NMSE of {algorithm} at {config.sweep_axis} = "
+                          f"{value}, snr_db = {snr}, overflows a float")
     return ResultRow(
-        sweep_axis=config.sweep_axis, sweep_value=value,
-        algorithm=algorithm, nmse=float(np.mean(ratios)),
-        nmse_median=float(np.median(ratios)), nmse_ci95_halfwidth=ci,
+        sweep_axis=config.sweep_axis, sweep_value=value, algorithm=algorithm,
+        nmse=mean, nmse_median=median, nmse_ci95_halfwidth=ci,
         mean_iterations=float(np.mean([r.iterations for r in records])),
         support_recovery_rate=float(np.mean([r.support_exact for r in records])),
         n_trials=n, base_seed=config.base_seed)

@@ -166,10 +166,12 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
 
 def _nmse_ratio(H: np.ndarray, H_hat: np.ndarray) -> float:
     """||H - H_hat||_F^2 / ||H||_F^2 of two validated arrays."""
-    denom = frobenius(H)
-    if denom == 0.0:
-        raise MetricError("reference channel has zero norm")
-    return (frobenius(H_hat - H) / denom) ** 2
+    try:
+        return (frobenius(H_hat - H) / frobenius(H)) ** 2
+    except ZeroDivisionError:
+        raise MetricError("reference channel has zero norm") from None
+    except OverflowError:
+        raise MetricError("NMSE ratio overflows a float") from None
 
 
 def nmse(pairs) -> float:

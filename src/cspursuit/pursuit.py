@@ -243,7 +243,8 @@ def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
 
 
 def sp_recover(Y, Phi, s_bar: int, gamma: float, max_iter: int = 100) -> RecoveryResult:
-    """Conventional subspace pursuit: no prior, scalar chunks (d=1)."""
+    """Conventional subspace pursuit, no prior, d=1: the harness calls it on
+    one column per antenna; on several columns it is mmv_sp_recover at d=1."""
     return mmv_sp_recover(Y, Phi, s_bar, gamma, d=1, max_iter=max_iter)
 
 

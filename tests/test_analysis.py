@@ -12,7 +12,8 @@ from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
                                 block_rip_montecarlo, channel_recovery_bound,
                                 cmsp_constants, cmsp_convergence_bound,
                                 cmsp_distortion_bound,
-                                cmsp_refined_distortion_bound, lemma1_check,
+                                cmsp_refined_distortion_bound,
+                                isometry_orders, lemma1_check,
                                 msp_constants, msp_convergence_bound,
                                 msp_distortion_bound, msp_refined_distortion_bound)
 from cspursuit.core import ChunkIndexing
@@ -491,6 +492,8 @@ def _lemma1(**changes):
 _LACKING_C1 = BoundConstants(delta={"s_bar": 0.0}, valid=True)
 _LACKING_C2 = BoundConstants(delta={"s_bar": 0, "s1": 0, "s2": 0}, c1=0.1,
                              valid=True)
+# valid constants for the noise-input guards
+_MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
 
 
 @pytest.mark.parametrize("call,error,pattern", [
@@ -532,6 +535,22 @@ _LACKING_C2 = BoundConstants(delta={"s_bar": 0, "s1": 0, "s2": 0}, c1=0.1,
     (lambda: _lemma1(X=ChunkSparseMatrix(np.zeros((6, 1)),
                                          ChunkIndexing(3, 2))),
      DimensionError, "X indexing must match"),
+    # the prior's shape is checked where both constants functions and
+    # bounds --matrix read the orders
+    (lambda: isometry_orders(0, 0, 0), ValueError, r"s_c <= \|T0\|"),
+    (lambda: isometry_orders(2, 3, 2), ValueError, r"s_c <= \|T0\|"),
+    (lambda: msp_distortion_bound(_MSP, 0.5, -1.0), BoundPreconditionError,
+     "eta = -1.0 is negative or not finite"),
+    (lambda: msp_distortion_bound(_MSP, -1.0, 0.01), BoundPreconditionError,
+     "gamma = -1.0 is negative or not finite"),
+    (lambda: msp_distortion_bound(_MSP, math.nan, 0.01),
+     BoundPreconditionError, "gamma = nan is negative or not finite"),
+    (lambda: msp_convergence_bound(_MSP, 1.0, 1e300, 2.0),
+     BoundPreconditionError, r"rho > .* violated: 2.0 <= inf"),
+    (lambda: msp_convergence_bound(_MSP, 1.0, 1e-3, math.inf),
+     BoundPreconditionError, "rho = inf is negative or not finite"),
+    (lambda: channel_recovery_bound(0.1, 6.0, -1.0, M=16, N_ue=2, T=8, P=1.0),
+     BoundPreconditionError, "gamma = -1.0 is negative or not finite"),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):

@@ -168,6 +168,38 @@ class TestBounds:
         want = block_rip_exact(Phi, RipQuery(1, 1))
         assert float(got["delta_s1"]) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("prior", [
+        ["--s-bar", "2", "--s-c", "3", "--t0-size", "2"],
+        ["--s-bar", "3", "--s-c", "-1", "--t0-size", "2"],
+        ["--s-bar", "0", "--s-c", "0", "--t0-size", "0"],
+    ], ids=["s_c_above_t0", "negative_s_c", "zero_s_bar"])
+    def test_matrix_prior_shape(self, tmp_path, capsys, prior):
+        # refused before any delta is enumerated
+        path = tmp_path / "phi.mat"
+        write_matrix(path, np.eye(8, dtype=complex))
+        rc = main(["bounds", "--matrix", str(path)] + prior)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: need s_bar >= 1 and 0 <= s_c <= |T0|" in err
+        assert "k and d" not in err
+
+    @pytest.mark.parametrize("noise,name", [
+        (["--gamma", "0.5", "--eta", "-1"], "eta = -1.0"),
+        (["--gamma", "-1", "--eta", "0.01"], "gamma = -1.0"),
+        (["--gamma", "nan", "--eta", "0.01"], "gamma = nan"),
+        (["--gamma", "1", "--eta", "1e300", "--rho", "2"], "rho > "),
+        (["--gamma", "1", "--eta", "1e-3", "--rho", "1e400"], "rho = inf"),
+    ], ids=["negative_eta", "negative_gamma", "nan_gamma", "gate_overflow",
+            "infinite_rho"])
+    def test_refuses_noise_inputs(self, capsys, noise, name):
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0.05",
+                   "--delta-s2", "0.1"] + noise)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name}")
+        assert captured.out == ""
+
     def test_missing_deltas(self, capsys):
         rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
                    "--delta-sbar", "0.1"])
@@ -214,17 +246,17 @@ class TestRecover:
         assert X_hat[0, 0] == pytest.approx(3.0)
         assert X_hat[8, 0] == pytest.approx(1.0)
 
-    def test_sp_needs_no_prior(self, locked_paths, capsys):
+    def test_mmv_sp_needs_no_prior(self, locked_paths, capsys):
         y, phi = locked_paths
-        rc = main(["recover", "--y", y, "--phi", phi, "--algorithm", "sp",
+        rc = main(["recover", "--y", y, "--phi", phi, "--algorithm", "mmv_sp",
                    "--s-bar", "3", "--gamma", "0"])
         assert rc == 0
         assert out_lines(capsys)["support"] == "1,5,9"
 
-    @pytest.mark.parametrize("algorithm", ["sp", "mmv_sp"])
+    @pytest.mark.parametrize("algorithm", ["mmv_sp"])
     def test_prior_free_refuses_prior(self, locked_paths, algorithm, capsys):
-        # sp and mmv_sp run as msp on the empty prior, so a prior would
-        # quietly turn them into msp
+        # mmv_sp runs as msp on the empty prior, so a prior would quietly
+        # turn it into msp
         y, phi = locked_paths
         rc = main(["recover", "--y", y, "--phi", phi, "--algorithm",
                    algorithm, "--s-bar", "3", "--gamma", "0", "--t0", "1,2",
@@ -232,18 +264,15 @@ class TestRecover:
         assert rc == 2
         assert f"error: {algorithm} reads no prior" in capsys.readouterr().err
 
-    def test_sp_refuses_chunk_height(self, locked_paths, capsys):
+    # sp is the harness's per-antenna pursuit; recover's prior-free choice
+    # is mmv_sp
+    @pytest.mark.parametrize("algorithm", ["bogus", "sp"])
+    def test_unknown_algorithm_exits(self, locked_paths, algorithm):
         y, phi = locked_paths
-        rc = main(["recover", "--y", y, "--phi", phi, "--algorithm", "sp",
-                   "--s-bar", "3", "--gamma", "0", "--d", "2"])
-        assert rc == 2
-        assert "--d must be 1" in capsys.readouterr().err
-
-    def test_unknown_algorithm_exits(self, locked_paths):
-        y, phi = locked_paths
-        with pytest.raises(SystemExit):
-            main(["recover", "--y", y, "--phi", phi, "--algorithm", "bogus",
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--y", y, "--phi", phi, "--algorithm", algorithm,
                   "--s-bar", "3", "--gamma", "0"])
+        assert exc.value.code == 2
 
     def test_invalid_prior_reports_error(self, locked_paths, capsys):
         y, phi = locked_paths
@@ -280,6 +309,27 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         assert f"error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("snr_db,message", [
+        # the CI half-width overflows while the mean is about 1e154
+        (-1540, "NMSE of genie at pilot_length = 12, snr_db = -1540.0"),
+        # one trial's ratio squares past every float
+        (-3077, "NMSE ratio overflows a float"),
+        # the ratios themselves are inf
+        (-3230, "NMSE of genie at pilot_length = 12, snr_db = -3230.0"),
+    ])
+    def test_overflowing_nmse(self, tmp_path, capsys, snr_db, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
+                       f"pilot_length = 12\nsnr_db = {snr_db}\n"
+                       "algorithms = genie, msp\nn_trials = 3\nbase_seed = 3\n"
+                       "sweep_axis = pilot_length\nsweep_values = 12\n")
+        out = tmp_path / "out.csv"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_algorithm(self, tmp_path, capsys):
         # a repeat would pool both estimates of every trial into one row

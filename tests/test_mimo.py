@@ -136,6 +136,12 @@ class TestNmse:
         with pytest.raises(MetricError):
             nmse([(Z, Z)])
 
+    def test_overflowing_ratio_raises(self):
+        # a finite ratio of 1e160 whose square is past every float
+        H = np.full((2, 2), 1e-60)
+        with pytest.raises(MetricError, match="overflows a float"):
+            nmse([(H, np.full((2, 2), 1e100))])
+
 
 class TestDefaultGamma:
     def test_value(self):
