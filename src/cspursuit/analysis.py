@@ -8,7 +8,6 @@ convergence statements stop applying.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,8 +42,11 @@ __all__ = [
 
 ENUMERATION_CAP = 2_000_000
 
-# supports whose Grams _max_deviation forms at once
-_SUPPORT_BLOCK = 128
+# supports _max_deviation visits at once; the running delta prunes between
+# blocks, so a block is small
+_SUPPORT_BLOCK = 32
+# chunks whose rows of Phi^H Phi _frobenius_bounds holds at once
+_TABLE_BLOCK = 128
 
 # contraction factor threshold: below this delta the pursuit provably
 # converges geometrically
@@ -71,34 +73,58 @@ def _gram_extremes(sub: np.ndarray) -> tuple[float, float]:
     return float(eigs[-1]), lam_min
 
 
-def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing, supports) -> float:
-    """Largest deviation from 1 of an eigenvalue of Phi_T^H Phi_T over
-    supports T given as tuples of 0-based chunks.
+def _combinations(K: int, k: int) -> np.ndarray:
+    """Every k-subset of range(K) as a row, in itertools.combinations order."""
+    rows = np.arange(K - k + 1)[:, None]
+    for j in range(1, k):
+        # entry j runs from one past entry j - 1 up to K - k + j
+        counts = K - k + j - rows[:, -1]
+        rows = np.repeat(rows, counts, axis=0)
+        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows, rows[:, -1] + 1 + step])
+    return rows
 
-    Supports are taken in blocks of _SUPPORT_BLOCK: each block gathers its
-    supports' own columns of Phi and forms their Grams G with one batched
-    matmul. Every eigenvalue of a Hermitian G lies within ||G - I||_2 <=
-    ||G - I||_F of 1, so only the Grams whose Frobenius bound plus a margin
-    of 1e-10 (1 + bound), far above eigvalsh's rounding, reaches the
-    running delta go to one stacked eigvalsh. A skipped Gram cannot raise
-    the computed maximum, so delta equals exhaustive enumeration's bit for
-    bit. Memory stays bounded by the block, and the K d x K d Gram of all
-    of Phi is never formed.
-    """
+
+def _frobenius_bounds(Phi: np.ndarray, idx: ChunkIndexing,
+                      supports: np.ndarray) -> np.ndarray:
+    """||Phi_T^H Phi_T - I||_F of each support T, a row of 0-based chunks,
+    read off the K x K table of ||Phi_i^H Phi_j - delta_ij I||_F^2."""
+    K, d = idx.K, idx.d
+    table = np.empty((K, K))
+    for start in range(0, K, _TABLE_BLOCK):
+        gram = Phi[:, start * d:(start + _TABLE_BLOCK) * d].conj().T @ Phi
+        gram -= np.eye(len(gram), K * d, start * d)
+        energy = (gram.real ** 2 + gram.imag ** 2).reshape(-1, d, K, d)
+        table[start:start + _TABLE_BLOCK] = energy.sum(axis=(1, 3))
+    return np.sqrt(sum(table[i, j] for i in supports.T for j in supports.T))
+
+
+def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing,
+                   supports: np.ndarray) -> float:
+    """Largest deviation from 1 of an eigenvalue of Phi_T^H Phi_T over the
+    supports T, the rows of an integer array of 0-based chunks.
+
+    Every eigenvalue of a Hermitian G lies within ||G - I||_F of 1. Supports
+    are visited by descending Frobenius bound (a stable sort), _SUPPORT_BLOCK
+    at a time. Those whose bound plus a margin of 1e-8 bound + 1e-10, far
+    above the rounding of the bound table and of eigvalsh, reaches the
+    running delta get their Grams formed from their own columns and sent to
+    one stacked eigvalsh; the first block with none ends the pass. So delta
+    equals exhaustive enumeration's bit for bit."""
+    bound = _frobenius_bounds(Phi, idx, supports)
+    reach = bound + 1e-8 * bound + 1e-10
+    order = np.argsort(-reach, kind="stable")
     # row j of Phi^H is column j of Phi, conjugated
     phi_h = Phi.conj().T
     delta = 0.0
-    supports = iter(supports)
-    while block := list(itertools.islice(supports, _SUPPORT_BLOCK)):
-        chunks = np.array(block, dtype=np.intp)
-        cols = _rows(chunks.ravel(), idx.d).reshape(len(block), -1)
+    for start in range(0, len(order), _SUPPORT_BLOCK):
+        block = order[start:start + _SUPPORT_BLOCK]
+        block = block[reach[block] >= delta]
+        if not len(block):
+            break
+        cols = _rows(supports[block].ravel(), idx.d).reshape(len(block), -1)
         sub_h = phi_h[cols]
-        grams = sub_h @ sub_h.conj().transpose(0, 2, 1)
-        bound = np.linalg.norm(grams - np.eye(cols.shape[1]), axis=(1, 2))
-        grams = grams[bound + 1e-10 * (1.0 + bound) >= delta]
-        if not len(grams):
-            continue
-        eigs = np.linalg.eigvalsh(grams)
+        eigs = np.linalg.eigvalsh(sub_h @ sub_h.conj().transpose(0, 2, 1))
         # a wide submatrix has a singular Gram
         lam_min = 0.0 if cols.shape[1] > Phi.shape[0] else eigs[:, 0].min()
         delta = max(delta, eigs[:, -1].max() - 1.0, 1.0 - lam_min)
@@ -112,7 +138,7 @@ def _exact_delta(Phi: np.ndarray, idx: ChunkIndexing, k: int, cap: int) -> float
     if n_supports > cap:
         raise EnumerationCapError(
             f"C({idx.K},{k}) = {n_supports} supports exceeds cap {cap}")
-    return _max_deviation(Phi, idx, itertools.combinations(range(idx.K), k))
+    return _max_deviation(Phi, idx, _combinations(idx.K, k))
 
 
 def block_rip_exact(Phi, q: RipQuery, cap: int = ENUMERATION_CAP) -> float:
@@ -192,6 +218,14 @@ def _check_nonnegative(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 <= value < math.inf:
             raise BoundPreconditionError(f"{name} = {value} is negative or not finite")
+
+
+def _finite_bound(name: str, bound: float, **inputs: float) -> float:
+    """bound, or BoundPreconditionError naming the inputs it overflows at."""
+    if not math.isfinite(bound):
+        at = ", ".join(f"{key} = {value}" for key, value in inputs.items())
+        raise BoundPreconditionError(f"{name} overflows a float at {at}")
+    return bound
 
 
 def _contraction(delta: float) -> float:
@@ -309,9 +343,11 @@ def _pursuit_terms(constants: BoundConstants, **inputs: float) -> tuple[float, .
 def msp_distortion_bound(constants: BoundConstants, gamma: float,
                          eta: float) -> float:
     """Worst-case ||X - X_hat||_F after the pursuit the constants belong to
-    (msp or cmsp) stops, for noise norm eta and stopping threshold gamma."""
+    (msp or cmsp) stops, for noise norm eta and stopping threshold gamma;
+    a bound past every float is a BoundPreconditionError naming both."""
     _, _, steady, d_floor = _pursuit_terms(constants, gamma=gamma, eta=eta)
-    return max(steady * eta, (gamma + eta) / math.sqrt(1.0 - d_floor))
+    bound = max(steady * eta, (gamma + eta) / math.sqrt(1.0 - d_floor))
+    return _finite_bound("distortion bound", bound, gamma=gamma, eta=eta)
 
 
 def msp_refined_distortion_bound(constants: BoundConstants, gamma: float,
@@ -374,7 +410,8 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
                            N_ue: int, T: int, P: float) -> float:
     """Expected channel estimation error bound sqrt(M/(P T)) * ((c4 +
     1/sqrt(1-delta)) E||W||_F + gamma/sqrt(1-delta)) with E||W||_F the
-    Gaussian-noise mean norm, evaluated through log-gamma."""
+    Gaussian-noise mean norm, evaluated through log-gamma; a bound past
+    every float is a BoundPreconditionError naming gamma and P."""
     d = _check_delta("s2", delta_s2)
     if d >= CONTRACTION_DELTA:
         raise RipViolationError(
@@ -388,7 +425,8 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))
     scale = math.sqrt(M / (P * T))
     inv = 1.0 / math.sqrt(1.0 - d)
-    return scale * ((c4 + inv) * mean_noise_norm + gamma * inv)
+    bound = scale * ((c4 + inv) * mean_noise_norm + gamma * inv)
+    return _finite_bound("channel bound", bound, gamma=gamma, P=P)
 
 
 @dataclass(frozen=True)

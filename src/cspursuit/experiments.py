@@ -195,16 +195,22 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(sweep_axis=axis, algorithms=algorithms, **parsed)
 
 
+def _nmse_at(config: ExperimentConfig, value, algorithm: str) -> str:
+    """The NMSE of one row, named by its algorithm, sweep point and SNR."""
+    snr = value if config.sweep_axis == "snr_db" else config.snr_db
+    return f"NMSE of {algorithm} at {config.sweep_axis} = {value}, snr_db = {snr}"
+
+
 def _summary_row(config: ExperimentConfig, value, algorithm: str,
                  records) -> ResultRow:
     ratios = [r.nmse_ratio for r in records]
     n = len(ratios)
-    mean, median = float(np.mean(ratios)), float(np.median(ratios))
-    ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    # an inf ratio or an overflowing sum or square is named below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, median = float(np.mean(ratios)), float(np.median(ratios))
+        ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     if not all(map(math.isfinite, (mean, median, ci))):
-        snr = value if config.sweep_axis == "snr_db" else config.snr_db
-        raise MetricError(f"NMSE of {algorithm} at {config.sweep_axis} = "
-                          f"{value}, snr_db = {snr}, overflows a float")
+        raise MetricError(f"{_nmse_at(config, value, algorithm)}, overflows a float")
     return ResultRow(
         sweep_axis=config.sweep_axis, sweep_value=value, algorithm=algorithm,
         nmse=mean, nmse_median=median, nmse_ci95_halfwidth=ci,
@@ -244,8 +250,13 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
             shared = {}  # records of the algorithms that read no prior
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
-                    record = shared.get(algorithm) or estimate_frame(
-                        scenario, measured, algorithm, T0, gamma, believed_s_c)
+                    try:
+                        record = shared.get(algorithm) or estimate_frame(
+                            scenario, measured, algorithm, T0, gamma, believed_s_c)
+                    except MetricError as err:
+                        where = _nmse_at(config, config.sweep_values[position],
+                                         algorithm)
+                        raise MetricError(f"{err} ({where})") from None
                     if algorithm not in PRIOR_ALGORITHMS:
                         shared[algorithm] = record
                     last.setdefault((position, algorithm), []).append(record)

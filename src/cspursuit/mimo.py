@@ -167,10 +167,11 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
 def _nmse_ratio(H: np.ndarray, H_hat: np.ndarray) -> float:
     """||H - H_hat||_F^2 / ||H||_F^2 of two validated arrays."""
     try:
-        return (frobenius(H_hat - H) / frobenius(H)) ** 2
+        with np.errstate(over="raise"):  # a norm past every float
+            return (frobenius(H_hat - H) / frobenius(H)) ** 2
     except ZeroDivisionError:
         raise MetricError("reference channel has zero norm") from None
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         raise MetricError("NMSE ratio overflows a float") from None
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cspursuit import analysis
 from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
+                                _combinations, _frobenius_bounds,
                                 _gram_extremes, block_rip_exact,
                                 block_rip_montecarlo, channel_recovery_bound,
                                 cmsp_constants, cmsp_convergence_bound,
@@ -219,6 +221,54 @@ def test_frobenius_bound_skips_most_grams(monkeypatch):
     monkeypatch.undo()
     assert delta == unpruned_delta(Phi, 3, 2)
     assert 0 < sum(received) <= math.comb(32, 3) // 4
+
+
+def test_combinations_match_itertools():
+    # row for row, K = 1 and k = 1 and k = K included
+    for K in range(1, 10):
+        for k in range(1, K + 1):
+            want = list(itertools.combinations(range(K), k))
+            got = _combinations(K, k)
+            assert got.shape == (len(want), k)
+            assert [tuple(row) for row in got.tolist()] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 9), d=st.sampled_from([1, 2]), K=st.integers(1, 8),
+       k=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_table_bound_is_the_gram_frobenius_norm(M, d, K, k, seed):
+    # the chunk-pair table gives each support ||G_T - I||_F without its Gram
+    k = min(k, K)
+    Phi = rip_instance("gaussian", M, K, d, seed)
+    idx, supports = ChunkIndexing(K, d), _combinations(K, k)
+    got = _frobenius_bounds(Phi, idx, supports)
+    for bound, chunks in zip(got, supports):
+        sub = Phi[:, idx.rows_of(chunks + 1)]
+        want = np.linalg.norm(sub.conj().T @ sub - np.eye(k * d))
+        assert bound == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind,M,K,d,k,seed", [
+    ("gaussian", 16, 32, 2, 3, 0),  # the rip-exact instance
+    ("gaussian", 6, 7, 2, 2, 1),  # partial last block of rows
+    ("gaussian", 3, 7, 2, 2, 2),  # k*d > M
+    ("dft", 8, 5, 1, 3, 0),  # delta is rounding noise
+])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_blocked_table_keeps_delta_bits(monkeypatch, kind, M, K, d, k,
+                                            seed, rows):
+    # a table built a few chunks' rows of Phi^H Phi at a time gives the same
+    # bounds and the same delta as the table built in one block
+    Phi = rip_instance(kind, M, K, d, seed)
+    idx, supports = ChunkIndexing(K, d), _combinations(K, k)
+    assert K <= analysis._TABLE_BLOCK
+    whole = _frobenius_bounds(Phi, idx, supports)
+    want = block_rip_exact(Phi, RipQuery(k, d))
+    monkeypatch.setattr(analysis, "_TABLE_BLOCK", rows)
+    # the dft bounds are rounding noise, so absolute differences count too
+    np.testing.assert_allclose(_frobenius_bounds(Phi, idx, supports), whole,
+                               rtol=1e-12, atol=1e-14)
+    assert block_rip_exact(Phi, RipQuery(k, d)) == want
 
 
 @pytest.mark.parametrize("T", [24, 40])
@@ -551,6 +601,24 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
      BoundPreconditionError, "rho = inf is negative or not finite"),
     (lambda: channel_recovery_bound(0.1, 6.0, -1.0, M=16, N_ue=2, T=8, P=1.0),
      BoundPreconditionError, "gamma = -1.0 is negative or not finite"),
+    # finite inputs whose bound is past every float
+    (lambda: msp_distortion_bound(_MSP, 1.0, 1e308), BoundPreconditionError,
+     r"distortion bound overflows a float at gamma = 1.0, eta = 1e\+308"),
+    (lambda: msp_distortion_bound(_MSP, 1e308, 1e308), BoundPreconditionError,
+     "distortion bound overflows a float"),
+    (lambda: msp_refined_distortion_bound(_MSP, 1.0, 1e308, 1.0),
+     BoundPreconditionError, "distortion bound overflows a float"),
+    (lambda: cmsp_distortion_bound(
+        cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2),
+        1.0, 1e308),
+     BoundPreconditionError, "distortion bound overflows a float"),
+    (lambda: channel_recovery_bound(0.1, 6.0, 1e308, M=64, N_ue=2, T=1,
+                                    P=1e-3),
+     BoundPreconditionError,
+     r"channel bound overflows a float at gamma = 1e\+308, P = 0.001"),
+    (lambda: channel_recovery_bound(0.1, 6.0, 1.0, M=16, N_ue=2, T=8,
+                                    P=1e-320),
+     BoundPreconditionError, "channel bound overflows a float at .*P = 1e-320"),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):

@@ -141,6 +141,22 @@ class TestBounds:
         assert f"error: {message}\n" == captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--gamma", "1", "--eta", "1e308"],
+         "distortion bound overflows a float at gamma = 1.0, eta = 1e+308"),
+        (["--gamma", "1", "--chan-m", "16", "--chan-n-ue", "2", "--chan-t",
+          "12", "--chan-p-db", "-3200"],
+         "channel bound overflows a float at gamma = 1.0, P = 1e-320"),
+    ])
+    def test_refuses_an_overflowing_bound(self, extra, message, capsys):
+        rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+                   "--delta-sbar", "0", "--delta-s1", "0.05",
+                   "--delta-s2", "0.1"] + extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_channel_bound_reads_gamma_without_eta(self, capsys):
         # the channel bound is the one reader of --gamma, so it is not dropped
         rc = main(["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",

@@ -1,12 +1,13 @@
 """Tests for the experiment harness: config parsing, sweeps, CSV output."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import cspursuit.mimo as mimo
-from cspursuit.errors import ConfigError, GenerationError
+from cspursuit.errors import ConfigError, GenerationError, MetricError
 from cspursuit.experiments import (CSV_COLUMNS, SWEEP_AXES,
                                    ExperimentConfig, load_config, run_mismatch,
                                    run_sweep, rows_to_csv_text, write_csv)
@@ -224,6 +225,27 @@ class TestRunSweep:
         cfg = small_config(s_bar=2, s_c=0, algorithms=("genie",), n_trials=20)
         with pytest.raises(GenerationError, match="s_bar"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("snr_db,algorithms,message", [
+        # genie's CI sum and mmv_sp's CI squares overflow, not the ratios
+        (-1540.0, ("msp", "genie"), "NMSE of genie at pilot_length = 12, "
+         "snr_db = -1540.0, overflows a float"),
+        (-1540.0, ("mmv_sp",), "NMSE of mmv_sp at pilot_length = 12"),
+        # a trial's norm overflows inside the ratio
+        (-3080.0, ("msp", "genie"), r"NMSE ratio overflows a float \(NMSE of "
+         r"msp at pilot_length = 12, snr_db = -3080.0\)"),
+        # the estimates themselves are inf
+        (-3230.0, ("genie",), "NMSE of genie at pilot_length = 12, "
+         "snr_db = -3230.0, overflows a float"),
+    ])
+    def test_overflowing_nmse_is_named(self, snr_db, algorithms, message):
+        # a MetricError naming the algorithm and the point, and no warning
+        cfg = small_config(snr_db=snr_db, sweep_values=(12,),
+                           algorithms=algorithms, n_trials=2, base_seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError, match=message):
+                run_sweep(cfg)
 
 
 class TestRunMismatch:
