@@ -45,7 +45,7 @@ ENUMERATION_CAP = 2_000_000
 # supports _max_deviation visits at once; the running delta prunes between
 # blocks, so a block is small
 _SUPPORT_BLOCK = 32
-# chunks whose rows of Phi^H Phi _frobenius_bounds holds at once
+# chunks whose rows of Phi^H Phi _deviation_bounds holds at once
 _TABLE_BLOCK = 128
 
 # contraction factor threshold: below this delta the pursuit provably
@@ -85,17 +85,25 @@ def _combinations(K: int, k: int) -> np.ndarray:
     return rows
 
 
-def _frobenius_bounds(Phi: np.ndarray, idx: ChunkIndexing,
+def _deviation_bounds(Phi: np.ndarray, idx: ChunkIndexing,
                       supports: np.ndarray) -> np.ndarray:
-    """||Phi_T^H Phi_T - I||_F of each support T, a row of 0-based chunks,
-    read off the K x K table of ||Phi_i^H Phi_j - delta_ij I||_F^2."""
+    """A bound on ||Phi_T^H Phi_T - I||_2 of each support T, a row of
+    0-based chunks: the Frobenius norm of the k x k matrix of the
+    ||B_ij^H B_ij||_F^(1/2) >= ||B_ij||_2, B_ij = Phi_i^H Phi_j - delta_ij I,
+    read off a K x K table. It is at most ||G_T - I||_F, equal at d = 1."""
     K, d = idx.K, idx.d
     table = np.empty((K, K))
     for start in range(0, K, _TABLE_BLOCK):
         gram = Phi[:, start * d:(start + _TABLE_BLOCK) * d].conj().T @ Phi
         gram -= np.eye(len(gram), K * d, start * d)
-        energy = (gram.real ** 2 + gram.imag ** 2).reshape(-1, d, K, d)
-        table[start:start + _TABLE_BLOCK] = energy.sum(axis=(1, 3))
+        # axes (i, a, j, c) hold entry (a, c) of B_ij
+        blocks = gram.reshape(-1, d, K, d)
+        # an entry whose products overflow bounds nothing: it becomes inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = np.einsum("iajc,iajb->ijcb", blocks.conj(), blocks)
+            table[start:start + _TABLE_BLOCK] = np.sqrt(
+                (square.real ** 2 + square.imag ** 2).sum(axis=(2, 3)))
+    table[np.isnan(table)] = np.inf
     return np.sqrt(sum(table[i, j] for i in supports.T for j in supports.T))
 
 
@@ -104,16 +112,17 @@ def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing,
     """Largest deviation from 1 of an eigenvalue of Phi_T^H Phi_T over the
     supports T, the rows of an integer array of 0-based chunks.
 
-    Every eigenvalue of a Hermitian G lies within ||G - I||_F of 1. Supports
-    are visited by descending Frobenius bound (a stable sort), _SUPPORT_BLOCK
-    at a time. Those whose bound plus a margin of 1e-8 bound + 1e-10, far
-    above the rounding of the bound table and of eigvalsh, reaches the
-    running delta get their Grams formed from their own columns and sent to
-    one stacked eigvalsh; the first block with none ends the pass. So delta
-    equals exhaustive enumeration's bit for bit."""
-    bound = _frobenius_bounds(Phi, idx, supports)
+    Every eigenvalue of a Hermitian G lies within ||G - I||_2 of 1, and
+    _deviation_bounds bounds that norm. Supports are visited by descending
+    bound, _SUPPORT_BLOCK at a time. Those whose bound plus a margin of
+    1e-8 bound + 1e-10, far above the rounding of the bound table and of
+    eigvalsh, reaches the running delta get their Grams formed from their
+    own columns and sent to one stacked eigvalsh; the first block with none
+    ends the pass. So delta equals exhaustive enumeration's bit for bit."""
+    bound = _deviation_bounds(Phi, idx, supports)
     reach = bound + 1e-8 * bound + 1e-10
-    order = np.argsort(-reach, kind="stable")
+    # ties may go in any order: delta is their maximum either way
+    order = np.argsort(-reach)
     # row j of Phi^H is column j of Phi, conjugated
     phi_h = Phi.conj().T
     delta = 0.0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cspursuit import analysis
 from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
-                                _combinations, _frobenius_bounds,
+                                _combinations, _deviation_bounds,
                                 _gram_extremes, block_rip_exact,
                                 block_rip_montecarlo, channel_recovery_bound,
                                 cmsp_constants, cmsp_convergence_bound,
@@ -223,6 +223,30 @@ def test_frobenius_bound_skips_most_grams(monkeypatch):
     assert 0 < sum(received) <= math.comb(32, 3) // 4
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e80, 1e140])
+def test_overflowing_table_keeps_delta_bits(scale):
+    # table entries overflow far below where the Grams themselves do
+    Phi = rip_instance("gaussian", 6, 6, 2, 3) * scale
+    assert block_rip_exact(Phi, RipQuery(2, 2)) == unpruned_delta(Phi, 2, 2)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rip_exact_instance_takes_one_eigvalsh_block(monkeypatch, seed):
+    # on the rip-exact instances of seeds 0-9 no support outside the first
+    # block can reach delta, so every seed does the same eigvalsh work
+    Phi = rip_instance("gaussian", 16, 32, 2, seed)
+    eigvalsh = np.linalg.eigvalsh
+    received = []
+
+    def counting(a, *args, **kwargs):
+        received.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    block_rip_exact(Phi, RipQuery(3, 2))
+    assert received == [analysis._SUPPORT_BLOCK]
+
+
 def test_combinations_match_itertools():
     # row for row, K = 1 and k = 1 and k = K included
     for K in range(1, 10):
@@ -236,16 +260,21 @@ def test_combinations_match_itertools():
 @settings(max_examples=40, deadline=None)
 @given(M=st.integers(1, 9), d=st.sampled_from([1, 2]), K=st.integers(1, 8),
        k=st.integers(1, 4), seed=st.integers(0, 10**6))
-def test_table_bound_is_the_gram_frobenius_norm(M, d, K, k, seed):
-    # the chunk-pair table gives each support ||G_T - I||_F without its Gram
+def test_table_bound_lies_between_the_gram_norms(M, d, K, k, seed):
+    # the chunk-pair table bounds each support's ||G_T - I||_2 without its
+    # Gram, no looser than ||G_T - I||_F, which it equals at d = 1
     k = min(k, K)
     Phi = rip_instance("gaussian", M, K, d, seed)
     idx, supports = ChunkIndexing(K, d), _combinations(K, k)
-    got = _frobenius_bounds(Phi, idx, supports)
+    got = _deviation_bounds(Phi, idx, supports)
     for bound, chunks in zip(got, supports):
         sub = Phi[:, idx.rows_of(chunks + 1)]
-        want = np.linalg.norm(sub.conj().T @ sub - np.eye(k * d))
-        assert bound == pytest.approx(want, rel=1e-12)
+        deviation = sub.conj().T @ sub - np.eye(k * d)
+        spectral, frobenius = np.linalg.norm(deviation, 2), np.linalg.norm(deviation)
+        assert spectral <= bound * (1 + 1e-12)
+        assert bound <= frobenius * (1 + 1e-12)
+        if d == 1:
+            assert bound == pytest.approx(frobenius, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind,M,K,d,k,seed", [
@@ -262,11 +291,11 @@ def test_row_blocked_table_keeps_delta_bits(monkeypatch, kind, M, K, d, k,
     Phi = rip_instance(kind, M, K, d, seed)
     idx, supports = ChunkIndexing(K, d), _combinations(K, k)
     assert K <= analysis._TABLE_BLOCK
-    whole = _frobenius_bounds(Phi, idx, supports)
+    whole = _deviation_bounds(Phi, idx, supports)
     want = block_rip_exact(Phi, RipQuery(k, d))
     monkeypatch.setattr(analysis, "_TABLE_BLOCK", rows)
     # the dft bounds are rounding noise, so absolute differences count too
-    np.testing.assert_allclose(_frobenius_bounds(Phi, idx, supports), whole,
+    np.testing.assert_allclose(_deviation_bounds(Phi, idx, supports), whole,
                                rtol=1e-12, atol=1e-14)
     assert block_rip_exact(Phi, RipQuery(k, d)) == want
 
