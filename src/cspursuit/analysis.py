@@ -456,17 +456,16 @@ class Lemma1Report:
 
 
 def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
-                 X: ChunkSparseMatrix, q: RipQuery,
-                 cap: int = ENUMERATION_CAP, tol: float = 1e-10) -> Lemma1Report:
+                 X: ChunkSparseMatrix, q: RipQuery) -> Lemma1Report:
     """Numerically evaluate the isometry-constant inequalities on one
-    concrete instance.
+    concrete instance, each with 1e-10 of slack for rounding.
 
     T1, T2 must be disjoint; X must be chunk-supported inside T1; q.d is
     the chunk height and q.k the combined order (>= |T1| + |T2|). Five
     checks: delta monotonicity across orders, the Gram eigenvalue sandwich
     and pseudoinverse norm bound on T1, the cross-Gram bound, and the
     projection leakage bound. A delta >= 1 makes the pseudoinverse bound
-    vacuous (rhs = inf, passes).
+    vacuous (rhs = inf, passes). Enumeration stops at ENUMERATION_CAP.
     """
     Phi = as_matrix(Phi, "Phi")
     idx = chunking(Phi, q.d)
@@ -487,9 +486,10 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
         raise ValueError("X must be chunk-supported inside T1")
 
     k1, k2, kc = len(T1), len(T2), q.k
-    d_k1 = _exact_delta(Phi, idx, k1, cap)
-    d_k2 = d_k1 if k2 == k1 else _exact_delta(Phi, idx, k2, cap)
-    d_kc = _exact_delta(Phi, idx, kc, cap)
+    d_k1 = _exact_delta(Phi, idx, k1, ENUMERATION_CAP)
+    d_k2 = d_k1 if k2 == k1 else _exact_delta(Phi, idx, k2, ENUMERATION_CAP)
+    d_kc = _exact_delta(Phi, idx, kc, ENUMERATION_CAP)
+    tol = 1e-10
     checks = []
 
     hi = max(d_k1, d_k2)

@@ -42,6 +42,8 @@ def _cmd_rip(args) -> int:
     Phi = read_matrix(args.matrix)
     q = RipQuery(k=args.k, d=args.d)
     if args.montecarlo is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         delta = block_rip_montecarlo(Phi, q, args.montecarlo, rng)
         method = f"montecarlo:{args.montecarlo}"
@@ -141,7 +143,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_recover(args) -> int:
     Y = read_matrix(args.y)
     Phi = read_matrix(args.phi)
-    t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
+    try:
+        t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--t0 takes chunk indices, got {args.t0!r}") from None
     # mmv_sp is msp on the empty prior
     if args.algorithm not in PRIOR_ALGORITHMS and (t0_indices or args.s_c):
         raise ConfigError(f"{args.algorithm} reads no prior: drop --t0 and --s-c")
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-c", type=int, default=0)
     p.add_argument("--t0", default="",
                    help="comma-separated prior chunk indices")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=int, default=PursuitConfig.max_iter)
     p.add_argument("--out", default=None, help="write X_hat here (CSMAT1)")
     p.set_defaults(func=_cmd_recover)
     return parser

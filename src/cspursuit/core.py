@@ -58,6 +58,14 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _chunk_index(i) -> int:
+    """A chunk index as an int; a value that is not whole is refused."""
+    k = int(i)
+    if k != i:
+        raise ValueError(f"chunk index must be a whole number, got {i!r}")
+    return k
+
+
 def _rows(chunks: np.ndarray, d: int) -> np.ndarray:
     """0-based rows (or columns) of 0-based chunks, in the given order."""
     return (chunks[:, None] * d + np.arange(d)).ravel()
@@ -81,7 +89,7 @@ class ChunkIndexing:
     def rows_of(self, chunks: Iterable[int]) -> np.ndarray:
         """0-based row indices covered by the given chunks, in ascending
         chunk order."""
-        ordered = sorted(set(int(k) for k in chunks))
+        ordered = sorted(set(map(_chunk_index, chunks)))
         if ordered and (ordered[0] < 1 or ordered[-1] > self.K):
             raise IndexError(f"chunk index out of range 1..{self.K}: {ordered}")
         return _rows(np.array(ordered, dtype=np.intp) - 1, self.d)
@@ -107,7 +115,7 @@ class ChunkSupport:
     K: int
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(_chunk_index, self.indices))
         object.__setattr__(self, "indices", idx)
         if self.K < 0:
             raise ValueError(f"K must be nonnegative, got {self.K}")
@@ -119,7 +127,7 @@ class ChunkSupport:
     @classmethod
     def of(cls, indices: Iterable[int], K: int) -> "ChunkSupport":
         """Build from any iterable, deduplicating and sorting."""
-        return cls(tuple(sorted(set(int(i) for i in indices))), K)
+        return cls(tuple(sorted(set(map(_chunk_index, indices)))), K)
 
     @classmethod
     def empty(cls, K: int) -> "ChunkSupport":
@@ -130,9 +138,6 @@ class ChunkSupport:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.indices
 
     def as_set(self) -> set[int]:
         return set(self.indices)
@@ -197,7 +202,7 @@ def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
     """
     if k < 0:
         raise SelectionError(f"k must be nonnegative, got {k}")
-    cand = sorted(set(int(c) for c in candidates))
+    cand = sorted(set(map(_chunk_index, candidates)))
     if k > len(cand):
         raise SelectionError(f"asked for {k} chunks from {len(cand)} candidates")
     if cand and (cand[0] < 1 or cand[-1] > len(scores)):

@@ -197,8 +197,8 @@ def load_config(path) -> ExperimentConfig:
 
 def _nmse_at(config: ExperimentConfig, value, algorithm: str) -> str:
     """The NMSE of one row, named by its algorithm, sweep point and SNR."""
-    snr = value if config.sweep_axis == "snr_db" else config.snr_db
-    return f"NMSE of {algorithm} at {config.sweep_axis} = {value}, snr_db = {snr}"
+    at = f"NMSE of {algorithm} at {config.sweep_axis} = {value}"
+    return at if config.sweep_axis == "snr_db" else f"{at}, snr_db = {config.snr_db}"
 
 
 def _summary_row(config: ExperimentConfig, value, algorithm: str,

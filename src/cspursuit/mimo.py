@@ -253,11 +253,10 @@ def _estimate(scenario: MimoScenario, frame, algorithm: str,
 
 
 def estimate_support(scenario: MimoScenario, frame, algorithm: str,
-                     T0: ChunkSupport, gamma: Optional[float] = None,
-                     believed_s_c: Optional[int] = None) -> ChunkSupport:
+                     T0: ChunkSupport, gamma: Optional[float] = None) -> ChunkSupport:
     """The support estimate_frame would find, not mapped back or scored: all
     that a frame which only supplies the next frame's prior T0 needs."""
-    return _estimate(scenario, frame, algorithm, T0, gamma, believed_s_c)[1]
+    return _estimate(scenario, frame, algorithm, T0, gamma, None)[1]
 
 
 def estimate_frame(scenario: MimoScenario, frame, algorithm: str,

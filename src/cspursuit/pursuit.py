@@ -242,18 +242,17 @@ def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     return _run_pursuit(*_problem(Y, Phi, cfg.d), cfg, _cmsp_merge, _cmsp_refine)
 
 
-def sp_recover(Y, Phi, s_bar: int, gamma: float, max_iter: int = 100) -> RecoveryResult:
+def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
     """Conventional subspace pursuit, no prior, d=1: the harness calls it on
     one column per antenna; on several columns it is mmv_sp_recover at d=1."""
-    return mmv_sp_recover(Y, Phi, s_bar, gamma, d=1, max_iter=max_iter)
+    return mmv_sp_recover(Y, Phi, s_bar, gamma, d=1)
 
 
-def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1,
-                   max_iter: int = 100) -> RecoveryResult:
+def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1) -> RecoveryResult:
     """Joint-recovery subspace pursuit: no prior, chunk structure kept."""
     Y, Phi, idx = _problem(Y, Phi, d)
     cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(idx.K),
-                        gamma=gamma, d=d, max_iter=max_iter)
+                        gamma=gamma, d=d)
     return _run_pursuit(Y, Phi, idx, cfg, _msp_merge, _msp_refine)
 
 

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ChunkIndexing, ChunkSupport, as_matrix, chunk_norms
+from .core import ChunkIndexing, ChunkSupport, _chunk_norms, as_matrix
 from .errors import DimensionError, GenerationError, PriorInfoError
 
 __all__ = [
@@ -35,16 +35,6 @@ class ChunkSparseMatrix:
             raise DimensionError(
                 f"data has {data.shape[0]} rows, indexing needs {self.idx.total_rows}")
         object.__setattr__(self, "data", data)
-
-    @property
-    def L(self) -> int:
-        return self.data.shape[1]
-
-    def norms(self) -> np.ndarray:
-        return chunk_norms(self.data, self.idx)
-
-    def support(self, tol: float = 0.0) -> ChunkSupport:
-        return chunk_support(self, tol)
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ def chunk_support(X: ChunkSparseMatrix, tol: float = 0.0) -> ChunkSupport:
     """Indices of chunks with Frobenius norm strictly above tol."""
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    norms = X.norms()
+    norms = _chunk_norms(X.data, X.idx.d)
     hot = np.nonzero(norms > tol)[0] + 1
     return ChunkSupport.of(hot.tolist(), X.idx.K)
 

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from cspursuit.analysis import RipQuery, block_rip_exact, channel_recovery_bound
-from cspursuit.cli import main
+from cspursuit.cli import build_parser, main
 from cspursuit.core import read_matrix, write_matrix
+from cspursuit.pursuit import PursuitConfig
 
 
 def out_lines(capsys):
@@ -297,6 +298,26 @@ class TestRecover:
                    "--s-bar", "3", "--gamma", "0", "--s-c", "2", "--t0", "1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["recover", "--algorithm", "msp", "--s-bar", "3", "--gamma", "0",
+          "--t0", "1,x"], "--t0"),
+        (["recover", "--algorithm", "msp", "--s-bar", "3", "--gamma", "0",
+          "--t0", "1.5"], "--t0"),
+        (["rip", "--k", "2", "--montecarlo", "5", "--seed", "-1"], "--seed"),
+    ], ids=["t0-not-a-number", "t0-fraction", "rip-negative-seed"])
+    def test_bad_flag_value_is_named(self, locked_paths, argv, flag, capsys):
+        y, phi = locked_paths
+        files = (["--y", y, "--phi", phi] if argv[0] == "recover"
+                 else ["--matrix", phi])
+        assert main(argv[:1] + files + argv[1:]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    def test_max_iter_defaults_to_the_config_cap(self):
+        args = build_parser().parse_args(
+            ["recover", "--y", "y.mat", "--phi", "phi.mat", "--algorithm",
+             "msp", "--s-bar", "3", "--gamma", "0"])
+        assert args.max_iter == PursuitConfig.max_iter
 
 
 class TestSweepCommand:

@@ -330,7 +330,24 @@ def test_frobenius_matches_numpy():
      "k must be nonnegative, got -1"),
     (lambda: top_k_chunks([1.0, 2.0], 1, [3]), IndexError,
      r"candidate outside 1..2: \[3\]"),
+    # a chunk index that is not whole is refused, not truncated
+    (lambda: ChunkSupport.of([1.9, 2], 4), ValueError,
+     "whole number, got 1.9"),
+    (lambda: ChunkSupport((1.9,), 4), ValueError,
+     "chunk index must be a whole number, got 1.9"),
+    (lambda: ChunkIndexing(4, 1).rows_of([2.7]), ValueError,
+     "chunk index must be a whole number, got 2.7"),
+    (lambda: top_k_chunks([1, 2, 3, 4], 1, [3.9, 1]), ValueError,
+     "chunk index must be a whole number, got 3.9"),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):
         call()
+
+
+def test_whole_indices_of_any_type_are_accepted():
+    whole = [np.intp(3), 1.0, np.float64(2.0)]
+    assert ChunkSupport.of(whole, 4).indices == (1, 2, 3)
+    assert ChunkSupport.of(np.array([3, 1], dtype=np.intp), 4).indices == (1, 3)
+    assert ChunkIndexing(4, 1).rows_of(whole).tolist() == [0, 1, 2]
+    assert top_k_chunks([1, 2, 3, 4], 2, whole) == (2, 3)

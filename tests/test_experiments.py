@@ -247,6 +247,18 @@ class TestRunSweep:
             with pytest.raises(MetricError, match=message):
                 run_sweep(cfg)
 
+    @pytest.mark.parametrize("snr_db,message", [
+        (-1540.0, "NMSE of genie at snr_db = -1540.0, overflows a float"),
+        (-3080.0, r"NMSE ratio overflows a float \(NMSE of msp at "
+         r"snr_db = -3080.0\)"),
+    ])
+    def test_overflowing_nmse_names_the_snr_once(self, snr_db, message):
+        # on the snr_db axis the sweep point is the SNR: named once
+        cfg = small_config(sweep_axis="snr_db", sweep_values=(snr_db,),
+                           algorithms=("msp", "genie"), n_trials=2, base_seed=0)
+        with pytest.raises(MetricError, match=f"^{message}$"):
+            run_sweep(cfg)
+
 
 class TestRunMismatch:
     def test_overlap_cap(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cspursuit.core import ChunkIndexing
+from cspursuit.core import ChunkIndexing, chunk_norms
 from cspursuit.errors import GenerationError, PriorInfoError
 from cspursuit.sparsity import (ChunkSparseMatrix, ChunkSupport, PriorSupportInfo,
                                 SupportEvolutionParams, chunk_support,
@@ -18,16 +18,15 @@ class TestChunkSparseMatrix:
         data = np.zeros((6, 2), dtype=complex)
         data[2:4, :] = 1.0
         X = ChunkSparseMatrix(data, idx)
-        assert X.L == 2
-        assert X.support().indices == (2,)
-        assert X.norms() == pytest.approx([0.0, 2.0, 0.0])
+        assert chunk_support(X).indices == (2,)
+        assert chunk_norms(X.data, idx) == pytest.approx([0.0, 2.0, 0.0])
 
     def test_support_tolerance(self):
         idx = ChunkIndexing(K=2, d=1)
         data = np.array([[1e-14], [1.0]], dtype=complex)
         X = ChunkSparseMatrix(data, idx)
-        assert X.support(tol=1e-10).indices == (2,)
-        assert X.support(tol=0.0).indices == (1, 2)
+        assert chunk_support(X, tol=1e-10).indices == (2,)
+        assert chunk_support(X, tol=0.0).indices == (1, 2)
 
     def test_row_mismatch(self):
         with pytest.raises(Exception):
@@ -72,7 +71,7 @@ class TestGenerateChunkSparse:
         T = ChunkSupport.of([2, 5], 6)
         X = generate_chunk_sparse(K=6, d=3, L=2, T=T, rng=rng)
         assert X.data.shape == (18, 2)
-        assert X.support().indices == (2, 5)
+        assert chunk_support(X).indices == (2, 5)
         off = X.data[ChunkIndexing(6, 3).rows_of([1, 3, 4, 6]), :]
         assert np.all(off == 0)
 
@@ -164,6 +163,8 @@ def test_sequence_property(seed, s_bar, s_c):
      ValueError, "tol must be nonnegative, got -1.0"),
     (lambda: generate_chunk_sparse(4, 1, 0, [1], np.random.default_rng(0)),
      ValueError, "L must be positive, got 0"),
+    (lambda: generate_chunk_sparse(4, 1, 1, [2.5], np.random.default_rng(0)),
+     ValueError, "chunk index must be a whole number, got 2.5"),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):
