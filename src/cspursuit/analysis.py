@@ -33,9 +33,6 @@ __all__ = [
     "msp_distortion_bound",
     "msp_refined_distortion_bound",
     "msp_convergence_bound",
-    "cmsp_distortion_bound",
-    "cmsp_refined_distortion_bound",
-    "cmsp_convergence_bound",
     "channel_recovery_bound",
     "lemma1_check",
 ]
@@ -407,12 +404,6 @@ def msp_convergence_bound(constants: BoundConstants, gamma: float, eta: float,
     contraction, loss, _, _ = _pursuit_terms(constants, gamma=gamma, eta=eta, rho=rho)
     return _convergence_iterations(contraction, loss, constants.delta["s_bar"],
                                    gamma, eta, rho)
-
-
-# each bound reads its pursuit from the constants it is given
-cmsp_distortion_bound = msp_distortion_bound
-cmsp_refined_distortion_bound = msp_refined_distortion_bound
-cmsp_convergence_bound = msp_convergence_bound
 
 
 def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,

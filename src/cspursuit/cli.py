@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands: sweep (alias mismatch) runs the config's Monte-Carlo sweep to
-CSV; rip evaluates isometry constants of a stored matrix; bounds prints
-guarantee constants and bounds; recover runs one pursuit, mmv_sp as msp on
-the empty prior, on stored Y and Phi. SNR is in dB, converted once.
+Subcommands: sweep runs the config's Monte-Carlo sweep to CSV; rip
+evaluates isometry constants of a stored matrix; bounds prints guarantee
+constants and bounds; recover runs one pursuit, mmv_sp as msp on the empty
+prior, on stored Y and Phi. SNR is in dB, converted once.
 """
 from __future__ import annotations
 
@@ -26,7 +26,21 @@ from .pursuit import PursuitConfig, StopReason, cmsp_recover, msp_recover
 from .sparsity import PriorSupportInfo
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _at_least(args, least: int, *dests) -> None:
+    """Raise ConfigError naming the first flag of dests given below least."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            raise ConfigError(f"{_flag(dest)} must be at least {least}, got {value}")
+
+
 def _cmd_sweep(args) -> int:
+    _at_least(args, 1, "trials")
+    _at_least(args, 0, "seed")
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
@@ -39,11 +53,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rip(args) -> int:
+    _at_least(args, 1, "montecarlo", "cap")
+    _at_least(args, 0, "seed")
     Phi = read_matrix(args.matrix)
     q = RipQuery(k=args.k, d=args.d)
     if args.montecarlo is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         delta = block_rip_montecarlo(Phi, q, args.montecarlo, rng)
         method = f"montecarlo:{args.montecarlo}"
@@ -71,10 +85,6 @@ _VARIANTS = {
                                         overlap=a.overlap),
            ("c5", "c6", "c7", "s3", "valid"), _CHANNEL),
 }
-
-
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
 
 
 def _require(args, bound: str, dests) -> None:
@@ -141,6 +151,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    _at_least(args, 1, "max_iter", "d")
     Y = read_matrix(args.y)
     Phi = read_matrix(args.phi)
     try:
@@ -176,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chunk-sparse recovery with prior support information")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", aliases=["mismatch"],
-                       help="run the config's sweep axis to CSV")
+    p = sub.add_parser("sweep", help="run the config's sweep axis to CSV")
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None,

@@ -97,6 +97,8 @@ class ChunkIndexing:
 
 def chunking(Phi: np.ndarray, d: int) -> ChunkIndexing:
     """Chunk indexing of a validated Phi's columns, chunk height d."""
+    if d < 1:
+        raise DimensionError(f"chunk height must be positive, got d={d}")
     K, extra = divmod(Phi.shape[1], d)
     if extra:
         raise DimensionError(

@@ -31,7 +31,6 @@ __all__ = [
     "ResultRow",
     "load_config",
     "run_sweep",
-    "run_mismatch",
     "rows_to_csv_text",
     "write_csv",
 ]
@@ -263,9 +262,6 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     return [_summary_row(config, value, algorithm, last[position, algorithm])
             for position, value in positions
             for algorithm in config.algorithms]
-
-
-run_mismatch = run_sweep  # the mismatch study is the believed_s_c axis
 
 
 def _format_value(v) -> str:

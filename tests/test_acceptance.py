@@ -16,7 +16,7 @@ from cspursuit.analysis import (RipQuery, block_rip_exact, lemma1_check,
                                 msp_distortion_bound)
 from cspursuit.cli import main as cli_main
 from cspursuit.core import ChunkIndexing, ChunkSupport, frobenius
-from cspursuit.experiments import ExperimentConfig, run_mismatch, run_sweep
+from cspursuit.experiments import ExperimentConfig, run_sweep
 from cspursuit.mimo import (MimoScenario, dft_unitary, generate_channel,
                             generate_pilots, recover_channel,
                             run_frame_sequence, to_cs_problem)
@@ -275,7 +275,7 @@ def test_criterion_10():
                            snr_db=25.0, sweep_axis="believed_s_c",
                            sweep_values=(6,), algorithms=("msp", "cmsp"),
                            n_trials=200, base_seed=0)
-    med = {r.algorithm: r.nmse_median for r in run_mismatch(cfg)}
+    med = {r.algorithm: r.nmse_median for r in run_sweep(cfg)}
 
     # deterministic instance: an overconfident prior locks the plain
     # variant onto a wrong chunk while the conservative one recovers
@@ -356,8 +356,8 @@ def test_criterion_12(tmp_path):
         cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(outs[0])]),
         cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(outs[1]),
                   "--seed", "5", "--trials", "3"]),
-        cli_main(["mismatch", "--config", str(mismatch_cfg), "--out", str(outs[2])]),
-        cli_main(["mismatch", "--config", str(mismatch_cfg), "--out", str(outs[3])]),
+        cli_main(["sweep", "--config", str(mismatch_cfg), "--out", str(outs[2])]),
+        cli_main(["sweep", "--config", str(mismatch_cfg), "--out", str(outs[3])]),
     ]
     sweep_same = outs[0].read_bytes() == outs[1].read_bytes()
     mismatch_same = outs[2].read_bytes() == outs[3].read_bytes()

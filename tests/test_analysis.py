@@ -12,10 +12,7 @@ from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
                                 _combinations, _deviation_bounds,
                                 _gram_extremes, block_rip_exact,
                                 block_rip_montecarlo, channel_recovery_bound,
-                                cmsp_constants, cmsp_convergence_bound,
-                                cmsp_distortion_bound,
-                                cmsp_refined_distortion_bound,
-                                isometry_orders, lemma1_check,
+                                cmsp_constants, isometry_orders, lemma1_check,
                                 msp_constants, msp_convergence_bound,
                                 msp_distortion_bound, msp_refined_distortion_bound)
 from cspursuit.core import ChunkIndexing
@@ -402,12 +399,12 @@ class TestDistortionBounds:
 
     def test_conservative_counterparts(self):
         con = cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2)
-        assert cmsp_distortion_bound(con, 0.1, 0.05) == pytest.approx(
+        assert msp_distortion_bound(con, 0.1, 0.05) == pytest.approx(
             max(6 * 0.05, 0.15))
-        refined = cmsp_refined_distortion_bound(con, 0.1, 0.05, 1.0)
+        refined = msp_refined_distortion_bound(con, 0.1, 0.05, 1.0)
         assert refined == pytest.approx(0.05)
         with pytest.raises(BoundPreconditionError):
-            cmsp_refined_distortion_bound(con, 0.1, 0.05, 0.01)
+            msp_refined_distortion_bound(con, 0.1, 0.05, 0.01)
 
 
 def test_bounds_read_the_pursuit_off_the_constants():
@@ -418,10 +415,6 @@ def test_bounds_read_the_pursuit_off_the_constants():
     mod = msp_constants(0.05, 0.1, 0.2, s_bar=2, t0_size=2, s_c=1)
     n = msp_convergence_bound(mod, gamma=0.3, eta=0.001, rho=100.0)
     assert n > 0.0
-    assert cmsp_convergence_bound(mod, gamma=0.3, eta=0.001, rho=100.0) == n
-    assert cmsp_distortion_bound is msp_distortion_bound
-    assert cmsp_refined_distortion_bound is msp_refined_distortion_bound
-    assert cmsp_convergence_bound is msp_convergence_bound
     bad = cmsp_constants(0.0, 0.0, 0.0, 0.3, s_bar=2, s_c=1, t0_size=2)
     with pytest.raises(RipViolationError, match="delta_s3"):
         msp_distortion_bound(bad, gamma, eta)
@@ -462,7 +455,7 @@ class TestConvergenceBound:
     def test_conservative_route(self):
         base = cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2)
         con = dataclasses.replace(base, c5=0.5)
-        n = cmsp_convergence_bound(con, gamma=0.01, eta=0.0, rho=1.0)
+        n = msp_convergence_bound(con, gamma=0.01, eta=0.0, rho=1.0)
         assert n == pytest.approx(math.log(0.01) / math.log(0.5), abs=1e-12)
 
 
@@ -637,7 +630,7 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
      "distortion bound overflows a float"),
     (lambda: msp_refined_distortion_bound(_MSP, 1.0, 1e308, 1.0),
      BoundPreconditionError, "distortion bound overflows a float"),
-    (lambda: cmsp_distortion_bound(
+    (lambda: msp_distortion_bound(
         cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2),
         1.0, 1e308),
      BoundPreconditionError, "distortion bound overflows a float"),

@@ -7,6 +7,10 @@ from cspursuit.cli import build_parser, main
 from cspursuit.core import read_matrix, write_matrix
 from cspursuit.pursuit import PursuitConfig
 
+SMALL_SWEEP_CFG = ("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
+                   "pilot_length = 12\nsnr_db = 25\n"
+                   "algorithms = msp, mmv_sp, genie\nn_trials = 3\n")
+
 
 def out_lines(capsys):
     return dict(line.split("=", 1) for line in
@@ -305,13 +309,32 @@ class TestRecover:
         (["recover", "--algorithm", "msp", "--s-bar", "3", "--gamma", "0",
           "--t0", "1.5"], "--t0"),
         (["rip", "--k", "2", "--montecarlo", "5", "--seed", "-1"], "--seed"),
-    ], ids=["t0-not-a-number", "t0-fraction", "rip-negative-seed"])
-    def test_bad_flag_value_is_named(self, locked_paths, argv, flag, capsys):
+        (["recover", "--algorithm", "msp", "--s-bar", "3", "--gamma", "0",
+          "--max-iter", "0"], "--max-iter"),
+        (["recover", "--algorithm", "msp", "--s-bar", "3", "--gamma", "0",
+          "--d", "0"], "--d"),
+        (["rip", "--k", "2", "--montecarlo", "0"], "--montecarlo"),
+        (["rip", "--k", "2", "--cap", "-1"], "--cap"),
+        (["rip", "--k", "2", "--cap", "0"], "--cap"),
+        (["sweep", "--trials", "0"], "--trials"),
+        (["sweep", "--seed", "-1"], "--seed"),
+    ], ids=["t0-not-a-number", "t0-fraction", "rip-negative-seed",
+            "max-iter-zero", "d-zero", "montecarlo-zero", "cap-negative",
+            "cap-zero", "sweep-no-trials", "sweep-negative-seed"])
+    def test_bad_flag_value_is_named(self, locked_paths, tmp_path, argv, flag,
+                                     capsys):
         y, phi = locked_paths
-        files = (["--y", y, "--phi", phi] if argv[0] == "recover"
-                 else ["--matrix", phi])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SWEEP_CFG
+                       + "sweep_axis = pilot_length\nsweep_values = 12\n")
+        files = {"recover": ["--y", y, "--phi", phi],
+                 "rip": ["--matrix", phi],
+                 "sweep": ["--config", str(cfg),
+                           "--out", str(tmp_path / "out.csv")]}[argv[0]]
         assert main(argv[:1] + files + argv[1:]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: {flag} ")
+        assert out.out == ""
 
     def test_max_iter_defaults_to_the_config_cap(self):
         args = build_parser().parse_args(
@@ -383,14 +406,12 @@ class TestSweepCommand:
         "sweep_axis = pilot_length\nsweep_values = 8, 12\n",
         "sweep_axis = believed_s_c\nsweep_values = 0, 1\n",
     ], ids=["pilot_length", "believed_s_c"])
-    def test_mismatch_is_an_alias(self, tmp_path, axis_lines):
-        # the config's axis selects the study, not the subcommand's name
+    def test_mismatch_is_refused(self, tmp_path, axis_lines):
+        # the config's axis selects the study; sweep is its one command
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
-                       "pilot_length = 12\nsnr_db = 25\n"
-                       "algorithms = msp, mmv_sp, genie\nn_trials = 3\n"
-                       + axis_lines)
-        outs = [tmp_path / f"{name}.csv" for name in ("sweep", "mismatch")]
-        for name, out in zip(("sweep", "mismatch"), outs):
-            assert main([name, "--config", str(cfg), "--out", str(out)]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        cfg.write_text(SMALL_SWEEP_CFG + axis_lines)
+        with pytest.raises(SystemExit) as exc:
+            main(["mismatch", "--config", str(cfg),
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.csv").exists()

@@ -57,6 +57,8 @@ class TestChunking:
             chunking(np.zeros((2, 6)), 4)
         with pytest.raises(DimensionError):
             chunking(np.zeros((2, 0)), 1)
+        with pytest.raises(DimensionError, match="got d=0"):
+            chunking(np.zeros((2, 6)), 0)
 
 
 class TestChunkSupport:

@@ -9,8 +9,8 @@ import pytest
 import cspursuit.mimo as mimo
 from cspursuit.errors import ConfigError, GenerationError, MetricError
 from cspursuit.experiments import (CSV_COLUMNS, SWEEP_AXES,
-                                   ExperimentConfig, load_config, run_mismatch,
-                                   run_sweep, rows_to_csv_text, write_csv)
+                                   ExperimentConfig, load_config, run_sweep,
+                                   rows_to_csv_text, write_csv)
 from cspursuit.mimo import ALGORITHMS, MimoScenario, run_frame_sequence
 
 
@@ -206,10 +206,6 @@ class TestRunSweep:
             assert 0.0 <= r.support_recovery_rate <= 1.0
             assert r.nmse_ci95_halfwidth >= 0.0
 
-    def test_mismatch_is_the_sweep(self):
-        # the config's axis selects the mismatch study; one runner runs it
-        assert run_mismatch is run_sweep
-
     def test_s_c_axis_forwards_belief(self):
         # at s_c = 0 the prior carries no guarantee, so msp collapses to
         # the plain chunk-wise pursuit
@@ -265,7 +261,7 @@ class TestRunMismatch:
         # s_c = 2 > s_bar - 2: refused as on every other axis
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(1,), s_c=2)
         with pytest.raises(GenerationError, match="s_bar"):
-            run_mismatch(cfg)
+            run_sweep(cfg)
 
     def test_negative_believed_value(self):
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -284,12 +280,12 @@ class TestRunMismatch:
         monkeypatch.setattr(mimo, "generate_support_sequence", recording)
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1),
                            s_c=s_c, n_trials=20)
-        run_mismatch(cfg)
+        run_sweep(cfg)
         assert ([len(a.intersection(b)) for a, b in pairs]
                 == [s_c] * cfg.n_trials)
 
     def test_s_c_sets_the_data(self):
-        texts = [rows_to_csv_text(run_mismatch(small_config(
+        texts = [rows_to_csv_text(run_sweep(small_config(
                      sweep_axis="believed_s_c", sweep_values=(0, 1), s_c=s_c)))
                  for s_c in (0, 1)]
         assert texts[0] != texts[1]
@@ -297,7 +293,7 @@ class TestRunMismatch:
     def test_genie_ignores_belief(self):
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1),
                            algorithms=("genie",), n_trials=4)
-        rows = run_mismatch(cfg)
+        rows = run_sweep(cfg)
         assert rows[0].nmse == rows[1].nmse
         assert rows[0].nmse_median == rows[1].nmse_median
         assert rows[0].mean_iterations == rows[1].mean_iterations
@@ -309,7 +305,7 @@ class TestRunMismatch:
                       algorithms=("msp",), n_trials=80, base_seed=7)
         swept = run_sweep(ExperimentConfig(
             s_c=2, sweep_axis="s_c", sweep_values=(2,), **common))
-        pinned = run_mismatch(ExperimentConfig(
+        pinned = run_sweep(ExperimentConfig(
             s_c=2, sweep_axis="believed_s_c", sweep_values=(2,), **common))
         ratio = pinned[0].nmse_median / swept[0].nmse_median
         assert 0.5 <= ratio <= 2.0
@@ -321,7 +317,7 @@ class TestRunMismatch:
             M=64, N_ue=2, s_bar=8, s_c=3, pilot_length=24, snr_db=25.0,
             sweep_axis="believed_s_c", sweep_values=(2, 3, 4, 5, 6),
             algorithms=("msp", "cmsp"), n_trials=200, base_seed=0)
-        rows = run_mismatch(cfg)
+        rows = run_sweep(cfg)
         msp = [r.nmse_median for r in rows if r.algorithm == "msp"]
         cmsp = [r.nmse_median for r in rows if r.algorithm == "cmsp"]
         assert msp[1] <= msp[2] <= msp[3] <= msp[4]
@@ -387,7 +383,7 @@ class TestTrialSharing:
         calls = self._count_calls(monkeypatch, "generate_support_sequence")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
-        run_mismatch(cfg)
+        run_sweep(cfg)
         assert len(calls) == cfg.n_trials
 
     def test_sweep_estimates_first_frame_once(self, monkeypatch):
@@ -401,7 +397,7 @@ class TestTrialSharing:
         calls = self._count_calls(monkeypatch, "msp_recover")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
-        run_mismatch(cfg)
+        run_sweep(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
     def test_mismatch_estimates_prior_free_algorithms_once(self, monkeypatch):
@@ -412,7 +408,7 @@ class TestTrialSharing:
                   for name in ("genie_ls", "sp_recover", "mmv_sp_recover")}
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
-        run_mismatch(cfg)
+        run_sweep(cfg)
         n = cfg.n_trials
         assert {name: len(calls) for name, calls in counts.items()} == {
             "genie_ls": n, "sp_recover": n * cfg.N_ue, "mmv_sp_recover": 2 * n}
@@ -445,7 +441,7 @@ class TestTrialSharing:
         expected = [self._expected_row(cfg, value, alg, scenario,
                                        believed_s_c=value, pinned=True)
                     for value in cfg.sweep_values for alg in cfg.algorithms]
-        assert self._fields(run_mismatch(cfg)) == expected
+        assert self._fields(run_sweep(cfg)) == expected
 
 
 class TestCsv:

@@ -3,6 +3,7 @@ module's __all__, and the package exports their union."""
 import importlib
 
 import cspursuit
+from cspursuit.cli import build_parser
 
 MODULES = ("errors", "core", "sparsity", "pursuit", "analysis", "mimo",
            "oracle", "experiments")
@@ -34,6 +35,21 @@ def test_package_all_is_the_union():
     union = [name for module_name in MODULES for name in alls[module_name]]
     assert cspursuit.__all__ == ["__version__"] + union
     assert len(set(cspursuit.__all__)) == len(cspursuit.__all__)
+
+
+def _names_sharing_an_object(named):
+    groups = {}
+    for name, obj in named:
+        groups.setdefault(id(obj), []).append(name)
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_no_second_names():
+    # one name per object in the package, one name per subcommand
+    assert _names_sharing_an_object(
+        (name, getattr(cspursuit, name)) for name in cspursuit.__all__) == []
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert _names_sharing_an_object(sub.choices.items()) == []
 
 
 def test_star_import_binds_exactly_all():
