@@ -188,9 +188,6 @@ class BoundConstants:
     """
 
     delta: dict = field(repr=False)
-    s_bar: int = 0
-    s_c: int = 0
-    t0_size: int = 0
     s1: Optional[int] = None
     s2: Optional[int] = None
     s3: Optional[int] = None
@@ -290,8 +287,7 @@ def msp_constants(delta_sbar: float, delta_s1: float, delta_s2: float,
     c4 = _steady_state(c1, c2, d_s1)
     return BoundConstants(
         delta={"s_bar": d_sbar, "s1": d_s1, "s2": d_s2},
-        s_bar=s_bar, s_c=s_c, t0_size=t0_size, s1=s1, s2=s2,
-        c1=c1, c2=c2, c4=c4, valid=d_s2 < CONTRACTION_DELTA)
+        s1=s1, s2=s2, c1=c1, c2=c2, c4=c4, valid=d_s2 < CONTRACTION_DELTA)
 
 
 def cmsp_constants(delta_sbar: float, delta_2sbar: float,
@@ -322,8 +318,7 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
         delta={"s_bar": d_sbar, "2s_bar": d_2sbar,
                "2s_bar_plus_s_c": d_2sbar_sc, "3s_bar_plus_s_c": d_3sbar_sc,
                "s3": d_3sbar_sc},
-        s_bar=s_bar, s_c=s_c, t0_size=t0_size, s3=s3,
-        c5=c5, c6=c6, c7=c7, valid=d_3sbar_sc < CONTRACTION_DELTA)
+        s3=s3, c5=c5, c6=c6, c7=c7, valid=d_3sbar_sc < CONTRACTION_DELTA)
 
 
 def _pursuit_terms(constants: BoundConstants, **inputs: float) -> tuple[float, ...]:

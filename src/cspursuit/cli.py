@@ -3,7 +3,10 @@
 Subcommands: sweep runs the config's Monte-Carlo sweep to CSV; rip
 evaluates isometry constants of a stored matrix; bounds prints guarantee
 constants and bounds; recover runs one pursuit, mmv_sp as msp on the empty
-prior, on stored Y and Phi. SNR is in dB, converted once.
+prior, on stored Y and Phi. SNR is in dB, converted once. Each parser's
+`least` default maps its integer flags to their least values; main refuses
+a flag below its floor before any file is read. bounds leaves --s-bar,
+--s-c and --t0-size to isometry_orders, which checks them together.
 """
 from __future__ import annotations
 
@@ -30,17 +33,7 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _at_least(args, least: int, *dests) -> None:
-    """Raise ConfigError naming the first flag of dests given below least."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is not None and value < least:
-            raise ConfigError(f"{_flag(dest)} must be at least {least}, got {value}")
-
-
 def _cmd_sweep(args) -> int:
-    _at_least(args, 1, "trials")
-    _at_least(args, 0, "seed")
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
@@ -53,8 +46,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rip(args) -> int:
-    _at_least(args, 1, "montecarlo", "cap")
-    _at_least(args, 0, "seed")
     Phi = read_matrix(args.matrix)
     q = RipQuery(k=args.k, d=args.d)
     if args.montecarlo is not None:
@@ -151,7 +142,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    _at_least(args, 1, "max_iter", "d")
     Y = read_matrix(args.y)
     Phi = read_matrix(args.phi)
     try:
@@ -194,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override base_seed")
     p.add_argument("--trials", type=int, default=None,
                    help="override n_trials")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, least=dict(trials=1, seed=0))
 
     p = sub.add_parser("rip", help="isometry constant of a stored matrix")
     p.add_argument("--matrix", required=True, help="CSMAT1 matrix file")
@@ -204,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample supports instead of enumerating")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    p.set_defaults(func=_cmd_rip)
+    p.set_defaults(func=_cmd_rip,
+                   least=dict(k=1, d=1, montecarlo=1, cap=1, seed=0))
 
     p = sub.add_parser("bounds", help="guarantee constants and bounds")
     p.add_argument("--s-bar", type=int, required=True)
@@ -224,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chan-n-ue", type=int, default=None)
     p.add_argument("--chan-t", type=int, default=None)
     p.add_argument("--chan-p-db", type=float, default=None)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, least=dict(d=1, overlap=0, chan_m=1,
+                                                chan_n_ue=1, chan_t=1))
 
     p = sub.add_parser("recover", help="run one pursuit on stored matrices")
     p.add_argument("--y", required=True, help="CSMAT1 measurement matrix")
@@ -239,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated prior chunk indices")
     p.add_argument("--max-iter", type=int, default=PursuitConfig.max_iter)
     p.add_argument("--out", default=None, help="write X_hat here (CSMAT1)")
-    p.set_defaults(func=_cmd_recover)
+    p.set_defaults(func=_cmd_recover,
+                   least=dict(s_bar=1, s_c=0, max_iter=1, d=1))
     return parser
 
 
@@ -247,6 +240,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, least in args.least.items():
+            value = getattr(args, dest)
+            if value is not None and value < least:
+                raise ConfigError(f"{_flag(dest)} must be at least {least}, got {value}")
         return args.func(args)
     except (CsPursuitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

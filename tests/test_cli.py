@@ -1,4 +1,6 @@
 """Tests for the command line front end."""
+import argparse
+
 import numpy as np
 import pytest
 
@@ -318,9 +320,24 @@ class TestRecover:
         (["rip", "--k", "2", "--cap", "0"], "--cap"),
         (["sweep", "--trials", "0"], "--trials"),
         (["sweep", "--seed", "-1"], "--seed"),
+        (["recover", "--algorithm", "msp", "--s-bar", "0", "--gamma", "0"],
+         "--s-bar"),
+        (["recover", "--algorithm", "msp", "--s-bar", "3", "--gamma", "0",
+          "--s-c", "-1"], "--s-c"),
+        (["rip", "--k", "0"], "--k"),
+        (["rip", "--k", "2", "--d", "0"], "--d"),
+        (["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+          "--d", "0"], "--d"),
+        (["bounds", "--conservative", "--s-bar", "2", "--s-c", "1",
+          "--t0-size", "2", "--overlap", "-1"], "--overlap"),
+        (["bounds", "--s-bar", "2", "--s-c", "1", "--t0-size", "2",
+          "--gamma", "1", "--chan-m", "0", "--chan-n-ue", "2", "--chan-t",
+          "8", "--chan-p-db", "10"], "--chan-m"),
     ], ids=["t0-not-a-number", "t0-fraction", "rip-negative-seed",
             "max-iter-zero", "d-zero", "montecarlo-zero", "cap-negative",
-            "cap-zero", "sweep-no-trials", "sweep-negative-seed"])
+            "cap-zero", "sweep-no-trials", "sweep-negative-seed",
+            "s-bar-zero", "s-c-negative", "rip-k-zero", "rip-d-zero",
+            "bounds-d-zero", "overlap-negative", "chan-m-zero"])
     def test_bad_flag_value_is_named(self, locked_paths, tmp_path, argv, flag,
                                      capsys):
         y, phi = locked_paths
@@ -329,6 +346,7 @@ class TestRecover:
                        + "sweep_axis = pilot_length\nsweep_values = 12\n")
         files = {"recover": ["--y", y, "--phi", phi],
                  "rip": ["--matrix", phi],
+                 "bounds": ["--matrix", phi],
                  "sweep": ["--config", str(cfg),
                            "--out", str(tmp_path / "out.csv")]}[argv[0]]
         assert main(argv[:1] + files + argv[1:]) == 2
@@ -415,3 +433,14 @@ class TestSweepCommand:
                   "--out", str(tmp_path / "out.csv")])
         assert exc.value.code == 2
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_every_int_flag_has_a_floor():
+    # bounds' prior-shape flags are checked together by isometry_orders
+    shape_checked = {"bounds": {"s_bar", "s_c", "t0_size"}}
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        ints = {a.dest for a in p._actions if a.type is int}
+        floored = set(p.get_default("least") or ())
+        assert floored == ints - shape_checked.get(name, set()), name

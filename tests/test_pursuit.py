@@ -8,7 +8,8 @@ from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
                             ls_solve, submatrix_by_chunks)
 from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
                               PriorInfoError, SelectionError)
-from cspursuit.mimo import nmse, to_cs_problem
+from cspursuit.mimo import (MimoScenario, default_gamma, estimate_support,
+                            nmse, simulate_frames, to_cs_problem)
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
                                mmv_sp_recover, msp_recover, msp_support_merge,
@@ -502,3 +503,78 @@ def test_degenerate_inputs(case, seed, d, l_cols, gamma):
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):
         call()
+
+
+# Invariance relations of the model at the harness's size (M = 64, N_ue = 2,
+# s_bar = 8, s_c = 4, 25 dB): the exhaustive oracle cannot reach K = 64, so
+# these are the independent check on the loop there.
+HARNESS_DATA = dict(seed=st.integers(0, 10**6), T=st.sampled_from([16, 24, 40]))
+
+
+def harness_problem(seed, T):
+    """The measured frame's Y and Phi, msp's and cmsp's prior (mmv_sp's
+    frame-1 support, s_c capped at its true overlap) and the threshold."""
+    scenario = MimoScenario(M=64, N_ue=2, T=T, P=10 ** 2.5, s_bar=8, s_c=4)
+    first, (channel, Y, Phi) = simulate_frames(scenario, 2,
+                                               np.random.default_rng(seed))
+    T0 = estimate_support(scenario, first, "mmv_sp", ChunkSupport.empty(64))
+    s_c = min(scenario.s_c, len(T0.intersection(channel.T_true)))
+    return Y, Phi, PriorSupportInfo(T0, s_c), default_gamma(2, T)
+
+
+def harness_solve(algorithm, Y, Phi, prior, gamma):
+    if algorithm == "mmv_sp":
+        return mmv_sp_recover(Y, Phi, 8, gamma)
+    solver = cmsp_recover if algorithm == "cmsp" else msp_recover
+    return solver(Y, Phi, PursuitConfig(s_bar=8, prior=prior, gamma=gamma))
+
+
+def assert_close(got, want):
+    assert frobenius(got - want) <= 1e-10 * frobenius(want)
+
+
+@pytest.mark.parametrize("algorithm", ["msp", "cmsp", "mmv_sp"])
+@settings(max_examples=40, deadline=None)
+@given(order=st.permutations(range(64)), **HARNESS_DATA)
+def test_chunk_permutation_permutes_estimate(algorithm, seed, T, order):
+    Y, Phi, prior, gamma = harness_problem(seed, T)
+    # column j of the permuted Phi is column order[j] (0-based), so 1-based
+    # chunk i moves to 1-based position moved[i - 1]
+    moved = np.argsort(order) + 1
+
+    def move(S):
+        return ChunkSupport.of((moved[i - 1] for i in S), 64)
+
+    a = harness_solve(algorithm, Y, Phi, prior, gamma)
+    b = harness_solve(algorithm, Y, Phi[:, order],
+                      PriorSupportInfo(move(prior.T0), prior.s_c), gamma)
+    assert b.T_hat == move(a.T_hat)
+    assert b.iterations == a.iterations
+    assert_close(b.X_hat.data, a.X_hat.data[order])
+
+
+@pytest.mark.parametrize("algorithm", ["msp", "cmsp", "mmv_sp"])
+@settings(max_examples=40, deadline=None)
+@given(q_seed=st.integers(0, 10**6), **HARNESS_DATA)
+def test_column_rotation_rotates_estimate(algorithm, seed, T, q_seed):
+    Y, Phi, prior, gamma = harness_problem(seed, T)
+    Q, _ = np.linalg.qr(random_complex(np.random.default_rng(q_seed), (2, 2)))
+    a = harness_solve(algorithm, Y, Phi, prior, gamma)
+    b = harness_solve(algorithm, Y @ Q, Phi, prior, gamma)
+    assert b.T_hat == a.T_hat
+    assert b.iterations == a.iterations
+    assert_close(b.X_hat.data, a.X_hat.data @ Q)
+
+
+@pytest.mark.parametrize("algorithm", ["msp", "cmsp", "mmv_sp"])
+@settings(max_examples=40, deadline=None)
+@given(size=st.floats(1e-3, 1e3), phase=st.floats(0.0, 2 * np.pi),
+       **HARNESS_DATA)
+def test_scaling_scales_estimate(algorithm, seed, T, size, phase):
+    Y, Phi, prior, gamma = harness_problem(seed, T)
+    c = size * np.exp(1j * phase)
+    a = harness_solve(algorithm, Y, Phi, prior, gamma)
+    b = harness_solve(algorithm, c * Y, Phi, prior, abs(c) * gamma)
+    assert b.T_hat == a.T_hat
+    assert b.iterations == a.iterations
+    assert_close(b.X_hat.data, c * a.X_hat.data)
