@@ -66,9 +66,16 @@ def _chunk_index(i) -> int:
     return k
 
 
+def _int_array(indices) -> bool:
+    """Whether indices is a 1-D integer array, whose entries are whole."""
+    return (isinstance(indices, np.ndarray) and indices.ndim == 1
+            and indices.dtype.kind in "iu")
+
+
 def _rows(chunks: np.ndarray, d: int) -> np.ndarray:
-    """0-based rows (or columns) of 0-based chunks, in the given order."""
-    return (chunks[:, None] * d + np.arange(d)).ravel()
+    """0-based rows (or columns) of 0-based chunks, in the given order; a
+    (B, n) stack of chunk lists gives a (B, n d) stack of row lists."""
+    return (chunks[..., None] * d + np.arange(d)).reshape(chunks.shape[:-1] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -117,18 +124,23 @@ class ChunkSupport:
     K: int
 
     def __post_init__(self) -> None:
-        idx = tuple(map(_chunk_index, self.indices))
+        raw = self.indices
+        idx = (tuple(raw.tolist()) if _int_array(raw)
+               else tuple(map(_chunk_index, raw)))
         object.__setattr__(self, "indices", idx)
         if self.K < 0:
             raise ValueError(f"K must be nonnegative, got {self.K}")
-        if any(i < 1 or i > self.K for i in idx):
+        if idx and (min(idx) < 1 or max(idx) > self.K):
             raise ValueError(f"chunk index out of range 1..{self.K}: {idx}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if list(idx) != sorted(set(idx)):
             raise ValueError(f"chunk indices must be strictly ascending: {idx}")
 
     @classmethod
     def of(cls, indices: Iterable[int], K: int) -> "ChunkSupport":
-        """Build from any iterable, deduplicating and sorting."""
+        """Build from any iterable, deduplicating and sorting: a 1-D integer
+        array in one np.unique, anything else one index at a time."""
+        if _int_array(indices):
+            return cls(np.unique(indices), K)
         return cls(tuple(sorted(set(map(_chunk_index, indices)))), K)
 
     @classmethod
@@ -169,8 +181,9 @@ def _zero_based(S: ChunkSupport) -> np.ndarray:
 
 
 def _chunk_norms(X: np.ndarray, d: int) -> np.ndarray:
-    energy = (np.abs(X) ** 2).sum(axis=1)
-    return np.sqrt(energy.reshape(-1, d).sum(axis=1))
+    """Chunk norms of X's rows; a (B, K d, L) stack gives (B, K)."""
+    energy = (np.abs(X) ** 2).sum(axis=-1)
+    return np.sqrt(energy.reshape(energy.shape[:-1] + (-1, d)).sum(axis=-1))
 
 
 def chunk_norms(X, idx: ChunkIndexing) -> np.ndarray:
@@ -183,9 +196,10 @@ def chunk_norms(X, idx: ChunkIndexing) -> np.ndarray:
 
 
 def _ranked(scores: np.ndarray) -> np.ndarray:
-    """Positions from highest to lowest score. The one home of the
-    tie-break: the stable sort puts the smaller index first among equal
-    scores, so restricted to any subset it is that subset's ranking."""
+    """Positions from highest to lowest score, along the last axis. The one
+    home of the tie-break: the stable sort puts the smaller index first
+    among equal scores, so restricted to any subset it is that subset's
+    ranking."""
     return np.argsort(-scores, kind="stable")
 
 
@@ -253,19 +267,40 @@ def ls_solve_with_rank(A, B) -> tuple[np.ndarray, bool]:
 def _lstsq(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
     if A.shape[1] == 0:
         return np.zeros((0, B.shape[1]), dtype=np.complex128), False
-    AH = A.conj().T
+    X, deficient = _lstsq_stack(A[None], B[None])
+    return X[0], bool(deficient[0])
+
+
+def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_lstsq of each slice of a stack A[i] X[i] = B[i] whose A have one
+    shape: one inversion of the stacked Grams, then a single-problem solve
+    of every slice that inversion does not certify (of each slice, when one
+    singular Gram makes it raise), so slice i equals _lstsq(A[i], B[i])."""
+    AH = A.conj().transpose(0, 2, 1)
     G = AH @ A
     try:
         G_inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        pass
+        certified = np.zeros(len(A), dtype=bool)
     else:
         # the 1-norm condition number; nan or inf fails the test
-        cond = np.abs(G).sum(axis=0).max() * np.abs(G_inv).sum(axis=0).max()
-        if cond <= _GRAM_COND_MAX:
-            return G_inv @ (AH @ B), False
-    X, _, rank, _ = np.linalg.lstsq(A, B, rcond=LS_RCOND)
-    return X, bool(rank < A.shape[1])
+        cond = (np.abs(G).sum(axis=1).max(axis=1)
+                * np.abs(G_inv).sum(axis=1).max(axis=1))
+        certified = cond <= _GRAM_COND_MAX
+    deficient = np.zeros(len(A), dtype=bool)
+    AHB = AH @ B
+    if certified.all():
+        return G_inv @ AHB, deficient
+    X = np.empty(AHB.shape, dtype=np.complex128)
+    if certified.any():
+        X[certified] = G_inv[certified] @ AHB[certified]
+    for i in np.flatnonzero(~certified):
+        if len(A) > 1:
+            X[i], deficient[i] = _lstsq(A[i], B[i])
+        else:
+            X[i], _, rank, _ = np.linalg.lstsq(A[i], B[i], rcond=LS_RCOND)
+            deficient[i] = rank < A.shape[2]
+    return X, deficient
 
 
 def write_matrix(path, M) -> None:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import ChunkSupport
 from .errors import ConfigError, MetricError
-from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frame,
-                   estimate_support, simulate_frames)
+from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frames,
+                   estimate_supports, simulate_frames)
 
 __all__ = [
     "SWEEP_AXES",
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("pilot_length", "snr_db", "s_c", "believed_s_c")
+# trials simulated and estimated together: enough for the batched pursuit
+# to pay off, few enough that memory does not grow with n_trials
+_BLOCK_TRIALS = 32
 
 
 def _finite(value) -> bool:
@@ -222,10 +225,12 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     """The one trial loop, on any axis; rows come out in (sweep value,
     algorithm) order. A group is a config point's scenario and its (position,
     believed_s_c) members: one per sweep value, or one for every believed
-    value. Trial t of a group is generated once, from seed base_seed + t,
-    its first frame estimated once if an algorithm reads a prior, and its
-    measured frame estimated and scored by the PRIOR_ALGORITHMS at every
-    member and by the others once."""
+    value. A group's trials run in blocks of up to _BLOCK_TRIALS. A block's
+    trials are simulated first, trial t from seed base_seed + t. Then their
+    first frames are estimated once, as one batch, if an algorithm reads a
+    prior, and their measured frames are estimated and scored as one batch
+    per algorithm: by the PRIOR_ALGORITHMS at every member and by the others
+    once. Only one block's data are held at a time."""
     positions = list(enumerate(config.sweep_values))
     pinned = config.sweep_axis == "believed_s_c"
     points = ([(config, positions)] if pinned else
@@ -240,25 +245,28 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
     for scenario, members in groups:
-        for trial in range(config.n_trials):
-            rng = np.random.default_rng(config.base_seed + trial)
-            first, measured = simulate_frames(scenario, 2, rng, noise, pinned)
-            T0 = ChunkSupport.empty(scenario.M)
+        for start in range(0, config.n_trials, _BLOCK_TRIALS):
+            block = range(start, min(start + _BLOCK_TRIALS, config.n_trials))
+            first, measured = zip(*(simulate_frames(
+                scenario, 2, np.random.default_rng(config.base_seed + t), noise,
+                pinned) for t in block))
+            T0s = [ChunkSupport.empty(scenario.M)] * len(measured)
             if reads_prior:
-                T0 = estimate_support(scenario, first, "mmv_sp", T0, gamma)
+                T0s = estimate_supports(scenario, first, "mmv_sp", T0s, gamma)
+            del first  # only its supports are read, so free its data
             shared = {}  # records of the algorithms that read no prior
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
                     try:
-                        record = shared.get(algorithm) or estimate_frame(
-                            scenario, measured, algorithm, T0, gamma, believed_s_c)
+                        records = shared.get(algorithm) or estimate_frames(
+                            scenario, measured, algorithm, T0s, gamma, believed_s_c)
                     except MetricError as err:
                         where = _nmse_at(config, config.sweep_values[position],
                                          algorithm)
                         raise MetricError(f"{err} ({where})") from None
                     if algorithm not in PRIOR_ALGORITHMS:
-                        shared[algorithm] = record
-                    last.setdefault((position, algorithm), []).append(record)
+                        shared[algorithm] = records
+                    last.setdefault((position, algorithm), []).extend(records)
     return [_summary_row(config, value, algorithm, last[position, algorithm])
             for position, value in positions
             for algorithm in config.algorithms]

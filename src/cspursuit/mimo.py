@@ -18,8 +18,7 @@ import numpy as np
 
 from .core import ChunkSupport, _zero_based, as_matrix, frobenius
 from .errors import DimensionError, GenerationError, MetricError
-from .pursuit import (PursuitConfig, StopReason, cmsp_recover, genie_ls,
-                      mmv_sp_recover, msp_recover, sp_recover)
+from .pursuit import PursuitConfig, StopReason, genie_ls, recover_batch
 from .sparsity import PriorSupportInfo, SupportEvolutionParams, \
     _complex_gaussian, generate_support_sequence
 
@@ -37,6 +36,8 @@ __all__ = [
     "nmse",
     "default_gamma",
     "simulate_frames",
+    "estimate_supports",
+    "estimate_frames",
     "estimate_support",
     "estimate_frame",
     "run_frame_sequence",
@@ -213,50 +214,84 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
     return frames
 
 
-def _estimate(scenario: MimoScenario, frame, algorithm: str,
-              T0: ChunkSupport, gamma: Optional[float],
-              believed_s_c: Optional[int]):
+def _estimate(scenario: MimoScenario, frames, algorithm: str, T0s,
+              gamma: Optional[float], believed_s_c: Optional[int]):
     """(X_hat, T_hat, iterations, stop reason, rank flag) of one algorithm
-    on one simulate_frames entry; see estimate_frame for the prior rule."""
+    on each simulate_frames entry frames[i], with prior T0s[i]; the frames'
+    pursuits run as one batch. See estimate_frame for the prior rule."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
     m, n, t = scenario.M, scenario.N_ue, scenario.T
     s_c_alg = scenario.s_c if believed_s_c is None else believed_s_c
     if s_c_alg < 0:
         raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
-    channel, Y, Phi = frame
-    T_true = channel.T_true
+    if len(T0s) != len(frames):
+        raise ValueError(f"{len(T0s)} priors T0 for {len(frames)} frames")
+    if not frames:
+        return []
     if algorithm == "genie":
-        return genie_ls(Y, Phi, T_true, d=1).data, T_true, 0.0, None, False
+        return [(genie_ls(Y, Phi, channel.T_true, d=1).data, channel.T_true, 0.0,
+                 None, False) for channel, Y, Phi in frames]
     gamma_val = default_gamma(n, t) if gamma is None else float(gamma)
+    Y = np.stack([Y for _, Y, _ in frames])
     if algorithm == "sp":
         # one scalar-sparse problem per receive antenna, supports pooled
-        runs = [sp_recover(Y[:, j:j + 1], Phi, scenario.s_bar,
-                           gamma_val / np.sqrt(n))
-                for j in range(n)]
-        return (np.hstack([res.X_hat.data for res in runs]),
-                ChunkSupport.of([k for res in runs for k in res.T_hat], m),
-                float(np.mean([res.iterations for res in runs])), None,
-                any(res.rank_deficient_ls for res in runs))
+        cfg = PursuitConfig(s_bar=scenario.s_bar, prior=PriorSupportInfo.empty(m),
+                            gamma=gamma_val / np.sqrt(n))
+        runs = recover_batch("sp", Y.transpose(0, 2, 1).reshape(-1, t, 1),
+                             np.stack([Phi for _, _, Phi in frames for _ in range(n)]),
+                             [cfg] * (n * len(frames)))
+        return [(np.hstack([res.X_hat.data for res in mine]),
+                 ChunkSupport.of([k for res in mine for k in res.T_hat], m),
+                 float(np.mean([res.iterations for res in mine])), None,
+                 any(res.rank_deficient_ls for res in mine))
+                for mine in (runs[i:i + n] for i in range(0, len(runs), n))]
+    Phi = np.stack([Phi for _, _, Phi in frames])
     if algorithm in PRIOR_ALGORITHMS:
-        cap = (len(T0) if believed_s_c is not None else
-               len(T0.intersection(T_true)))
-        prior = PriorSupportInfo(T0, min(s_c_alg, cap))
-        cfg = PursuitConfig(s_bar=scenario.s_bar, prior=prior,
-                            gamma=gamma_val, d=1)
-        solver = cmsp_recover if algorithm == "cmsp" else msp_recover
-        res = solver(Y, Phi, cfg)
+        cfgs = []
+        for (channel, _, _), T0 in zip(frames, T0s):
+            cap = (len(T0) if believed_s_c is not None else
+                   len(T0.intersection(channel.T_true)))
+            cfgs.append(PursuitConfig(s_bar=scenario.s_bar, gamma=gamma_val,
+                                      prior=PriorSupportInfo(T0, min(s_c_alg, cap))))
     else:
-        res = mmv_sp_recover(Y, Phi, scenario.s_bar, gamma_val)
-    return (res.X_hat.data, res.T_hat, float(res.iterations), res.stop_reason,
-            res.rank_deficient_ls)
+        cfgs = [PursuitConfig(s_bar=scenario.s_bar, gamma=gamma_val,
+                              prior=PriorSupportInfo.empty(m))] * len(frames)
+    return [(res.X_hat.data, res.T_hat, float(res.iterations), res.stop_reason,
+             res.rank_deficient_ls)
+            for res in recover_batch(algorithm, Y, Phi, cfgs)]
+
+
+def estimate_supports(scenario: MimoScenario, frames, algorithm: str, T0s,
+                      gamma: Optional[float] = None) -> list[ChunkSupport]:
+    """The supports estimate_frames would find, not mapped back or scored:
+    all that frames which only supply the next frames' priors T0 need."""
+    return [e[1] for e in _estimate(scenario, frames, algorithm, T0s, gamma, None)]
+
+
+def estimate_frames(scenario: MimoScenario, frames, algorithm: str, T0s,
+                    gamma: Optional[float] = None,
+                    believed_s_c: Optional[int] = None) -> list[FrameRecord]:
+    """estimate_frame on each of a list of simulate_frames entries, frame i
+    with prior T0s[i]: the pursuits run as one batch, and each frame is
+    mapped back and scored on its own."""
+    records = []
+    for (channel, _, _), (X_hat, T_hat, iterations, stop, deficient) in zip(
+            frames, _estimate(scenario, frames, algorithm, T0s, gamma,
+                              believed_s_c)):
+        H_hat = recover_channel(X_hat, scenario.P, scenario.T)
+        records.append(FrameRecord(
+            nmse_ratio=_nmse_ratio(channel.H, H_hat),
+            support_exact=(T_hat == channel.T_true), iterations=iterations,
+            stop_reason=stop, rank_deficient_ls=deficient,
+            T_true=channel.T_true, T_hat=T_hat))
+    return records
 
 
 def estimate_support(scenario: MimoScenario, frame, algorithm: str,
                      T0: ChunkSupport, gamma: Optional[float] = None) -> ChunkSupport:
-    """The support estimate_frame would find, not mapped back or scored: all
-    that a frame which only supplies the next frame's prior T0 needs."""
-    return _estimate(scenario, frame, algorithm, T0, gamma, None)[1]
+    """estimate_supports on one frame."""
+    return estimate_supports(scenario, [frame], algorithm, [T0], gamma)[0]
 
 
 def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
@@ -270,15 +305,8 @@ def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
     frame's true support T, which no receiver has; criterion 08 passes only
     with it. An explicit believed_s_c is passed as told, clamped only to
     |T0|, and may overstate it (the mismatch study)."""
-    X_hat, T_hat, iterations, stop, deficient = _estimate(
-        scenario, frame, algorithm, T0, gamma, believed_s_c)
-    channel = frame[0]
-    H_hat = recover_channel(X_hat, scenario.P, scenario.T)
-    return FrameRecord(
-        nmse_ratio=_nmse_ratio(channel.H, H_hat),
-        support_exact=(T_hat == channel.T_true), iterations=iterations,
-        stop_reason=stop, rank_deficient_ls=deficient,
-        T_true=channel.T_true, T_hat=T_hat)
+    return estimate_frames(scenario, [frame], algorithm, [T0], gamma,
+                           believed_s_c)[0]
 
 
 def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,

@@ -4,6 +4,15 @@ The modified pursuit forces the s_c most promising prior chunks into every
 merge and refinement step. The conservative variant trusts the prior only
 in the merge and re-selects the final support over all chunks, so an
 overstated s_c cannot lock wrong chunks into the estimate.
+
+There is one pursuit loop, and it runs a stack of problems at once: a
+leading batch axis over problems that share rows, K, d, s_bar and max_iter,
+each with its own prior and gamma. The rules rank every problem's chunks in
+one stable sort, the least squares solves stack the Grams of the problems
+whose supports have one size, and each problem stops on its own, so every
+result equals the one the problem gets alone. recover_batch is the batched
+entry; msp_recover, cmsp_recover, mmv_sp_recover, sp_recover and the four
+support steps are its one-problem case.
 """
 from __future__ import annotations
 
@@ -13,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (LS_RCOND, ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq,
-                   _ranked, _rows, _top_k, _zero_based, as_matrix, chunking,
-                   frobenius)
+                   _lstsq_stack, _ranked, _rows, _zero_based, as_matrix,
+                   chunking, frobenius)
 from .errors import DimensionError, PriorInfoError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
@@ -30,6 +39,7 @@ __all__ = [
     "cmsp_recover",
     "sp_recover",
     "mmv_sp_recover",
+    "recover_batch",
     "genie_ls",
 ]
 
@@ -99,6 +109,21 @@ def _problem(Y, Phi, d: int, name: str = "Y") -> tuple[np.ndarray, np.ndarray, C
     return Y, Phi, chunking(Phi, d)
 
 
+def _stack(Y, Phi, d: int) -> tuple[np.ndarray, np.ndarray, ChunkIndexing]:
+    """Validate a stack of problems Y[b] = Phi[b] X[b] once, Y as
+    (B, rows, L) and Phi as (B, rows, K d), and chunk its Phi."""
+    Y = np.asarray(Y, dtype=np.complex128)
+    Phi = np.asarray(Phi, dtype=np.complex128)
+    if Y.ndim != 3 or Phi.ndim != 3 or len(Y) != len(Phi) or not len(Y):
+        raise DimensionError(f"Y {Y.shape} and Phi {Phi.shape} must be stacks "
+                             "(B, rows, L) and (B, rows, K d) of B >= 1 problems")
+    for name, a in (("Y", Y), ("Phi", Phi)):
+        as_matrix(a.reshape(-1, a.shape[2]), name)
+    if Y.shape[1] != Phi.shape[1]:
+        raise DimensionError(f"Y has {Y.shape[1]} rows, Phi has {Phi.shape[1]}")
+    return Y, Phi, chunking(Phi[0], d)
+
+
 def _checked_prior(cfg: PursuitConfig, K: int) -> np.ndarray:
     """Check the budget and the prior against K chunks, so that no rule
     below asks for more chunks than its pool holds; return T0 0-based."""
@@ -109,54 +134,86 @@ def _checked_prior(cfg: PursuitConfig, K: int) -> np.ndarray:
     return _zero_based(cfg.prior.T0)
 
 
-# The merge and refine rules work on 0-based chunk index arrays: scores has
-# one entry per chunk, T is the running support and T0 the prior, both
-# ascending. They return ascending arrays.
-
-def _msp_refine(scores: np.ndarray, T0: np.ndarray, cfg: PursuitConfig) -> np.ndarray:
-    # the s_c best prior chunks, then the s_bar - s_c best of all others,
-    # both read off one ranking of every chunk
-    order = _ranked(scores)
-    prior = np.zeros(len(scores), dtype=bool)
-    prior[T0] = True
-    locked = order[prior[order]][:cfg.prior.s_c]
-    free = np.ones(len(scores), dtype=bool)
-    free[locked] = False
-    rest = order[free[order]][:cfg.s_bar - cfg.prior.s_c]
-    return np.sort(np.concatenate((locked, rest)))
+def _priors(cfgs, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each config's checked prior: a (B, K) mask of T0 and a (B, 1) column
+    of s_c."""
+    prior = np.zeros((len(cfgs), K), dtype=bool)
+    for b, cfg in enumerate(cfgs):
+        prior[b, _checked_prior(cfg, K)] = True
+    return prior, np.array([[cfg.prior.s_c] for cfg in cfgs])
 
 
-def _msp_merge(scores: np.ndarray, T: np.ndarray, T0: np.ndarray,
-               cfg: PursuitConfig) -> np.ndarray:
-    return np.union1d(T, _msp_refine(scores, T0, cfg))
+# The merge and refine rules work on a stack of problems: scores has one row
+# of chunk scores per problem, and the running support (held), the prior T0
+# and the returned supports are (B, K) masks over the chunks. s_c is a
+# (B, 1) column, s_bar is shared. A rule lays its masks out in each row's
+# ranking, best first, picks there, and lays the pick back out by chunk, so
+# _ranked's tie-break decides every pick.
+
+def _rank_order(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row index and each row's ranking, which together gather a
+    (B, K) mask into rank order or scatter it back."""
+    return np.arange(len(scores))[:, None], _ranked(scores)
 
 
-def _cmsp_refine(scores: np.ndarray, T0: np.ndarray, cfg: PursuitConfig) -> np.ndarray:
-    return _top_k(scores, cfg.s_bar, np.arange(len(scores)))
+def _first(member: np.ndarray, count) -> np.ndarray:
+    """The first count members of each row of a rank-ordered mask."""
+    return member & (np.cumsum(member, axis=1) <= count)
 
 
-def _cmsp_merge(scores: np.ndarray, T: np.ndarray, T0: np.ndarray,
-                cfg: PursuitConfig) -> np.ndarray:
-    # top up the prior only by the shortfall s_c - |T ∩ T0|
-    held = (T0[:, None] == T).any(axis=1)
-    shortfall = cfg.prior.s_c - int(np.count_nonzero(held))
-    topup = _top_k(scores, max(shortfall, 0), T0[~held])
-    return np.unique(np.concatenate((T, topup, _cmsp_refine(scores, T0, cfg))))
+def _by_chunk(rows, ranked, picked: np.ndarray) -> np.ndarray:
+    out = np.empty_like(picked)
+    out[rows, ranked] = picked
+    return out
+
+
+def _msp_refine(scores, prior, s_c, s_bar: int) -> np.ndarray:
+    # the s_c best prior chunks, then the s_bar - s_c best of all others
+    rows, ranked = _rank_order(scores)
+    locked = _first(prior[rows, ranked], s_c)
+    return _by_chunk(rows, ranked, locked | _first(~locked, s_bar - s_c))
+
+
+def _msp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
+    return held | _msp_refine(scores, prior, s_c, s_bar)
+
+
+def _cmsp_refine(scores, prior, s_c, s_bar: int) -> np.ndarray:
+    rows, ranked = _rank_order(scores)
+    top = np.zeros(scores.shape, dtype=bool)
+    top[:, :s_bar] = True
+    return _by_chunk(rows, ranked, top)
+
+
+def _cmsp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
+    # top up the prior only by the shortfall s_c - |T ∩ T0|, then add the
+    # s_bar best chunks overall
+    rows, ranked = _rank_order(scores)
+    shortfall = np.maximum(s_c - (held & prior).sum(axis=1, keepdims=True), 0)
+    picked = _first((prior & ~held)[rows, ranked], shortfall)
+    picked[:, :s_bar] = True
+    return held | _by_chunk(rows, ranked, picked)
+
+
+def _support(mask: np.ndarray) -> ChunkSupport:
+    return ChunkSupport(np.flatnonzero(mask) + 1, len(mask))
 
 
 def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
     R, Phi, idx = _problem(R, Phi, cfg.d, "R")
-    T0 = _checked_prior(cfg, idx.K)
+    prior, s_c = _priors([cfg], idx.K)
     if T_hat.K != idx.K:
         raise DimensionError(f"running support universe {T_hat.K} != {idx.K}")
-    scores = _chunk_norms(Phi.conj().T @ R, idx.d)
-    return ChunkSupport.of(merge(scores, _zero_based(T_hat), T0, cfg) + 1, idx.K)
+    held = np.zeros_like(prior)
+    held[0, _zero_based(T_hat)] = True
+    scores = _chunk_norms(Phi.conj().T @ R, idx.d)[None]
+    return _support(merge(scores, held, prior, s_c, cfg.s_bar)[0])
 
 
 def _refine_step(refine, Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
-    T0 = _checked_prior(cfg, Z.idx.K)
-    T = refine(_chunk_norms(Z.data, Z.idx.d), T0, cfg)
-    return ChunkSupport.of(T + 1, Z.idx.K)
+    prior, s_c = _priors([cfg], Z.idx.K)
+    scores = _chunk_norms(Z.data, Z.idx.d)[None]
+    return _support(refine(scores, prior, s_c, cfg.s_bar)[0])
 
 
 def msp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
@@ -188,58 +245,128 @@ def _embedded(rows: np.ndarray, coef: np.ndarray, idx: ChunkIndexing) -> ChunkSp
     return ChunkSparseMatrix(data, idx)
 
 
-def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing,
-                 cfg: PursuitConfig, merge, refine) -> RecoveryResult:
-    """The pursuit loop on a problem _problem has validated."""
-    T0 = _checked_prior(cfg, idx.K)
+def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
+               d: int):
+    """Least squares of each problem live[i] of the stack, whose Y is Y[i],
+    on its chunks T[i] (a (len(live), K) mask), one stacked solve per
+    support size. Yields, per size, the positions i, their 0-based chunks
+    (G, n), their columns of Phi (G, rows, n d), laid out as a single
+    problem's Phi[:, cols] is, the solutions and the rank flags."""
+    sizes = T.sum(axis=1)
+    for n in sorted(set(sizes.tolist())):
+        g = np.flatnonzero(sizes == n)
+        chunks = np.nonzero(T[g])[1].reshape(len(g), n)
+        cols = _rows(chunks, d)
+        sub = Phi.transpose(0, 2, 1)[live[g][:, None], cols].transpose(0, 2, 1)
+        yield (g, chunks, sub, *_lstsq_stack(sub, Y[g]))
+
+
+def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing, cfgs,
+                 merge, refine) -> list[RecoveryResult]:
+    """The pursuit loop on a stack of problems that _problem or _stack has
+    validated: Y is (B, rows, L), Phi (B, rows, K d) and cfgs[b] problem b's
+    config; the configs share s_bar, d and max_iter. A problem that stops
+    leaves the running set with its own stop reason, so each result is the
+    one the loop gives the problem alone."""
     K, d = idx.K, idx.d
-    PhiH = Phi.conj().T
-    T_prev = np.empty(0, dtype=np.intp)
-    X_prev = np.zeros((0, Y.shape[1]), dtype=np.complex128)
-    R_prev = Y
-    r_prev = frobenius(Y)
-    stop_at = max(cfg.gamma, LS_RCOND * r_prev)
-    trace = [r_prev]
-    deficient = False
+    s_bar = cfgs[0].s_bar
+    prior, s_c = _priors(cfgs, K)
+    trace = [[frobenius(y)] for y in Y]
+    r_prev = np.array([t[0] for t in trace])
+    stop_at = np.maximum([cfg.gamma for cfg in cfgs], LS_RCOND * r_prev)
+    deficient = np.zeros(len(Y), dtype=bool)
+    results = [None] * len(Y)
+    # live holds the running problems in stack order; Y_live, prior, s_c,
+    # stop_at, r_prev, held, T_prev and X_prev hold one row per running
+    # problem. R keeps a row per problem, so the scores come from the whole
+    # stack and Phi is never copied; a stopped problem's row goes unread.
+    live, Y_live = np.arange(len(Y)), Y
+    R, held = Y.copy(), np.zeros_like(prior)
+    T_prev = np.zeros((len(Y), 0), dtype=np.intp)
+    X_prev = np.zeros((len(Y), 0, Y.shape[2]), dtype=np.complex128)
 
-    def result(T, X, iterations, stop):
-        return RecoveryResult(_embedded(_rows(T, d), X, idx),
-                              ChunkSupport.of(T + 1, K), tuple(trace),
-                              iterations, stop, deficient)
+    def finish(stopped, T, X, iterations, stop):
+        for b, T_b, X_b in zip(live[stopped], T[stopped], X[stopped]):
+            results[b] = RecoveryResult(
+                _embedded(_rows(T_b, d), X_b, idx), ChunkSupport(T_b + 1, K),
+                tuple(trace[b]), iterations, stop, bool(deficient[b]))
 
-    for it in range(1, cfg.max_iter + 1):
-        T_a = merge(_chunk_norms(PhiH @ R_prev, d), T_prev, T0, cfg)
-        Z, d1 = _lstsq(Phi[:, _rows(T_a, d)], Y)
-        norms = np.zeros(K)
-        norms[T_a] = _chunk_norms(Z, d)
-        T_next = refine(norms, T0, cfg)
-        sub = Phi[:, _rows(T_next, d)]
-        X_next, d2 = _lstsq(sub, Y)
-        deficient = deficient or d1 or d2
-        R_next = Y - sub @ X_next
-        r_next = frobenius(R_next)
-        trace.append(r_next)
-        if r_next <= stop_at:
-            return result(T_next, X_next, it, StopReason.THRESHOLD_MET)
-        if r_next >= r_prev:
-            return result(T_prev, X_prev, it, StopReason.RESIDUE_NON_DECREASING)
-        T_prev, X_prev, R_prev, r_prev = T_next, X_next, R_next, r_next
-
+    for it in range(1, cfgs[0].max_iter + 1):
+        # |Phi^H R| read off Phi^T conj(R), its conjugate entry for entry, so
+        # that no conjugate of Phi is formed
+        scores = _chunk_norms(Phi.transpose(0, 2, 1) @ R.conj(), d)[live]
+        T_a = merge(scores, held, prior, s_c, s_bar)
+        norms = np.zeros(T_a.shape)
+        for g, chunks, _, Z, flags in _ls_groups(Y_live, Phi, live, T_a, d):
+            norms[g[:, None], chunks] = _chunk_norms(Z, d)
+            deficient[live[g]] |= flags
+        T_next = refine(norms, prior, s_c, s_bar)
+        ((_, T, sub, X, flags),) = _ls_groups(Y_live, Phi, live, T_next, d)
+        deficient[live] |= flags
+        R[live] = R_next = Y_live - sub @ X
+        residues = [frobenius(r) for r in R_next]
+        for b, r in zip(live, residues):
+            trace[b].append(r)
+        r_next = np.array(residues)
+        met = r_next <= stop_at
+        flat = ~met & (r_next >= r_prev)
+        if met.any() or flat.any():
+            finish(met, T, X, it, StopReason.THRESHOLD_MET)
+            finish(flat, T_prev, X_prev, it, StopReason.RESIDUE_NON_DECREASING)
+            go = ~(met | flat)
+            live, Y_live, prior, s_c, stop_at = (live[go], Y_live[go], prior[go],
+                                                 s_c[go], stop_at[go])
+            r_next, T_next, T, X = r_next[go], T_next[go], T[go], X[go]
+            if not live.size:
+                break
+        r_prev, held, T_prev, X_prev = r_next, T_next, T, X
     # residues decreased strictly on every continuation, so the last iterate
     # is the minimum-residue one
-    return result(T_prev, X_prev, cfg.max_iter, StopReason.MAX_ITERATIONS)
+    finish(np.ones(len(live), dtype=bool), T_prev, X_prev, cfgs[0].max_iter,
+           StopReason.MAX_ITERATIONS)
+    return results
+
+
+# pursuit -> (merge, refine); mmv_sp, and sp at d = 1, are msp under the
+# empty prior
+_RULES = {"msp": (_msp_merge, _msp_refine), "cmsp": (_cmsp_merge, _cmsp_refine)}
+_RULES.update(mmv_sp=_RULES["msp"], sp=_RULES["msp"])
+
+
+def recover_batch(algorithm: str, Y, Phi, cfgs) -> list[RecoveryResult]:
+    """Run one pursuit, "msp", "cmsp", "mmv_sp" or "sp", on a stack of
+    problems Y[b] = Phi[b] X[b] + N[b] through one batched loop, validating
+    the stack once. Y is (B, rows, L) and Phi (B, rows, K d); cfgs[b]
+    configures problem b, and the configs may differ in prior and gamma but
+    share s_bar, d and max_iter. mmv_sp and sp read no prior, so their
+    configs hold the empty one. Result b equals the single call on problem
+    b bit for bit."""
+    if algorithm not in _RULES:
+        raise ValueError(f"unknown pursuit {algorithm!r}, expected {tuple(_RULES)}")
+    if len({(cfg.s_bar, cfg.d, cfg.max_iter) for cfg in cfgs}) != 1:
+        raise ValueError("a batch needs one s_bar, d and max_iter")
+    if algorithm in ("mmv_sp", "sp") and any(len(cfg.prior.T0) for cfg in cfgs):
+        raise PriorInfoError(f"{algorithm} reads no prior, got a nonempty T0")
+    if algorithm == "sp" and cfgs[0].d != 1:
+        raise ValueError(f"sp runs at d = 1, got d={cfgs[0].d}")
+    Y, Phi, idx = _stack(Y, Phi, cfgs[0].d)
+    if len(cfgs) != len(Y):
+        raise DimensionError(f"{len(cfgs)} configs for {len(Y)} problems")
+    return _run_pursuit(Y, Phi, idx, cfgs, *_RULES[algorithm])
 
 
 def msp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     """Recover a chunk-sparse X from Y = Phi X + N using the prior-forcing
     pursuit."""
-    return _run_pursuit(*_problem(Y, Phi, cfg.d), cfg, _msp_merge, _msp_refine)
+    Y, Phi, idx = _problem(Y, Phi, cfg.d)
+    return _run_pursuit(Y[None], Phi[None], idx, [cfg], *_RULES["msp"])[0]
 
 
 def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     """Recover X with the conservative variant (prior used for candidates
     only, never locked into the output support)."""
-    return _run_pursuit(*_problem(Y, Phi, cfg.d), cfg, _cmsp_merge, _cmsp_refine)
+    Y, Phi, idx = _problem(Y, Phi, cfg.d)
+    return _run_pursuit(Y[None], Phi[None], idx, [cfg], *_RULES["cmsp"])[0]
 
 
 def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
@@ -253,7 +380,7 @@ def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1) -> RecoveryResu
     Y, Phi, idx = _problem(Y, Phi, d)
     cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(idx.K),
                         gamma=gamma, d=d)
-    return _run_pursuit(Y, Phi, idx, cfg, _msp_merge, _msp_refine)
+    return _run_pursuit(Y[None], Phi[None], idx, [cfg], *_RULES["msp"])[0]
 
 
 def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:

@@ -126,15 +126,15 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
              for _ in range(n_frames)]
     universe = np.arange(1, params.K + 1)
     first = rng.choice(universe, size=sizes[0], replace=False)
-    supports = [ChunkSupport.of(first.tolist(), params.K)]
+    supports = [ChunkSupport.of(first, params.K)]
     for i in range(1, n_frames):
-        prev = supports[-1]
+        prev = np.array(supports[-1].indices, dtype=int)
         want = params.s_c if pinned else int(rng.integers(params.s_c, params.s_c + 3))
         ov = min(want, len(prev), sizes[i])
-        keep = rng.choice(np.array(prev.indices, dtype=int), size=ov,
-                          replace=False)
-        fresh = rng.choice(np.array(prev.complement().indices, dtype=int),
-                           size=sizes[i] - ov, replace=False)
-        supports.append(ChunkSupport.of(keep.tolist() + fresh.tolist(), params.K))
+        keep = rng.choice(prev, size=ov, replace=False)
+        outside = np.ones(params.K, dtype=bool)
+        outside[prev - 1] = False
+        fresh = rng.choice(universe[outside], size=sizes[i] - ov, replace=False)
+        supports.append(ChunkSupport.of(np.concatenate((keep, fresh)), params.K))
     return supports
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cspursuit.experiments as experiments
 import cspursuit.mimo as mimo
 from cspursuit.errors import ConfigError, GenerationError, MetricError
 from cspursuit.experiments import (CSV_COLUMNS, SWEEP_AXES,
@@ -342,6 +343,19 @@ class TestTrialSharing:
         return calls
 
     @staticmethod
+    def _count_problems(monkeypatch, pursuit):
+        """The problems of one pursuit that mimo hands to its batch seam."""
+        problems = []
+        original = mimo.recover_batch
+
+        def counting(algorithm, Y, Phi, cfgs):
+            if algorithm == pursuit:
+                problems.extend(cfgs)
+            return original(algorithm, Y, Phi, cfgs)
+        monkeypatch.setattr(mimo, "recover_batch", counting)
+        return problems
+
+    @staticmethod
     def _expected_row(cfg, value, algorithm, scenario, **kwargs):
         last = [run_frame_sequence(scenario, 2, algorithm,
                                    np.random.default_rng(cfg.base_seed + t),
@@ -388,13 +402,13 @@ class TestTrialSharing:
 
     def test_sweep_estimates_first_frame_once(self, monkeypatch):
         # frame 1 runs through mmv_sp, so msp only estimates measured frames
-        calls = self._count_calls(monkeypatch, "msp_recover")
+        calls = self._count_problems(monkeypatch, "msp")
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
         run_sweep(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
     def test_mismatch_estimates_first_frame_once(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, "msp_recover")
+        calls = self._count_problems(monkeypatch, "msp")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
         run_sweep(cfg)
@@ -404,14 +418,15 @@ class TestTrialSharing:
         # genie, sp and mmv_sp read no prior, so the believed value cannot
         # change their estimate; sp runs once per antenna, mmv_sp also for
         # frame 1
-        counts = {name: self._count_calls(monkeypatch, name)
-                  for name in ("genie_ls", "sp_recover", "mmv_sp_recover")}
+        counts = {"genie": self._count_calls(monkeypatch, "genie_ls"),
+                  "sp": self._count_problems(monkeypatch, "sp"),
+                  "mmv_sp": self._count_problems(monkeypatch, "mmv_sp")}
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
         run_sweep(cfg)
         n = cfg.n_trials
         assert {name: len(calls) for name, calls in counts.items()} == {
-            "genie_ls": n, "sp_recover": n * cfg.N_ue, "mmv_sp_recover": 2 * n}
+            "genie": n, "sp": n * cfg.N_ue, "mmv_sp": 2 * n}
 
     def test_only_measured_frames_are_scored(self, monkeypatch):
         # frame 1 supplies only its support, so it is never mapped back
@@ -423,9 +438,19 @@ class TestTrialSharing:
 
     def test_first_frame_skipped_without_prior_readers(self, monkeypatch):
         # genie and sp read no prior, so frame 1 is never estimated
-        calls = self._count_calls(monkeypatch, "mmv_sp_recover")
+        calls = self._count_problems(monkeypatch, "mmv_sp")
         run_sweep(small_config(algorithms=("genie", "sp")))
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("axis,values", [("pilot_length", (8, 12)),
+                                             ("believed_s_c", (0, 1))])
+    def test_trial_blocks_leave_rows_unchanged(self, monkeypatch, axis, values):
+        # a point's trials run in blocks; where the blocks end moves no row
+        cfg = small_config(sweep_axis=axis, sweep_values=values,
+                           algorithms=ALGORITHMS, n_trials=7)
+        whole = rows_to_csv_text(run_sweep(cfg))
+        monkeypatch.setattr(experiments, "_BLOCK_TRIALS", 3)
+        assert rows_to_csv_text(run_sweep(cfg)) == whole
 
     def test_sweep_rows_match_per_sequence_runs(self):
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)

@@ -242,14 +242,15 @@ class TestPriorPromise:
 
     @staticmethod
     def _record_priors(monkeypatch):
+        # the prior of each msp or cmsp problem handed to mimo's batch seam
         priors = []
-        for name in ("msp_recover", "cmsp_recover"):
-            solver = getattr(mimo, name)
+        original = mimo.recover_batch
 
-            def recording(Y, Phi, cfg, _solver=solver):
-                priors.append(cfg.prior)
-                return _solver(Y, Phi, cfg)
-            monkeypatch.setattr(mimo, name, recording)
+        def recording(algorithm, Y, Phi, cfgs):
+            if algorithm in ("msp", "cmsp"):
+                priors.extend(cfg.prior for cfg in cfgs)
+            return original(algorithm, Y, Phi, cfgs)
+        monkeypatch.setattr(mimo, "recover_batch", recording)
         return priors
 
     def test_default_prior_keeps_its_floor(self, monkeypatch):
@@ -280,6 +281,39 @@ class TestPriorPromise:
             assert prior.s_c == min(6, len(prior.T0))
             overstated += prior.s_c > len(prior.T0.intersection(recs[1].T_true))
         assert overstated > 0
+
+
+class TestFrameBatches:
+    """estimate_frames and estimate_supports run a list of frames as one
+    batch; each frame's record equals the one-frame call's."""
+
+    def test_batch_equals_single_frames(self):
+        scen = make_scenario()
+        trials = [mimo.simulate_frames(scen, 2, np.random.default_rng(seed))
+                  for seed in range(6)]
+        first, measured = [a for a, _ in trials], [b for _, b in trials]
+        empty = ChunkSupport.empty(scen.M)
+        T0s = mimo.estimate_supports(scen, first, "mmv_sp", [empty] * 6)
+        assert T0s == [mimo.estimate_support(scen, frame, "mmv_sp", empty)
+                       for frame in first]
+        for alg in ALGORITHMS:
+            for believed_s_c in (None, 2):
+                batch = mimo.estimate_frames(scen, measured, alg, T0s,
+                                             believed_s_c=believed_s_c)
+                for frame, T0, got in zip(measured, T0s, batch):
+                    want = mimo.estimate_frame(scen, frame, alg, T0,
+                                               believed_s_c=believed_s_c)
+                    assert ((got.nmse_ratio, got.T_hat, got.iterations,
+                             got.stop_reason, got.rank_deficient_ls)
+                            == (want.nmse_ratio, want.T_hat, want.iterations,
+                                want.stop_reason, want.rank_deficient_ls))
+
+    def test_empty_batch_and_prior_count(self):
+        scen = make_scenario()
+        assert mimo.estimate_frames(scen, [], "msp", []) == []
+        frames = mimo.simulate_frames(scen, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="1 priors T0 for 2 frames"):
+            mimo.estimate_frames(scen, frames, "msp", [ChunkSupport.empty(scen.M)])
 
 
 class TestScenarioValidation:

@@ -1,7 +1,7 @@
 """Tests for the prior-aware pursuit solvers and their support-update steps."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cspursuit.analysis import RipQuery, block_rip_exact
 from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
@@ -13,7 +13,7 @@ from cspursuit.mimo import (MimoScenario, default_gamma, estimate_support,
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
                                mmv_sp_recover, msp_recover, msp_support_merge,
-                               msp_support_refine, sp_recover)
+                               msp_support_refine, recover_batch, sp_recover)
 from cspursuit.sparsity import (ChunkSparseMatrix, ChunkSupport, PriorSupportInfo,
                                 chunk_support)
 
@@ -578,3 +578,139 @@ def test_scaling_scales_estimate(algorithm, seed, T, size, phase):
     assert b.T_hat == a.T_hat
     assert b.iterations == a.iterations
     assert_close(b.X_hat.data, c * a.X_hat.data)
+
+
+def chunk_pair_problem(seed, T):
+    """harness_problem's data read at d = 2: Phi's 64 columns as 32 chunks
+    of two, a budget of 4 chunks, and mmv_sp's d = 2 frame-1 support as the
+    prior, its s_c capped at its overlap with the chunks of the true
+    support."""
+    scenario = MimoScenario(M=64, N_ue=2, T=T, P=10 ** 2.5, s_bar=8, s_c=4)
+    (_, Y1, Phi1), (channel, Y, Phi) = simulate_frames(
+        scenario, 2, np.random.default_rng(seed))
+    gamma = default_gamma(2, T)
+    T0 = mmv_sp_recover(Y1, Phi1, 4, gamma, d=2).T_hat
+    true = ChunkSupport.of([(k + 1) // 2 for k in channel.T_true], 32)
+    return Y, Phi, PriorSupportInfo(T0, min(2, len(T0.intersection(true)))), gamma
+
+
+def chunk_pair_solve(algorithm, Y, Phi, prior, gamma):
+    if algorithm == "mmv_sp":
+        return mmv_sp_recover(Y, Phi, 4, gamma, d=2)
+    solver = cmsp_recover if algorithm == "cmsp" else msp_recover
+    return solver(Y, Phi, PursuitConfig(s_bar=4, prior=prior, gamma=gamma, d=2))
+
+
+@pytest.mark.parametrize("algorithm", ["msp", "cmsp", "mmv_sp"])
+@settings(max_examples=40, deadline=None)
+@given(u_seed=st.integers(0, 10**6), **HARNESS_DATA)
+def test_chunk_unitary_rotates_estimate(algorithm, seed, T, u_seed):
+    # Phi_i -> Phi_i U_i keeps every chunk's span and norms, so the
+    # estimate's chunk X_i -> U_i^H X_i
+    Y, Phi, prior, gamma = chunk_pair_problem(seed, T)
+    rng = np.random.default_rng(u_seed)
+    U = [np.linalg.qr(random_complex(rng, (2, 2)))[0] for _ in range(32)]
+    rotated = np.hstack([Phi[:, 2 * i:2 * i + 2] @ U[i] for i in range(32)])
+    a = chunk_pair_solve(algorithm, Y, Phi, prior, gamma)
+    b = chunk_pair_solve(algorithm, Y, rotated, prior, gamma)
+    assert b.T_hat == a.T_hat
+    assert b.iterations == a.iterations
+    assert_close(b.X_hat.data, np.vstack([U[i].conj().T @ a.X_hat.data[2 * i:2 * i + 2]
+                                          for i in range(32)]))
+
+
+def batch_problem(rng, kind, d, l_cols):
+    """One problem of a batch (K = 10 chunks of height d, s_bar = 3) that
+    stops in a known way: "met" at once under a large gamma, "flat" with no
+    first decrease (Y orthogonal to Phi), "plain" on noise with gamma = 0,
+    and "duplicate", where two equal chunks carry Y, so the first least
+    squares meets an uncertified Gram and takes the lstsq route. Returns Y,
+    Phi, T0, s_c and gamma; T0 and s_c are drawn per problem."""
+    K, M = 10, 8 + 2 * d
+    Phi = random_complex(rng, (M, K * d)) / np.sqrt(2 * M)
+    Y = random_complex(rng, (M, l_cols))
+    T0 = ChunkSupport.of(rng.choice(K, size=int(rng.integers(0, 4)),
+                                    replace=False) + 1, K)
+    s_c = int(rng.integers(0, len(T0) + 1))
+    gamma = 1e6 if kind == "met" else 0.0
+    if kind == "flat":
+        Phi[-1] = 0
+        Y[:] = 0
+        Y[-1] = 1.0
+    elif kind == "duplicate":
+        # chunk a, ten times longer than the others, and its copy b score
+        # far above every other chunk, so the first merge holds both
+        a, b = rng.choice(K, size=2, replace=False)
+        Phi[:, a * d:(a + 1) * d] *= 10
+        Phi[:, b * d:(b + 1) * d] = Phi[:, a * d:(a + 1) * d]
+        Y = Phi[:, a * d:(a + 1) * d] @ random_complex(rng, (d, l_cols))
+        s_c = 0
+    return Y, Phi, T0, s_c, gamma
+
+
+KINDS = ("met", "flat", "plain", "duplicate")
+
+
+@pytest.mark.parametrize("algorithm", ["msp", "cmsp", "mmv_sp"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([1, 2]),
+       l_cols=st.sampled_from([1, 3]), max_iter=st.sampled_from([1, 3, 100]),
+       kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+@example(seed=0, d=1, l_cols=1, max_iter=1, kinds=list(KINDS))
+@example(seed=1, d=2, l_cols=3, max_iter=1, kinds=list(KINDS) + ["plain", "met"])
+def test_batch_equals_singles(algorithm, seed, d, l_cols, max_iter, kinds):
+    rng = np.random.default_rng(seed)
+    problems = [batch_problem(rng, kind, d, l_cols) for kind in kinds]
+    cfgs = [PursuitConfig(s_bar=3, gamma=gamma, d=d, max_iter=max_iter,
+                          prior=(PriorSupportInfo.empty(10) if algorithm == "mmv_sp"
+                                 else PriorSupportInfo(T0, s_c)))
+            for _, _, T0, s_c, gamma in problems]
+    Y = np.stack([p[0] for p in problems])
+    Phi = np.stack([p[1] for p in problems])
+    batch = recover_batch(algorithm, Y, Phi, cfgs)
+    for kind, y, phi, cfg, got in zip(kinds, Y, Phi, cfgs, batch):
+        (want,) = recover_batch(algorithm, y[None], phi[None], [cfg])
+        assert got.T_hat == want.T_hat
+        np.testing.assert_array_equal(got.X_hat.data, want.X_hat.data)
+        assert got.residue_norms == want.residue_norms
+        assert got.iterations == want.iterations
+        assert got.stop_reason is want.stop_reason
+        assert got.rank_deficient_ls == want.rank_deficient_ls
+        if kind == "duplicate":
+            assert want.rank_deficient_ls
+    if max_iter == 1 and {"met", "flat", "plain"} <= set(kinds):
+        assert {r.stop_reason for r in batch} == set(StopReason)
+
+
+def _stack_of(B, K=6, rows=5, cols=1):
+    rng = np.random.default_rng(0)
+    return random_complex(rng, (B, rows, cols)), random_complex(rng, (B, rows, K))
+
+
+def _cfg(K=6, **kw):
+    return PursuitConfig(**dict(dict(s_bar=2, prior=PriorSupportInfo.empty(K),
+                                     gamma=0.0), **kw))
+
+
+@pytest.mark.parametrize("call,error,pattern", [
+    (lambda: recover_batch("omp", *_stack_of(1), [_cfg()]), ValueError,
+     "unknown pursuit 'omp'"),
+    (lambda: recover_batch("msp", *_stack_of(2), [_cfg(), _cfg(s_bar=3)]),
+     ValueError, "one s_bar, d and max_iter"),
+    (lambda: recover_batch("mmv_sp", *_stack_of(1), [_cfg(prior=PriorSupportInfo(
+        ChunkSupport.of([1], 6), 1))]), PriorInfoError, "mmv_sp reads no prior"),
+    (lambda: recover_batch("sp", *_stack_of(1), [_cfg(K=3, d=2)]), ValueError,
+     "sp runs at d = 1"),
+    (lambda: recover_batch("msp", *_stack_of(2), [_cfg()]), DimensionError,
+     "1 configs for 2 problems"),
+    (lambda: recover_batch("msp", np.ones((5, 1)), np.ones((5, 6)), [_cfg()]),
+     DimensionError, "must be stacks"),
+    (lambda: recover_batch("msp", np.ones((1, 4, 1)), np.ones((1, 5, 6)), [_cfg()]),
+     DimensionError, "Y has 4 rows, Phi has 5"),
+    (lambda: recover_batch("cmsp", np.full((1, 5, 1), np.nan), np.ones((1, 5, 6)),
+                           [_cfg()]), NonFiniteError, "Y contains non-finite"),
+], ids=["unknown", "mixed-budget", "prior-free", "sp-chunked", "config-count",
+        "not-stacked", "rows", "non-finite"])
+def test_batch_guards(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()
