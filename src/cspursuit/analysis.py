@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _rows, as_matrix, chunking,
-                   frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _rows, _whole_fields, as_matrix,
+                   chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -58,6 +58,7 @@ class RipQuery:
     d: int
 
     def __post_init__(self) -> None:
+        _whole_fields(self, "k", "d")
         if self.k < 1 or self.d < 1:
             raise ValueError(f"k and d must be positive, got k={self.k}, d={self.d}")
 

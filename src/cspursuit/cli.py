@@ -2,11 +2,12 @@
 
 Subcommands: sweep runs the config's Monte-Carlo sweep to CSV; rip
 evaluates isometry constants of a stored matrix; bounds prints guarantee
-constants and bounds; recover runs one pursuit, mmv_sp as msp on the empty
-prior, on stored Y and Phi. SNR is in dB, converted once. Each parser's
-`least` default maps its integer flags to their least values; main refuses
-a flag below its floor before any file is read. bounds leaves --s-bar,
---s-c and --t0-size to isometry_orders, which checks them together.
+constants and bounds; recover runs msp, cmsp or mmv_sp on stored Y and Phi
+as a batch of one problem through recover_batch. SNR is in dB, converted
+once. Each parser's `least` default maps its integer flags to their least
+values; main refuses a flag below its floor before any file is read. bounds
+leaves --s-bar, --s-c and --t0-size to isometry_orders, which checks them
+together.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ from .analysis import (ENUMERATION_CAP, RipQuery, block_rip_exact,
 from .core import ChunkSupport, chunking, read_matrix, write_matrix
 from .errors import ConfigError, CsPursuitError
 from .experiments import _power, load_config, run_sweep, write_csv
-from .mimo import PRIOR_ALGORITHMS
-from .pursuit import PursuitConfig, StopReason, cmsp_recover, msp_recover
+from .pursuit import PRIOR_ALGORITHMS, PursuitConfig, StopReason, recover_batch
 from .sparsity import PriorSupportInfo
 
 
@@ -148,15 +148,13 @@ def _cmd_recover(args) -> int:
         t0_indices = [int(s) for s in args.t0.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--t0 takes chunk indices, got {args.t0!r}") from None
-    # mmv_sp is msp on the empty prior
     if args.algorithm not in PRIOR_ALGORITHMS and (t0_indices or args.s_c):
         raise ConfigError(f"{args.algorithm} reads no prior: drop --t0 and --s-c")
     K = chunking(Phi, args.d).K
     prior = PriorSupportInfo(ChunkSupport.of(t0_indices, K), args.s_c)
     cfg = PursuitConfig(s_bar=args.s_bar, prior=prior, gamma=args.gamma,
                         d=args.d, max_iter=args.max_iter)
-    solver = cmsp_recover if args.algorithm == "cmsp" else msp_recover
-    result = solver(Y, Phi, cfg)
+    (result,) = recover_batch(args.algorithm, [Y], [Phi], [cfg])
     returned_residue = (result.residue_norms[-2]
                         if result.stop_reason is StopReason.RESIDUE_NON_DECREASING
                         else result.residue_norms[-1])

@@ -58,12 +58,23 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def _chunk_index(i) -> int:
-    """A chunk index as an int; a value that is not whole is refused."""
-    k = int(i)
-    if k != i:
-        raise ValueError(f"chunk index must be a whole number, got {i!r}")
+def _whole(value, name: str = "chunk index") -> int:
+    """value as an int; a value that is not a whole number (a fraction, nan,
+    inf, None) is refused with a ValueError that names it."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     return k
+
+
+def _whole_fields(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as an int, refusing one
+    that is not a whole number."""
+    for name in names:
+        object.__setattr__(obj, name, _whole(getattr(obj, name), name))
 
 
 def _int_array(indices) -> bool:
@@ -86,6 +97,7 @@ class ChunkIndexing:
     d: int
 
     def __post_init__(self) -> None:
+        _whole_fields(self, "K", "d")
         if self.K < 1 or self.d < 1:
             raise ValueError(f"K and d must be positive, got K={self.K}, d={self.d}")
 
@@ -96,7 +108,7 @@ class ChunkIndexing:
     def rows_of(self, chunks: Iterable[int]) -> np.ndarray:
         """0-based row indices covered by the given chunks, in ascending
         chunk order."""
-        ordered = sorted(set(map(_chunk_index, chunks)))
+        ordered = sorted(set(map(_whole, chunks)))
         if ordered and (ordered[0] < 1 or ordered[-1] > self.K):
             raise IndexError(f"chunk index out of range 1..{self.K}: {ordered}")
         return _rows(np.array(ordered, dtype=np.intp) - 1, self.d)
@@ -126,7 +138,7 @@ class ChunkSupport:
     def __post_init__(self) -> None:
         raw = self.indices
         idx = (tuple(raw.tolist()) if _int_array(raw)
-               else tuple(map(_chunk_index, raw)))
+               else tuple(map(_whole, raw)))
         object.__setattr__(self, "indices", idx)
         if self.K < 0:
             raise ValueError(f"K must be nonnegative, got {self.K}")
@@ -141,7 +153,7 @@ class ChunkSupport:
         array in one np.unique, anything else one index at a time."""
         if _int_array(indices):
             return cls(np.unique(indices), K)
-        return cls(tuple(sorted(set(map(_chunk_index, indices)))), K)
+        return cls(tuple(sorted(set(map(_whole, indices)))), K)
 
     @classmethod
     def empty(cls, K: int) -> "ChunkSupport":
@@ -218,7 +230,7 @@ def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
     """
     if k < 0:
         raise SelectionError(f"k must be nonnegative, got {k}")
-    cand = sorted(set(map(_chunk_index, candidates)))
+    cand = sorted(set(map(_whole, candidates)))
     if k > len(cand):
         raise SelectionError(f"asked for {k} chunks from {len(cand)} candidates")
     if cand and (cand[0] < 1 or cand[-1] > len(scores)):

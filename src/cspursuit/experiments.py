@@ -7,7 +7,7 @@ cmsp are under the empty prior). The s_c axis sets the generator's overlap
 floor on the true supports, so the frame-2 data differ across s_c values.
 By default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
 from the measured frame's true support that no receiver has; criterion 08
-passes only with it (see estimate_frame). Only the believed_s_c axis, the
+passes only with it (see estimate_frames). Only the believed_s_c axis, the
 mismatch study, tells the pursuits a floor that may be wrong: it pins the
 true consecutive overlap at s_c and tells them each sweep value instead.
 """
@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import ChunkSupport
 from .errors import ConfigError, MetricError
-from .mimo import (ALGORITHMS, PRIOR_ALGORITHMS, MimoScenario, estimate_frames,
-                   estimate_supports, simulate_frames)
+from .mimo import (ALGORITHMS, MimoScenario, estimate_frames, estimate_supports,
+                   simulate_frames)
+from .pursuit import PRIOR_ALGORITHMS
 
 __all__ = [
     "SWEEP_AXES",
@@ -241,7 +242,7 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
                             P=_power("snr_db", point.snr_db),
                             s_bar=point.s_bar, s_c=point.s_c), members)
               for point, members in points]
-    gamma = config.gamma_value  # None: estimate_frame's sqrt(2 N T)
+    gamma = config.gamma_value  # None: estimate_frames' sqrt(2 N T)
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
     last = {}  # (position, algorithm) -> measured frame of every trial
     for scenario, members in groups:

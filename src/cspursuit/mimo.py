@@ -16,9 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ChunkSupport, _zero_based, as_matrix, frobenius
+from .core import (ChunkSupport, _whole, _whole_fields, _zero_based, as_matrix,
+                   frobenius)
 from .errors import DimensionError, GenerationError, MetricError
-from .pursuit import PursuitConfig, StopReason, genie_ls, recover_batch
+from .pursuit import (PRIOR_ALGORITHMS, PursuitConfig, StopReason, genie_ls,
+                      recover_batch)
 from .sparsity import PriorSupportInfo, SupportEvolutionParams, \
     _complex_gaussian, generate_support_sequence
 
@@ -26,7 +28,6 @@ __all__ = [
     "MimoScenario",
     "ChannelFrame",
     "FrameRecord",
-    "PRIOR_ALGORITHMS",
     "ALGORITHMS",
     "dft_unitary",
     "generate_pilots",
@@ -38,12 +39,9 @@ __all__ = [
     "simulate_frames",
     "estimate_supports",
     "estimate_frames",
-    "estimate_support",
-    "estimate_frame",
     "run_frame_sequence",
 ]
 
-PRIOR_ALGORITHMS = ("msp", "cmsp")  # the algorithms that read a prior T0
 ALGORITHMS = PRIOR_ALGORITHMS + ("mmv_sp", "sp", "genie")
 
 
@@ -64,6 +62,7 @@ class MimoScenario:
     evolution: SupportEvolutionParams = field(init=False)
 
     def __post_init__(self) -> None:
+        _whole_fields(self, "M", "N_ue", "T", "s_bar", "s_c")
         if min(self.M, self.N_ue, self.T) < 1:
             raise ValueError("M, N_ue, T must be positive")
         if not self.P > 0:
@@ -100,6 +99,7 @@ class FrameRecord:
 def dft_unitary(n: int) -> np.ndarray:
     """Unitary DFT matrix, entry (a, b) = exp(-2 pi i a b / n) / sqrt(n).
     Cached per n, so the array is read-only."""
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     a = np.arange(n)
@@ -218,7 +218,7 @@ def _estimate(scenario: MimoScenario, frames, algorithm: str, T0s,
               gamma: Optional[float], believed_s_c: Optional[int]):
     """(X_hat, T_hat, iterations, stop reason, rank flag) of one algorithm
     on each simulate_frames entry frames[i], with prior T0s[i]; the frames'
-    pursuits run as one batch. See estimate_frame for the prior rule."""
+    pursuits run as one batch. See estimate_frames for the prior rule."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
     m, n, t = scenario.M, scenario.N_ue, scenario.T
@@ -272,9 +272,16 @@ def estimate_supports(scenario: MimoScenario, frames, algorithm: str, T0s,
 def estimate_frames(scenario: MimoScenario, frames, algorithm: str, T0s,
                     gamma: Optional[float] = None,
                     believed_s_c: Optional[int] = None) -> list[FrameRecord]:
-    """estimate_frame on each of a list of simulate_frames entries, frame i
-    with prior T0s[i]: the pursuits run as one batch, and each frame is
-    mapped back and scored on its own."""
+    """Estimate and score a list of simulate_frames entries with one
+    algorithm, frame i with prior T0s[i]: the pursuits run as one batch, and
+    each frame is mapped back and scored on its own. The PRIOR_ALGORITHMS
+    read T0s[i], the previous frame's estimated support (empty for a first
+    frame). The scenario's s_c floors only the overlap of true supports, so
+    by default the prior's s_c is min(scenario s_c, |T0 ∩ T|) and the
+    promise |T0 ∩ T| >= s_c holds. That count reads the measured frame's
+    true support T, which no receiver has; criterion 08 passes only with it.
+    An explicit believed_s_c is passed as told, clamped only to |T0|, and
+    may overstate it (the mismatch study)."""
     records = []
     for (channel, _, _), (X_hat, T_hat, iterations, stop, deficient) in zip(
             frames, _estimate(scenario, frames, algorithm, T0s, gamma,
@@ -288,27 +295,6 @@ def estimate_frames(scenario: MimoScenario, frames, algorithm: str, T0s,
     return records
 
 
-def estimate_support(scenario: MimoScenario, frame, algorithm: str,
-                     T0: ChunkSupport, gamma: Optional[float] = None) -> ChunkSupport:
-    """estimate_supports on one frame."""
-    return estimate_supports(scenario, [frame], algorithm, [T0], gamma)[0]
-
-
-def estimate_frame(scenario: MimoScenario, frame, algorithm: str,
-                   T0: ChunkSupport, gamma: Optional[float] = None,
-                   believed_s_c: Optional[int] = None) -> FrameRecord:
-    """Estimate and score one simulate_frames entry with one algorithm; the
-    PRIOR_ALGORITHMS read T0, the previous frame's estimated support (empty
-    for a first frame). The scenario's s_c floors only the overlap of true
-    supports, so by default the prior's s_c is min(scenario s_c, |T0 ∩ T|)
-    and the promise |T0 ∩ T| >= s_c holds. That count reads the measured
-    frame's true support T, which no receiver has; criterion 08 passes only
-    with it. An explicit believed_s_c is passed as told, clamped only to
-    |T0|, and may overstate it (the mismatch study)."""
-    return estimate_frames(scenario, [frame], algorithm, [T0], gamma,
-                           believed_s_c)[0]
-
-
 def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
                        rng: np.random.Generator,
                        gamma: Optional[float] = None,
@@ -316,13 +302,13 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
                        believed_s_c: Optional[int] = None,
                        pinned: bool = False) -> list[FrameRecord]:
     """n_frames of channel estimation with one algorithm: simulate_frames,
-    pinned or not, then estimate_frame per frame with T0 empty for frame 1
-    and the previous frame's estimated support after it (see both for the
-    data and the prior rule)."""
+    pinned or not, then estimate_frames frame by frame with T0 empty for
+    frame 1 and the previous frame's estimated support after it (see both
+    for the data and the prior rule)."""
     records: list[FrameRecord] = []
     T0 = ChunkSupport.empty(scenario.M)
     for frame in simulate_frames(scenario, n_frames, rng, noise, pinned):
-        records.append(estimate_frame(scenario, frame, algorithm, T0, gamma,
-                                      believed_s_c))
+        records += estimate_frames(scenario, [frame], algorithm, [T0], gamma,
+                                   believed_s_c)
         T0 = records[-1].T_hat
     return records

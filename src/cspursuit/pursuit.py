@@ -11,8 +11,9 @@ each with its own prior and gamma. The rules rank every problem's chunks in
 one stable sort, the least squares solves stack the Grams of the problems
 whose supports have one size, and each problem stops on its own, so every
 result equals the one the problem gets alone. recover_batch is the batched
-entry; msp_recover, cmsp_recover, mmv_sp_recover, sp_recover and the four
-support steps are its one-problem case.
+entry, and every entry validates its problems as a stack, a single problem
+as a stack of one: msp_recover, cmsp_recover, mmv_sp_recover, sp_recover and
+the four support steps are the one-problem case.
 """
 from __future__ import annotations
 
@@ -22,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (LS_RCOND, ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq,
-                   _lstsq_stack, _ranked, _rows, _zero_based, as_matrix,
-                   chunking, frobenius)
+                   _lstsq_stack, _ranked, _rows, _whole_fields, _zero_based,
+                   as_matrix, chunking, frobenius)
 from .errors import DimensionError, PriorInfoError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
 __all__ = [
+    "PRIOR_ALGORITHMS",
     "StopReason",
     "PursuitConfig",
     "RecoveryResult",
@@ -69,6 +71,7 @@ class PursuitConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
+        _whole_fields(self, "s_bar", "d", "max_iter")
         if self.s_bar < 1:
             raise ValueError(f"s_bar must be positive, got {self.s_bar}")
         if len(self.prior.T0) > self.s_bar:  # the prior holds s_c <= |T0|
@@ -100,46 +103,32 @@ class RecoveryResult:
     rank_deficient_ls: bool
 
 
-def _problem(Y, Phi, d: int, name: str = "Y") -> tuple[np.ndarray, np.ndarray, ChunkIndexing]:
-    """Validate Y and Phi of a problem Y = Phi X once and chunk Phi."""
-    Y = as_matrix(Y, name)
-    Phi = as_matrix(Phi, "Phi")
-    if Y.shape[0] != Phi.shape[0]:
-        raise DimensionError(f"{name} has {Y.shape[0]} rows, Phi has {Phi.shape[0]}")
-    return Y, Phi, chunking(Phi, d)
-
-
-def _stack(Y, Phi, d: int) -> tuple[np.ndarray, np.ndarray, ChunkIndexing]:
+def _stack(Y, Phi, name: str = "Y") -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of problems Y[b] = Phi[b] X[b] once, Y as
-    (B, rows, L) and Phi as (B, rows, K d), and chunk its Phi."""
+    (B, rows, L) and Phi as (B, rows, K d); one problem is [Y], [Phi]."""
     Y = np.asarray(Y, dtype=np.complex128)
     Phi = np.asarray(Phi, dtype=np.complex128)
     if Y.ndim != 3 or Phi.ndim != 3 or len(Y) != len(Phi) or not len(Y):
-        raise DimensionError(f"Y {Y.shape} and Phi {Phi.shape} must be stacks "
+        raise DimensionError(f"{name} {Y.shape} and Phi {Phi.shape} must be stacks "
                              "(B, rows, L) and (B, rows, K d) of B >= 1 problems")
-    for name, a in (("Y", Y), ("Phi", Phi)):
-        as_matrix(a.reshape(-1, a.shape[2]), name)
+    for label, a in ((name, Y), ("Phi", Phi)):
+        as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]), label)
     if Y.shape[1] != Phi.shape[1]:
-        raise DimensionError(f"Y has {Y.shape[1]} rows, Phi has {Phi.shape[1]}")
-    return Y, Phi, chunking(Phi[0], d)
-
-
-def _checked_prior(cfg: PursuitConfig, K: int) -> np.ndarray:
-    """Check the budget and the prior against K chunks, so that no rule
-    below asks for more chunks than its pool holds; return T0 0-based."""
-    if cfg.s_bar > K:
-        raise SelectionError(f"s_bar={cfg.s_bar} exceeds K={K}")
-    if len(cfg.prior.T0) and cfg.prior.T0.K != K:
-        raise DimensionError(f"prior universe {cfg.prior.T0.K} != K={K}")
-    return _zero_based(cfg.prior.T0)
+        raise DimensionError(f"{name} has {Y.shape[1]} rows, Phi has {Phi.shape[1]}")
+    return Y, Phi
 
 
 def _priors(cfgs, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each config's checked prior: a (B, K) mask of T0 and a (B, 1) column
-    of s_c."""
+    """Each config's prior, checked with its budget against K chunks so that
+    no rule below asks for more chunks than its pool holds: a (B, K) mask
+    of T0 and a (B, 1) column of s_c."""
     prior = np.zeros((len(cfgs), K), dtype=bool)
     for b, cfg in enumerate(cfgs):
-        prior[b, _checked_prior(cfg, K)] = True
+        if cfg.s_bar > K:
+            raise SelectionError(f"s_bar={cfg.s_bar} exceeds K={K}")
+        if len(cfg.prior.T0) and cfg.prior.T0.K != K:
+            raise DimensionError(f"prior universe {cfg.prior.T0.K} != K={K}")
+        prior[b, _zero_based(cfg.prior.T0)] = True
     return prior, np.array([[cfg.prior.s_c] for cfg in cfgs])
 
 
@@ -200,7 +189,8 @@ def _support(mask: np.ndarray) -> ChunkSupport:
 
 
 def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
-    R, Phi, idx = _problem(R, Phi, cfg.d, "R")
+    (R,), (Phi,) = _stack([R], [Phi], "R")
+    idx = chunking(Phi, cfg.d)
     prior, s_c = _priors([cfg], idx.K)
     if T_hat.K != idx.K:
         raise DimensionError(f"running support universe {T_hat.K} != {idx.K}")
@@ -263,11 +253,11 @@ def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
 
 def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing, cfgs,
                  merge, refine) -> list[RecoveryResult]:
-    """The pursuit loop on a stack of problems that _problem or _stack has
-    validated: Y is (B, rows, L), Phi (B, rows, K d) and cfgs[b] problem b's
-    config; the configs share s_bar, d and max_iter. A problem that stops
-    leaves the running set with its own stop reason, so each result is the
-    one the loop gives the problem alone."""
+    """The pursuit loop on a stack of problems that _stack has validated:
+    Y is (B, rows, L), Phi (B, rows, K d) and cfgs[b] problem b's config;
+    the configs share s_bar, d and max_iter. A problem that stops leaves the
+    running set with its own stop reason, so each result is the one the
+    loop gives the problem alone."""
     K, d = idx.K, idx.d
     s_bar = cfgs[0].s_bar
     prior, s_c = _priors(cfgs, K)
@@ -331,6 +321,7 @@ def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing, cfgs,
 # empty prior
 _RULES = {"msp": (_msp_merge, _msp_refine), "cmsp": (_cmsp_merge, _cmsp_refine)}
 _RULES.update(mmv_sp=_RULES["msp"], sp=_RULES["msp"])
+PRIOR_ALGORITHMS = ("msp", "cmsp")  # the pursuits that read a prior T0
 
 
 def recover_batch(algorithm: str, Y, Phi, cfgs) -> list[RecoveryResult]:
@@ -343,30 +334,29 @@ def recover_batch(algorithm: str, Y, Phi, cfgs) -> list[RecoveryResult]:
     b bit for bit."""
     if algorithm not in _RULES:
         raise ValueError(f"unknown pursuit {algorithm!r}, expected {tuple(_RULES)}")
+    Y, Phi = _stack(Y, Phi)
+    if len(cfgs) != len(Y):
+        raise DimensionError(f"{len(cfgs)} configs for {len(Y)} problems")
     if len({(cfg.s_bar, cfg.d, cfg.max_iter) for cfg in cfgs}) != 1:
         raise ValueError("a batch needs one s_bar, d and max_iter")
-    if algorithm in ("mmv_sp", "sp") and any(len(cfg.prior.T0) for cfg in cfgs):
+    if algorithm not in PRIOR_ALGORITHMS and any(len(cfg.prior.T0) for cfg in cfgs):
         raise PriorInfoError(f"{algorithm} reads no prior, got a nonempty T0")
     if algorithm == "sp" and cfgs[0].d != 1:
         raise ValueError(f"sp runs at d = 1, got d={cfgs[0].d}")
-    Y, Phi, idx = _stack(Y, Phi, cfgs[0].d)
-    if len(cfgs) != len(Y):
-        raise DimensionError(f"{len(cfgs)} configs for {len(Y)} problems")
-    return _run_pursuit(Y, Phi, idx, cfgs, *_RULES[algorithm])
+    return _run_pursuit(Y, Phi, chunking(Phi[0], cfgs[0].d), cfgs,
+                        *_RULES[algorithm])
 
 
 def msp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     """Recover a chunk-sparse X from Y = Phi X + N using the prior-forcing
     pursuit."""
-    Y, Phi, idx = _problem(Y, Phi, cfg.d)
-    return _run_pursuit(Y[None], Phi[None], idx, [cfg], *_RULES["msp"])[0]
+    return recover_batch("msp", [Y], [Phi], [cfg])[0]
 
 
 def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
     """Recover X with the conservative variant (prior used for candidates
     only, never locked into the output support)."""
-    Y, Phi, idx = _problem(Y, Phi, cfg.d)
-    return _run_pursuit(Y[None], Phi[None], idx, [cfg], *_RULES["cmsp"])[0]
+    return recover_batch("cmsp", [Y], [Phi], [cfg])[0]
 
 
 def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
@@ -377,15 +367,17 @@ def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
 
 def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1) -> RecoveryResult:
     """Joint-recovery subspace pursuit: no prior, chunk structure kept."""
-    Y, Phi, idx = _problem(Y, Phi, d)
+    Y, Phi = _stack([Y], [Phi])
+    idx = chunking(Phi[0], d)
     cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(idx.K),
                         gamma=gamma, d=d)
-    return _run_pursuit(Y[None], Phi[None], idx, [cfg], *_RULES["msp"])[0]
+    return _run_pursuit(Y, Phi, idx, [cfg], *_RULES["mmv_sp"])[0]
 
 
 def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:
     """Least squares on the true support (oracle baseline)."""
-    Y, Phi, idx = _problem(Y, Phi, d)
+    (Y,), (Phi,) = _stack([Y], [Phi])
+    idx = chunking(Phi, d)
     if T_true.K != idx.K:
         raise DimensionError(f"support universe {T_true.K} != K={idx.K}")
     rows = idx.rows_of(T_true)

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ChunkIndexing, ChunkSupport, _chunk_norms, as_matrix
+from .core import ChunkIndexing, ChunkSupport, _chunk_norms, _whole_fields, as_matrix
 from .errors import DimensionError, GenerationError, PriorInfoError
 
 __all__ = [
@@ -45,6 +45,7 @@ class PriorSupportInfo:
     s_c: int
 
     def __post_init__(self) -> None:
+        _whole_fields(self, "s_c")
         if self.s_c < 0:
             raise PriorInfoError(f"s_c must be nonnegative, got {self.s_c}")
         if self.s_c > len(self.T0):
@@ -68,6 +69,7 @@ class SupportEvolutionParams:
     K: int
 
     def __post_init__(self) -> None:
+        _whole_fields(self, "s_bar", "s_c", "K")
         if self.s_c < 0:
             raise GenerationError(f"s_c must be nonnegative, got {self.s_c}")
         if self.s_c + 2 > self.s_bar:
@@ -81,7 +83,7 @@ class SupportEvolutionParams:
 
 def chunk_support(X: ChunkSparseMatrix, tol: float = 0.0) -> ChunkSupport:
     """Indices of chunks with Frobenius norm strictly above tol."""
-    if tol < 0:
+    if not tol >= 0:  # also rejects nan, which no norm exceeds
         raise ValueError(f"tol must be nonnegative, got {tol}")
     norms = _chunk_norms(X.data, X.idx.d)
     hot = np.nonzero(norms > tol)[0] + 1

@@ -6,8 +6,10 @@ import pytest
 
 from cspursuit.analysis import RipQuery, block_rip_exact, channel_recovery_bound
 from cspursuit.cli import build_parser, main
-from cspursuit.core import read_matrix, write_matrix
-from cspursuit.pursuit import PursuitConfig
+from cspursuit.core import ChunkSupport, read_matrix, write_matrix
+from cspursuit.pursuit import (PursuitConfig, cmsp_recover, mmv_sp_recover,
+                               msp_recover)
+from cspursuit.sparsity import PriorSupportInfo
 
 SMALL_SWEEP_CFG = ("M = 16\nN_ue = 2\ns_bar = 3\ns_c = 1\n"
                    "pilot_length = 12\nsnr_db = 25\n"
@@ -268,6 +270,39 @@ class TestRecover:
         X_hat = read_matrix(out)
         assert X_hat[0, 0] == pytest.approx(3.0)
         assert X_hat[8, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["msp", "cmsp", "mmv_sp"])
+    def test_matches_the_direct_call(self, algorithm, d, tmp_path, capsys):
+        # a seeded random Phi: the printed support and the written estimate
+        # are the library call's, bit for bit
+        rng = np.random.default_rng(11)
+        K, rows, cols = 12, 9, 2
+        Phi = (rng.standard_normal((rows, K * d))
+               + 1j * rng.standard_normal((rows, K * d))) / np.sqrt(2 * rows)
+        X = np.zeros((K * d, cols), dtype=complex)
+        X[:3 * d] = rng.standard_normal((3 * d, cols))
+        Y = Phi @ X + 0.05 * rng.standard_normal((rows, cols))
+        paths = {name: str(tmp_path / f"{name}.mat") for name in ("y", "phi", "out")}
+        write_matrix(paths["y"], Y)
+        write_matrix(paths["phi"], Phi)
+        argv = ["recover", "--y", paths["y"], "--phi", paths["phi"],
+                "--algorithm", algorithm, "--s-bar", "3", "--gamma", "0.1",
+                "--d", str(d), "--out", paths["out"]]
+        if algorithm == "mmv_sp":
+            want = mmv_sp_recover(Y, Phi, 3, 0.1, d=d)
+        else:
+            argv += ["--t0", "2,5,9", "--s-c", "2"]
+            prior = PriorSupportInfo(ChunkSupport.of([2, 5, 9], K), 2)
+            solver = cmsp_recover if algorithm == "cmsp" else msp_recover
+            want = solver(Y, Phi, PursuitConfig(s_bar=3, prior=prior, gamma=0.1,
+                                                d=d))
+        assert main(argv) == 0
+        got = out_lines(capsys)
+        assert got["support"] == ",".join(map(str, want.T_hat))
+        assert got["iterations"] == str(want.iterations)
+        assert got["stop_reason"] == want.stop_reason.value
+        np.testing.assert_array_equal(read_matrix(paths["out"]), want.X_hat.data)
 
     def test_mmv_sp_needs_no_prior(self, locked_paths, capsys):
         y, phi = locked_paths

@@ -3,11 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cspursuit.analysis import RipQuery
 from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, as_matrix,
                             chunk_norms, chunking, frobenius, ls_solve,
                             ls_solve_with_rank, read_matrix, submatrix_by_chunks,
                             top_k_chunks, write_matrix)
 from cspursuit.errors import DimensionError, FormatError, SelectionError
+from cspursuit.mimo import MimoScenario, dft_unitary
+from cspursuit.pursuit import PursuitConfig
+from cspursuit.sparsity import PriorSupportInfo, SupportEvolutionParams
 
 
 def random_complex(rng, shape):
@@ -353,3 +357,48 @@ def test_whole_indices_of_any_type_are_accepted():
     assert ChunkSupport.of(np.array([3, 1], dtype=np.intp), 4).indices == (1, 3)
     assert ChunkIndexing(4, 1).rows_of(whole).tolist() == [0, 1, 2]
     assert top_k_chunks([1, 2, 3, 4], 2, whole) == (2, 3)
+
+
+def _scenario(**kw):
+    return MimoScenario(**dict(dict(M=16, N_ue=2, T=16, P=100.0, s_bar=3,
+                                    s_c=1), **kw))
+
+
+def _pursuit_config(**kw):
+    return PursuitConfig(**dict(dict(s_bar=2, prior=PriorSupportInfo.empty(4),
+                                     gamma=0.0), **kw))
+
+
+# every integer field of the package's value types refuses a value that is
+# not whole, naming the field, where it once truncated or failed in numpy
+@pytest.mark.parametrize("make,field", [
+    (lambda: _pursuit_config(s_bar=2.5), "s_bar"),
+    (lambda: _pursuit_config(max_iter=2.5), "max_iter"),
+    (lambda: _pursuit_config(d=1.5), "d"),
+    (lambda: _pursuit_config(s_bar=float("nan")), "s_bar"),
+    (lambda: PriorSupportInfo(ChunkSupport.of([1, 2], 4), 1.5), "s_c"),
+    (lambda: RipQuery(k=1.5, d=1), "k"),
+    (lambda: RipQuery(k=1, d=1.5), "d"),
+    (lambda: ChunkIndexing(2.5, 1), "K"),
+    (lambda: ChunkIndexing(2, 1.5), "d"),
+    (lambda: _scenario(M=16.5), "M"),
+    (lambda: _scenario(N_ue=2.5), "N_ue"),
+    (lambda: _scenario(T=float("inf")), "T"),
+    (lambda: _scenario(s_bar=3.5), "s_bar"),
+    (lambda: _scenario(s_c=0.5), "s_c"),
+    (lambda: SupportEvolutionParams(s_bar=5.5, s_c=1, K=16), "s_bar"),
+    (lambda: dft_unitary(2.5), "n"),
+    (lambda: dft_unitary(None), "n"),
+    (lambda: ChunkSupport.of([1.5], 4), "chunk index"),
+])
+def test_fractional_integer_field_is_named(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+        make()
+
+
+def test_whole_integer_fields_are_stored_as_int():
+    cfg = _pursuit_config(s_bar=2.0, d=np.int64(1), max_iter=3.0)
+    assert (cfg.s_bar, cfg.d, cfg.max_iter) == (2, 1, 3)
+    assert {type(v) for v in (cfg.s_bar, cfg.d, cfg.max_iter)} == {int}
+    assert ChunkIndexing(2.0, 1).total_rows == 2
+    assert dft_unitary(4.0).shape == (4, 4)

@@ -179,11 +179,12 @@ class TestFrameSequence:
         scen = make_scenario()
         first, measured = mimo.simulate_frames(scen, 2,
                                                np.random.default_rng(10))
-        T0 = mimo.estimate_support(scen, first, "mmv_sp",
-                                   ChunkSupport.empty(scen.M))
+        (T0,) = mimo.estimate_supports(scen, [first], "mmv_sp",
+                                       [ChunkSupport.empty(scen.M)])
         for alg in ALGORITHMS:
-            record = mimo.estimate_frame(scen, measured, alg, T0)
-            assert mimo.estimate_support(scen, measured, alg, T0) == record.T_hat
+            (record,) = mimo.estimate_frames(scen, [measured], alg, [T0])
+            assert (mimo.estimate_supports(scen, [measured], alg, [T0])
+                    == [record.T_hat])
 
     def test_genie_beats_pursuit_in_median(self):
         scen = make_scenario(T=8)
@@ -294,15 +295,15 @@ class TestFrameBatches:
         first, measured = [a for a, _ in trials], [b for _, b in trials]
         empty = ChunkSupport.empty(scen.M)
         T0s = mimo.estimate_supports(scen, first, "mmv_sp", [empty] * 6)
-        assert T0s == [mimo.estimate_support(scen, frame, "mmv_sp", empty)
+        assert T0s == [mimo.estimate_supports(scen, [frame], "mmv_sp", [empty])[0]
                        for frame in first]
         for alg in ALGORITHMS:
             for believed_s_c in (None, 2):
                 batch = mimo.estimate_frames(scen, measured, alg, T0s,
                                              believed_s_c=believed_s_c)
                 for frame, T0, got in zip(measured, T0s, batch):
-                    want = mimo.estimate_frame(scen, frame, alg, T0,
-                                               believed_s_c=believed_s_c)
+                    (want,) = mimo.estimate_frames(scen, [frame], alg, [T0],
+                                                   believed_s_c=believed_s_c)
                     assert ((got.nmse_ratio, got.T_hat, got.iterations,
                              got.stop_reason, got.rank_deficient_ls)
                             == (want.nmse_ratio, want.T_hat, want.iterations,
@@ -336,9 +337,9 @@ class TestScenarioValidation:
 def _estimate_believing(believed_s_c):
     scen = make_scenario()
     measured = mimo.simulate_frames(scen, 2, np.random.default_rng(0))[1]
-    return mimo.estimate_frame(scen, measured, "genie",
-                               ChunkSupport.empty(scen.M),
-                               believed_s_c=believed_s_c)
+    return mimo.estimate_frames(scen, [measured], "genie",
+                                [ChunkSupport.empty(scen.M)],
+                                believed_s_c=believed_s_c)
 
 
 @pytest.mark.parametrize("call,error,pattern", [

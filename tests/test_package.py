@@ -60,10 +60,10 @@ def test_star_import_binds_exactly_all():
 
 
 def test_simulation_api_imports_from_package():
-    from cspursuit import estimate_frame, estimate_support, simulate_frames
-    from cspursuit.mimo import (estimate_frame as ef, estimate_support as es,
+    from cspursuit import estimate_frames, estimate_supports, simulate_frames
+    from cspursuit.mimo import (estimate_frames as ef, estimate_supports as es,
                                 simulate_frames as sf)
-    assert (simulate_frames, estimate_frame, estimate_support) == (sf, ef, es)
+    assert (simulate_frames, estimate_frames, estimate_supports) == (sf, ef, es)
 
 
 def test_explicit_reexports_still_import():

@@ -8,7 +8,7 @@ from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
                             ls_solve, submatrix_by_chunks)
 from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
                               PriorInfoError, SelectionError)
-from cspursuit.mimo import (MimoScenario, default_gamma, estimate_support,
+from cspursuit.mimo import (MimoScenario, default_gamma, estimate_supports,
                             nmse, simulate_frames, to_cs_problem)
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
@@ -517,7 +517,8 @@ def harness_problem(seed, T):
     scenario = MimoScenario(M=64, N_ue=2, T=T, P=10 ** 2.5, s_bar=8, s_c=4)
     first, (channel, Y, Phi) = simulate_frames(scenario, 2,
                                                np.random.default_rng(seed))
-    T0 = estimate_support(scenario, first, "mmv_sp", ChunkSupport.empty(64))
+    (T0,) = estimate_supports(scenario, [first], "mmv_sp",
+                              [ChunkSupport.empty(64)])
     s_c = min(scenario.s_c, len(T0.intersection(channel.T_true)))
     return Y, Phi, PriorSupportInfo(T0, s_c), default_gamma(2, T)
 
@@ -658,6 +659,7 @@ KINDS = ("met", "flat", "plain", "duplicate")
        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
 @example(seed=0, d=1, l_cols=1, max_iter=1, kinds=list(KINDS))
 @example(seed=1, d=2, l_cols=3, max_iter=1, kinds=list(KINDS) + ["plain", "met"])
+@example(seed=2, d=2, l_cols=0, max_iter=3, kinds=["met", "flat", "plain"])
 def test_batch_equals_singles(algorithm, seed, d, l_cols, max_iter, kinds):
     rng = np.random.default_rng(seed)
     problems = [batch_problem(rng, kind, d, l_cols) for kind in kinds]
@@ -705,12 +707,14 @@ def _cfg(K=6, **kw):
      "1 configs for 2 problems"),
     (lambda: recover_batch("msp", np.ones((5, 1)), np.ones((5, 6)), [_cfg()]),
      DimensionError, "must be stacks"),
+    (lambda: recover_batch("msp", np.ones((0, 5, 1)), np.ones((0, 5, 6)), []),
+     DimensionError, "of B >= 1 problems"),
     (lambda: recover_batch("msp", np.ones((1, 4, 1)), np.ones((1, 5, 6)), [_cfg()]),
      DimensionError, "Y has 4 rows, Phi has 5"),
     (lambda: recover_batch("cmsp", np.full((1, 5, 1), np.nan), np.ones((1, 5, 6)),
                            [_cfg()]), NonFiniteError, "Y contains non-finite"),
 ], ids=["unknown", "mixed-budget", "prior-free", "sp-chunked", "config-count",
-        "not-stacked", "rows", "non-finite"])
+        "not-stacked", "empty", "rows", "non-finite"])
 def test_batch_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):
         call()

@@ -161,6 +161,9 @@ def test_sequence_property(seed, s_bar, s_c):
     (lambda: chunk_support(ChunkSparseMatrix(np.zeros((4, 1)),
                                              ChunkIndexing(4, 1)), tol=-1.0),
      ValueError, "tol must be nonnegative, got -1.0"),
+    (lambda: chunk_support(ChunkSparseMatrix(np.zeros((4, 1)),
+                                             ChunkIndexing(4, 1)), tol=np.nan),
+     ValueError, "tol must be nonnegative, got nan"),
     (lambda: generate_chunk_sparse(4, 1, 0, [1], np.random.default_rng(0)),
      ValueError, "L must be positive, got 0"),
     (lambda: generate_chunk_sparse(4, 1, 1, [2.5], np.random.default_rng(0)),
