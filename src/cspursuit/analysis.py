@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _rows, _whole_fields, as_matrix,
-                   chunking, frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _rows, _whole, _whole_fields,
+                   as_matrix, chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -58,9 +58,7 @@ class RipQuery:
     d: int
 
     def __post_init__(self) -> None:
-        _whole_fields(self, "k", "d")
-        if self.k < 1 or self.d < 1:
-            raise ValueError(f"k and d must be positive, got k={self.k}, d={self.d}")
+        _whole_fields(self, k=1, d=1)
 
 
 def _gram_extremes(sub: np.ndarray) -> tuple[float, float]:
@@ -167,8 +165,7 @@ def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
     """
     Phi = as_matrix(Phi, "Phi")
     idx = chunking(Phi, q.d)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    n_samples = _whole(n_samples, "n_samples", 1)
     # exhaustive when n_samples covers every support; C(K, k) = 0 for k > K,
     # which _exact_delta rejects
     if n_samples >= math.comb(idx.K, q.k):
@@ -266,6 +263,8 @@ def isometry_orders(s_bar: int, s_c: int, t0_size: int,
     s2 = 3 s_bar + min(0, |T0| - 3 s_c). Conservative pursuit: s_bar,
     2 s_bar, 2 s_bar + s_c and 3 s_bar + s_c. Raises ValueError unless
     s_bar >= 1 and 0 <= s_c <= |T0|, the prior the guarantees assume."""
+    s_bar, s_c, t0_size = (_whole(s_bar, "s_bar"), _whole(s_c, "s_c"),
+                           _whole(t0_size, "t0_size"))
     if not (s_bar >= 1 and 0 <= s_c <= t0_size):
         raise ValueError(f"need s_bar >= 1 and 0 <= s_c <= |T0|, got "
                          f"s_bar={s_bar}, s_c={s_c}, |T0|={t0_size}")
@@ -309,7 +308,8 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
     d_3sbar_sc = _check_delta("3s_bar_plus_s_c", delta_3sbar_sc)
     s3 = isometry_orders(s_bar, s_c, t0_size, conservative=True)[-1]
     if overlap is not None:
-        if overlap < 0 or overlap > t0_size:
+        overlap = _whole(overlap, "overlap", 0)
+        if overlap > t0_size:
             raise ValueError(f"overlap must be in 0..|T0|, got {overlap}")
         s3 += min(0, t0_size - overlap - s_c)
     c5 = _contraction(d_3sbar_sc)
@@ -412,8 +412,7 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
     if d >= CONTRACTION_DELTA:
         raise RipViolationError(
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
-    if min(M, N_ue, T) < 1:
-        raise ValueError("M, N_ue, T must be positive")
+    M, N_ue, T = _whole(M, "M", 1), _whole(N_ue, "N_ue", 1), _whole(T, "T", 1)
     if not P > 0:
         raise ValueError(f"P must be positive, got {P}")
     _check_nonnegative(gamma=gamma)

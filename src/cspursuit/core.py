@@ -58,23 +58,26 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def _whole(value, name: str = "chunk index") -> int:
-    """value as an int; a value that is not a whole number (a fraction, nan,
-    inf, None) is refused with a ValueError that names it."""
+def _whole(value, name: str = "chunk index", least=None, error=ValueError) -> int:
+    """value as an int, the package's one integer check. A value that is not
+    a whole number (a fraction, nan, inf, None) is refused with a ValueError,
+    and one below least, 0 or 1, with error; both messages name it."""
     try:
         k = int(value)
     except (TypeError, ValueError, OverflowError):
         k = None
     if k is None or k != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and k < least:
+        raise error(f"{name} must be {'positive' if least else 'nonnegative'}, got {k}")
     return k
 
 
-def _whole_fields(obj, *names: str) -> None:
-    """Store each named field of a frozen dataclass as an int, refusing one
-    that is not a whole number."""
-    for name in names:
-        object.__setattr__(obj, name, _whole(getattr(obj, name), name))
+def _whole_fields(obj, error=ValueError, **least) -> None:
+    """Store each named field of a frozen dataclass as an int through _whole,
+    with its floor least[name] (None for none) and error for one below it."""
+    for name, floor in least.items():
+        object.__setattr__(obj, name, _whole(getattr(obj, name), name, floor, error))
 
 
 def _int_array(indices) -> bool:
@@ -97,9 +100,7 @@ class ChunkIndexing:
     d: int
 
     def __post_init__(self) -> None:
-        _whole_fields(self, "K", "d")
-        if self.K < 1 or self.d < 1:
-            raise ValueError(f"K and d must be positive, got K={self.K}, d={self.d}")
+        _whole_fields(self, K=1, d=1)
 
     @property
     def total_rows(self) -> int:
@@ -116,8 +117,7 @@ class ChunkIndexing:
 
 def chunking(Phi: np.ndarray, d: int) -> ChunkIndexing:
     """Chunk indexing of a validated Phi's columns, chunk height d."""
-    if d < 1:
-        raise DimensionError(f"chunk height must be positive, got d={d}")
+    d = _whole(d, "d", 1, DimensionError)
     K, extra = divmod(Phi.shape[1], d)
     if extra:
         raise DimensionError(
@@ -140,8 +140,7 @@ class ChunkSupport:
         idx = (tuple(raw.tolist()) if _int_array(raw)
                else tuple(map(_whole, raw)))
         object.__setattr__(self, "indices", idx)
-        if self.K < 0:
-            raise ValueError(f"K must be nonnegative, got {self.K}")
+        _whole_fields(self, K=0)
         if idx and (min(idx) < 1 or max(idx) > self.K):
             raise ValueError(f"chunk index out of range 1..{self.K}: {idx}")
         if list(idx) != sorted(set(idx)):
@@ -168,24 +167,10 @@ class ChunkSupport:
     def as_set(self) -> set[int]:
         return set(self.indices)
 
-    def _check_universe(self, other: "ChunkSupport") -> None:
+    def intersection(self, other: "ChunkSupport") -> "ChunkSupport":
         if self.K != other.K:
             raise ValueError(f"mismatched universes K={self.K} and K={other.K}")
-
-    def union(self, other: "ChunkSupport") -> "ChunkSupport":
-        self._check_universe(other)
-        return ChunkSupport.of(self.as_set() | other.as_set(), self.K)
-
-    def intersection(self, other: "ChunkSupport") -> "ChunkSupport":
-        self._check_universe(other)
         return ChunkSupport.of(self.as_set() & other.as_set(), self.K)
-
-    def difference(self, other: "ChunkSupport") -> "ChunkSupport":
-        self._check_universe(other)
-        return ChunkSupport.of(self.as_set() - other.as_set(), self.K)
-
-    def complement(self) -> "ChunkSupport":
-        return ChunkSupport.of(set(range(1, self.K + 1)) - self.as_set(), self.K)
 
 
 def _zero_based(S: ChunkSupport) -> np.ndarray:
@@ -228,8 +213,7 @@ def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
     smaller index, so zero-score chunks fill remaining slots in index order.
     Raises SelectionError if k exceeds the number of candidates.
     """
-    if k < 0:
-        raise SelectionError(f"k must be nonnegative, got {k}")
+    k = _whole(k, "k", 0, SelectionError)
     cand = sorted(set(map(_whole, candidates)))
     if k > len(cand):
         raise SelectionError(f"asked for {k} chunks from {len(cand)} candidates")

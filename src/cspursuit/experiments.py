@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ChunkSupport
+from .core import ChunkSupport, _whole, _whole_fields
 from .errors import ConfigError, MetricError
 from .mimo import (ALGORITHMS, MimoScenario, estimate_frames, estimate_supports,
                    simulate_frames)
@@ -44,13 +44,6 @@ _BLOCK_TRIALS = 32
 
 def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-def _whole(name: str, value) -> int:
-    """value as an int, or ConfigError naming the field if it is not whole."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _power(name: str, db) -> float:
@@ -89,15 +82,11 @@ class ExperimentConfig:
     gamma_value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name, least in (("M", 1), ("N_ue", 1), ("s_bar", 1),
-                            ("pilot_length", 1), ("n_trials", 1), ("s_c", 0),
-                            ("base_seed", 0)):
-            value = getattr(self, name)
-            value = _whole(name, value)
-            object.__setattr__(self, name, value)
-            if value < least:
-                raise ConfigError(
-                    f"{name} must be {'positive' if least else 'nonnegative'}")
+        try:  # core refuses a value that is not whole with a ValueError
+            _whole_fields(self, ConfigError, M=1, N_ue=1, s_bar=1, pilot_length=1,
+                          n_trials=1, s_c=0, base_seed=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not _finite(self.snr_db):
             raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")
         _power("snr_db", self.snr_db)
@@ -116,11 +105,14 @@ class ExperimentConfig:
         if self.sweep_axis == "snr_db":
             _power("sweep_values", min(values))
             _power("sweep_values", max(values))
-        else:
-            values = tuple(_whole("sweep_values", v) for v in values)
+        else:  # a believed s_c is a floor on an overlap, so at least 0
+            least = 0 if self.sweep_axis == "believed_s_c" else None
+            try:
+                values = tuple(_whole(v, "sweep_values", least, ConfigError)
+                               for v in values)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         object.__setattr__(self, "sweep_values", values)
-        if self.sweep_axis == "believed_s_c" and min(values) < 0:
-            raise ConfigError("believed s_c values must be nonnegative")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for alg in self.algorithms:

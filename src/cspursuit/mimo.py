@@ -62,9 +62,7 @@ class MimoScenario:
     evolution: SupportEvolutionParams = field(init=False)
 
     def __post_init__(self) -> None:
-        _whole_fields(self, "M", "N_ue", "T", "s_bar", "s_c")
-        if min(self.M, self.N_ue, self.T) < 1:
-            raise ValueError("M, N_ue, T must be positive")
+        _whole_fields(self, M=1, N_ue=1, T=1, s_bar=None, s_c=None)
         if not self.P > 0:
             raise ValueError(f"P must be positive, got {self.P}")
         if self.s_bar < 3:
@@ -99,9 +97,7 @@ class FrameRecord:
 def dft_unitary(n: int) -> np.ndarray:
     """Unitary DFT matrix, entry (a, b) = exp(-2 pi i a b / n) / sqrt(n).
     Cached per n, so the array is read-only."""
-    n = _whole(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _whole(n, "n", 1)
     a = np.arange(n)
     U = np.exp(-2j * np.pi * np.outer(a, a) / n) / np.sqrt(n)
     U.setflags(write=False)
@@ -110,8 +106,7 @@ def dft_unitary(n: int) -> np.ndarray:
 
 def generate_pilots(M: int, T: int, rng: np.random.Generator) -> np.ndarray:
     """M x T pilot block with entries +-sqrt(1/M), so tr(Theta Theta^H) = T."""
-    if M < 1 or T < 1:
-        raise ValueError("M and T must be positive")
+    M, T = _whole(M, "M", 1), _whole(T, "T", 1)
     signs = 2.0 * rng.integers(0, 2, size=(M, T)) - 1.0
     return signs.astype(np.complex128) / np.sqrt(M)
 
@@ -159,8 +154,9 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
     m, n = X_hat.shape
     if min(m, n) < 1:
         raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
-    if not P > 0 or T < 1:
-        raise ValueError("P and T must be positive")
+    T = _whole(T, "T", 1)
+    if not P > 0:
+        raise ValueError(f"P must be positive, got {P}")
     return np.sqrt(m / (P * T)) * (dft_unitary(n) @ X_hat.conj().T
                                    @ dft_unitary(m).conj().T)
 
@@ -188,7 +184,7 @@ def nmse(pairs) -> float:
 def default_gamma(N_ue: int, T: int) -> float:
     """Residue threshold sqrt(2 * N_ue * T): the noise block has expected
     squared norm N_ue * T, and the factor 2 leaves stopping headroom."""
-    return float(np.sqrt(2.0 * N_ue * T))
+    return float(np.sqrt(2.0 * _whole(N_ue, "N_ue", 1) * _whole(T, "T", 1)))
 
 
 def simulate_frames(scenario: MimoScenario, n_frames: int,
@@ -222,9 +218,8 @@ def _estimate(scenario: MimoScenario, frames, algorithm: str, T0s,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
     m, n, t = scenario.M, scenario.N_ue, scenario.T
-    s_c_alg = scenario.s_c if believed_s_c is None else believed_s_c
-    if s_c_alg < 0:
-        raise ValueError(f"believed s_c must be nonnegative, got {believed_s_c}")
+    s_c_alg = (scenario.s_c if believed_s_c is None
+               else _whole(believed_s_c, "believed s_c", 0))
     if len(T0s) != len(frames):
         raise ValueError(f"{len(T0s)} priors T0 for {len(frames)} frames")
     if not frames:

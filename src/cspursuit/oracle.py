@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkSupport, as_matrix, chunking, frobenius, ls_solve,
-                   submatrix_by_chunks)
+from .core import (ChunkSupport, _whole, as_matrix, chunking, frobenius,
+                   ls_solve, submatrix_by_chunks)
 from .errors import DimensionError, EnumerationCapError, SelectionError
 
 __all__ = ["exhaustive_best_support", "rip_bruteforce_reference"]
@@ -38,7 +38,8 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
         raise DimensionError(f"Y has {Y.shape[0]} rows, Phi has {Phi.shape[0]}")
     idx = chunking(Phi, d)
     K = idx.K
-    if not 1 <= s <= K:
+    s = _whole(s, "s", 1, SelectionError)
+    if s > K:
         raise SelectionError(f"s must be in 1..{K}, got {s}")
     n_supports = math.comb(K, s)
     if n_supports > cap:
@@ -46,7 +47,7 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
             f"C({K},{s}) = {n_supports} supports exceeds cap {cap}")
     if constraint is not None:
         t0_set = constraint[0].as_set()
-        need = int(constraint[1])
+        need = _whole(constraint[1], "m", 0)
 
     best: Optional[tuple[int, ...]] = None
     best_res = math.inf
@@ -69,7 +70,8 @@ def rip_bruteforce_reference(Phi, k: int, d: int, cap: int = 2_000_000) -> float
     Phi = as_matrix(Phi, "Phi")
     rows, total_cols = Phi.shape
     K = chunking(Phi, d).K
-    if not 1 <= k <= K:
+    k = _whole(k, "k", 1, DimensionError)
+    if k > K:
         raise DimensionError(f"k must be in 1..{K}, got {k}")
     n_supports = math.comb(K, k)
     if n_supports > cap:

@@ -71,18 +71,12 @@ class PursuitConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        _whole_fields(self, "s_bar", "d", "max_iter")
-        if self.s_bar < 1:
-            raise ValueError(f"s_bar must be positive, got {self.s_bar}")
+        _whole_fields(self, s_bar=1, d=1, max_iter=1)
         if len(self.prior.T0) > self.s_bar:  # the prior holds s_c <= |T0|
             raise PriorInfoError(
                 f"|T0| <= s_bar violated: |T0|={len(self.prior.T0)}, s_bar={self.s_bar}")
         if not self.gamma >= 0:  # also rejects nan, which disables the stop
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +195,8 @@ def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> Chunk
 
 
 def _refine_step(refine, Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
+    if Z.idx.d != cfg.d:
+        raise DimensionError(f"Z has chunk height {Z.idx.d}, cfg has d={cfg.d}")
     prior, s_c = _priors([cfg], Z.idx.K)
     scores = _chunk_norms(Z.data, Z.idx.d)[None]
     return _support(refine(scores, prior, s_c, cfg.s_bar)[0])
@@ -360,8 +356,9 @@ def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
 
 
 def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
-    """Conventional subspace pursuit, no prior, d=1: the harness calls it on
-    one column per antenna; on several columns it is mmv_sp_recover at d=1."""
+    """Conventional subspace pursuit, no prior: mmv_sp_recover at d=1. The
+    harness does not call it; it hands its per-antenna columns to
+    recover_batch("sp", ...) as one stack."""
     return mmv_sp_recover(Y, Phi, s_bar, gamma, d=1)
 
 

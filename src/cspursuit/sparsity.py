@@ -9,7 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ChunkIndexing, ChunkSupport, _chunk_norms, _whole_fields, as_matrix
+from .core import (ChunkIndexing, ChunkSupport, _chunk_norms, _whole, _whole_fields,
+                   as_matrix)
 from .errors import DimensionError, GenerationError, PriorInfoError
 
 __all__ = [
@@ -45,9 +46,7 @@ class PriorSupportInfo:
     s_c: int
 
     def __post_init__(self) -> None:
-        _whole_fields(self, "s_c")
-        if self.s_c < 0:
-            raise PriorInfoError(f"s_c must be nonnegative, got {self.s_c}")
+        _whole_fields(self, PriorInfoError, s_c=0)
         if self.s_c > len(self.T0):
             raise PriorInfoError(
                 f"s_c <= |T0| violated: s_c={self.s_c}, |T0|={len(self.T0)}")
@@ -69,9 +68,7 @@ class SupportEvolutionParams:
     K: int
 
     def __post_init__(self) -> None:
-        _whole_fields(self, "s_bar", "s_c", "K")
-        if self.s_c < 0:
-            raise GenerationError(f"s_c must be nonnegative, got {self.s_c}")
+        _whole_fields(self, GenerationError, s_bar=None, s_c=0, K=None)
         if self.s_c + 2 > self.s_bar:
             raise GenerationError(
                 f"s_c + 2 <= s_bar violated: s_c={self.s_c}, s_bar={self.s_bar}")
@@ -101,8 +98,7 @@ def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],
     """Random chunk-sparse matrix: i.i.d. complex unit-variance Gaussian
     entries on the chunks in T, exact zeros elsewhere."""
     idx = ChunkIndexing(K, d)
-    if L < 1:
-        raise ValueError(f"L must be positive, got {L}")
+    L = _whole(L, "L", 1)
     chunks = ChunkSupport.of(T, K)  # ValueError outside 1..K
     data = np.zeros((idx.total_rows, L), dtype=np.complex128)
     for k in chunks:
@@ -121,9 +117,7 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
     Overlap members are drawn uniformly from the previous support, the
     remainder uniformly from its complement.
     """
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be positive, got {n_frames}")
-
+    n_frames = _whole(n_frames, "n_frames", 1)
     sizes = [int(rng.integers(params.s_bar - 2, params.s_bar + 1))
              for _ in range(n_frames)]
     universe = np.arange(1, params.K + 1)

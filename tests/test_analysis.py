@@ -569,7 +569,7 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
 
 
 @pytest.mark.parametrize("call,error,pattern", [
-    (lambda: RipQuery(k=0, d=1), ValueError, "k and d must be positive"),
+    (lambda: RipQuery(k=0, d=1), ValueError, "k must be positive, got 0"),
     (lambda: block_rip_exact(np.eye(4, dtype=complex), RipQuery(5, 1)),
      DimensionError, "k=5 exceeds K=4"),
     (lambda: block_rip_montecarlo(np.eye(4, dtype=complex), RipQuery(2, 1),
@@ -590,7 +590,7 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
         0.5, 0.0, 1.0),
      RipViolationError, "contraction factor 1.5 >= 1"),
     (lambda: channel_recovery_bound(0.1, 6.0, 0.0, M=0, N_ue=2, T=16, P=1.0),
-     ValueError, "M, N_ue, T must be positive"),
+     ValueError, "M must be positive, got 0"),
     (lambda: msp_distortion_bound(_LACKING_C1, 1.0, 0.1),
      BoundPreconditionError, "lack a term of cmsp_constants"),
     (lambda: msp_convergence_bound(_LACKING_C1, 1.0, 0.1, 1.0),

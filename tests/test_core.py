@@ -3,15 +3,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cspursuit.analysis import RipQuery
+import dataclasses
+
+import cspursuit
+from cspursuit.analysis import (RipQuery, block_rip_montecarlo,
+                                channel_recovery_bound, cmsp_constants,
+                                isometry_orders)
 from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, as_matrix,
                             chunk_norms, chunking, frobenius, ls_solve,
                             ls_solve_with_rank, read_matrix, submatrix_by_chunks,
                             top_k_chunks, write_matrix)
-from cspursuit.errors import DimensionError, FormatError, SelectionError
-from cspursuit.mimo import MimoScenario, dft_unitary
+from cspursuit.errors import (CsPursuitError, DimensionError, FormatError,
+                              GenerationError, PriorInfoError, SelectionError)
+from cspursuit.experiments import ExperimentConfig
+from cspursuit.mimo import (MimoScenario, default_gamma, dft_unitary,
+                            estimate_frames, generate_pilots, recover_channel,
+                            run_frame_sequence, simulate_frames)
+from cspursuit.oracle import exhaustive_best_support, rip_bruteforce_reference
 from cspursuit.pursuit import PursuitConfig
-from cspursuit.sparsity import PriorSupportInfo, SupportEvolutionParams
+from cspursuit.sparsity import (PriorSupportInfo, SupportEvolutionParams,
+                                generate_chunk_sparse, generate_support_sequence)
 
 
 def random_complex(rng, shape):
@@ -61,7 +72,7 @@ class TestChunking:
             chunking(np.zeros((2, 6)), 4)
         with pytest.raises(DimensionError):
             chunking(np.zeros((2, 0)), 1)
-        with pytest.raises(DimensionError, match="got d=0"):
+        with pytest.raises(DimensionError, match="d must be positive, got 0"):
             chunking(np.zeros((2, 6)), 0)
 
 
@@ -84,14 +95,11 @@ class TestChunkSupport:
     def test_set_algebra(self):
         a = ChunkSupport.of([1, 2, 3], K=5)
         b = ChunkSupport.of([3, 4], K=5)
-        assert a.union(b).indices == (1, 2, 3, 4)
         assert a.intersection(b).indices == (3,)
-        assert a.difference(b).indices == (1, 2)
-        assert b.complement().indices == (1, 2, 5)
 
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
-            ChunkSupport.of([1], K=4).union(ChunkSupport.of([1], K=5))
+            ChunkSupport.of([1], K=4).intersection(ChunkSupport.of([1], K=5))
 
 
 class TestChunkNorms:
@@ -369,8 +377,111 @@ def _pursuit_config(**kw):
                                      gamma=0.0), **kw))
 
 
-# every integer field of the package's value types refuses a value that is
-# not whole, naming the field, where it once truncated or failed in numpy
+def _believing(believed_s_c):
+    scenario = _scenario()
+    frames = simulate_frames(scenario, 1, np.random.default_rng(0))
+    return estimate_frames(scenario, frames, "genie", [ChunkSupport.empty(16)],
+                           believed_s_c=believed_s_c)
+
+
+# every integer argument of a public function and integer field of a value
+# type that _whole checks, as (label, call taking the value, the name its
+# errors give, its floor or None, the error below the floor)
+_INTEGERS = [
+    ("PursuitConfig.s_bar", lambda v: _pursuit_config(s_bar=v), "s_bar", 1,
+     ValueError),
+    ("PursuitConfig.d", lambda v: _pursuit_config(d=v), "d", 1, ValueError),
+    ("PursuitConfig.max_iter", lambda v: _pursuit_config(max_iter=v),
+     "max_iter", 1, ValueError),
+    ("ChunkIndexing.K", lambda v: ChunkIndexing(v, 1), "K", 1, ValueError),
+    ("ChunkIndexing.d", lambda v: ChunkIndexing(2, v), "d", 1, ValueError),
+    ("ChunkSupport.K", lambda v: ChunkSupport((), v), "K", 0, ValueError),
+    ("RipQuery.k", lambda v: RipQuery(k=v, d=1), "k", 1, ValueError),
+    ("RipQuery.d", lambda v: RipQuery(k=1, d=v), "d", 1, ValueError),
+    ("MimoScenario.M", lambda v: _scenario(M=v), "M", 1, ValueError),
+    ("MimoScenario.N_ue", lambda v: _scenario(N_ue=v), "N_ue", 1, ValueError),
+    ("MimoScenario.T", lambda v: _scenario(T=v), "T", 1, ValueError),
+    ("MimoScenario.s_c", lambda v: _scenario(s_c=v), "s_c", 0, GenerationError),
+    ("PriorSupportInfo.s_c",
+     lambda v: PriorSupportInfo(ChunkSupport.of([1, 2], 4), v), "s_c", 0,
+     PriorInfoError),
+    ("SupportEvolutionParams.s_bar",
+     lambda v: SupportEvolutionParams(s_bar=v, s_c=1, K=16), "s_bar", None, None),
+    ("SupportEvolutionParams.s_c",
+     lambda v: SupportEvolutionParams(s_bar=5, s_c=v, K=16), "s_c", 0,
+     GenerationError),
+    ("SupportEvolutionParams.K",
+     lambda v: SupportEvolutionParams(s_bar=5, s_c=1, K=v), "K", None, None),
+    ("dft_unitary", dft_unitary, "n", 1, ValueError),
+    ("generate_pilots.M",
+     lambda v: generate_pilots(v, 4, np.random.default_rng(0)), "M", 1,
+     ValueError),
+    ("generate_pilots.T",
+     lambda v: generate_pilots(4, v, np.random.default_rng(0)), "T", 1,
+     ValueError),
+    ("generate_chunk_sparse",
+     lambda v: generate_chunk_sparse(4, 1, v, [1], np.random.default_rng(0)),
+     "L", 1, ValueError),
+    ("generate_support_sequence",
+     lambda v: generate_support_sequence(SupportEvolutionParams(5, 1, 16), v,
+                                         np.random.default_rng(0)),
+     "n_frames", 1, ValueError),
+    ("simulate_frames",
+     lambda v: simulate_frames(_scenario(), v, np.random.default_rng(0)),
+     "n_frames", 1, ValueError),
+    ("run_frame_sequence",
+     lambda v: run_frame_sequence(_scenario(), v, "genie",
+                                  np.random.default_rng(0)),
+     "n_frames", 1, ValueError),
+    ("block_rip_montecarlo",
+     lambda v: block_rip_montecarlo(np.eye(4), RipQuery(2, 1), v,
+                                    np.random.default_rng(0)),
+     "n_samples", 1, ValueError),
+    ("top_k_chunks", lambda v: top_k_chunks([1.0, 2.0], v, [1]), "k", 0,
+     SelectionError),
+    ("chunking", lambda v: chunking(np.zeros((2, 6)), v), "d", 1,
+     DimensionError),
+    ("channel_recovery_bound.M",
+     lambda v: channel_recovery_bound(0.1, 6.0, 0.0, M=v, N_ue=2, T=16, P=1.0),
+     "M", 1, ValueError),
+    ("channel_recovery_bound.N_ue",
+     lambda v: channel_recovery_bound(0.1, 6.0, 0.0, M=16, N_ue=v, T=16, P=1.0),
+     "N_ue", 1, ValueError),
+    ("channel_recovery_bound.T",
+     lambda v: channel_recovery_bound(0.1, 6.0, 0.0, M=16, N_ue=2, T=v, P=1.0),
+     "T", 1, ValueError),
+    ("recover_channel", lambda v: recover_channel(np.ones((4, 2)), 1.0, v),
+     "T", 1, ValueError),
+    ("default_gamma.N_ue", lambda v: default_gamma(v, 16), "N_ue", 1,
+     ValueError),
+    ("default_gamma.T", lambda v: default_gamma(2, v), "T", 1, ValueError),
+    ("estimate_frames", _believing, "believed s_c", 0, ValueError),
+    ("exhaustive_best_support.s",
+     lambda v: exhaustive_best_support(np.zeros((4, 1)), np.eye(4), v, 1),
+     "s", 1, SelectionError),
+    ("exhaustive_best_support.m",
+     lambda v: exhaustive_best_support(np.zeros((4, 1)), np.eye(4), 1, 1,
+                                       constraint=(ChunkSupport.of([1], 4), v)),
+     "m", 0, ValueError),
+    ("rip_bruteforce_reference", lambda v: rip_bruteforce_reference(np.eye(4), v, 1),
+     "k", 1, DimensionError),
+    # s_bar >= 1 belongs to the prior-shape message, checked with s_c <= |T0|
+    ("isometry_orders.s_bar", lambda v: isometry_orders(v, 1, 2), "s_bar",
+     None, None),
+    ("isometry_orders.s_c", lambda v: isometry_orders(2, v, 2), "s_c", None,
+     None),
+    ("isometry_orders.t0_size", lambda v: isometry_orders(2, 1, v), "t0_size",
+     None, None),
+    ("cmsp_constants",
+     lambda v: cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2,
+                              overlap=v),
+     "overlap", 0, ValueError),
+]
+
+
+# every integer field of the package's value types, and every integer
+# argument, refuses a value that is not whole, naming it, where it once
+# truncated, was accepted or failed in numpy
 @pytest.mark.parametrize("make,field", [
     (lambda: _pursuit_config(s_bar=2.5), "s_bar"),
     (lambda: _pursuit_config(max_iter=2.5), "max_iter"),
@@ -390,10 +501,53 @@ def _pursuit_config(**kw):
     (lambda: dft_unitary(2.5), "n"),
     (lambda: dft_unitary(None), "n"),
     (lambda: ChunkSupport.of([1.5], 4), "chunk index"),
-])
+] + [pytest.param(lambda call=call, value=value: call(value), name,
+                  id=f"{label}({value})")
+     for label, call, name, _, _ in _INTEGERS
+     for value in (2.5, float("nan"), float("inf"), None)
+     # a believed s_c or an overlap of None is the documented default
+     if value is not None or name not in ("believed s_c", "overlap")])
 def test_fractional_integer_field_is_named(make, field):
     with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
         make()
+
+
+@pytest.mark.parametrize("call,name,least,error", [
+    pytest.param(call, name, least, error, id=label)
+    for label, call, name, least, error in _INTEGERS if least is not None])
+def test_integer_below_floor_is_named(call, name, least, error):
+    word = "positive" if least else "nonnegative"
+    with pytest.raises(error, match=f"^{name} must be {word}, got {least - 1}$"):
+        call(least - 1)
+
+
+# one valid instance of each public value type with an int field
+_INSTANCES = {
+    ChunkIndexing: ChunkIndexing(4, 1),
+    ChunkSupport: ChunkSupport((1,), 4),
+    PursuitConfig: _pursuit_config(),
+    PriorSupportInfo: PriorSupportInfo(ChunkSupport.of([1], 4), 1),
+    SupportEvolutionParams: SupportEvolutionParams(5, 1, 16),
+    MimoScenario: _scenario(),
+    RipQuery: RipQuery(1, 1),
+    ExperimentConfig: ExperimentConfig(
+        M=16, N_ue=2, s_bar=3, s_c=1, pilot_length=12, snr_db=25.0,
+        sweep_axis="pilot_length", sweep_values=(8,), algorithms=("msp",)),
+}
+
+
+def test_every_int_field_is_checked():
+    # a public dataclass that checks its fields must check each int field,
+    # so a new one cannot land unchecked; output types have no __post_init__
+    for cls in {getattr(cspursuit, name) for name in cspursuit.__all__}:
+        if not (dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)):
+            continue
+        for f in dataclasses.fields(cls):
+            if f.type == "int":
+                assert cls in _INSTANCES, f"no instance of {cls.__name__}"
+                with pytest.raises((ValueError, CsPursuitError),
+                                   match=f"^{f.name} must be a whole number"):
+                    dataclasses.replace(_INSTANCES[cls], **{f.name: 2.5})
 
 
 def test_whole_integer_fields_are_stored_as_int():

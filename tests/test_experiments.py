@@ -160,6 +160,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=pattern):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("field,least", [
+        ("M", 1), ("N_ue", 1), ("s_bar", 1), ("pilot_length", 1), ("n_trials", 1),
+        ("s_c", 0), ("base_seed", 0)])
+    def test_integer_field_is_named(self, field, least):
+        # core's integer check, in ConfigError, for a value that is not whole
+        # and for one below the field's floor
+        for value in (2.5, float("nan"), None):
+            with pytest.raises(ConfigError,
+                               match=f"^{field} must be a whole number, got "):
+                small_config(**{field: value})
+        word = "positive" if least else "nonnegative"
+        with pytest.raises(ConfigError,
+                           match=f"^{field} must be {word}, got {least - 1}$"):
+            small_config(**{field: least - 1})
+
     def test_whole_floats_stored_as_ints(self):
         cfg = small_config(M=16.0, sweep_values=(8.0, 12.0))
         assert isinstance(cfg.M, int)

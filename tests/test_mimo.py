@@ -345,7 +345,7 @@ def _estimate_believing(believed_s_c):
 @pytest.mark.parametrize("call,error,pattern", [
     (lambda: dft_unitary(0), ValueError, "n must be positive, got 0"),
     (lambda: generate_pilots(0, 4, np.random.default_rng(0)), ValueError,
-     "M and T must be positive"),
+     "M must be positive, got 0"),
     (lambda: generate_channel(make_scenario(M=16), ChunkSupport.of([1], 17),
                               np.random.default_rng(0)),
      DimensionError, "support universe 17 != M=16"),

@@ -493,12 +493,22 @@ def test_degenerate_inputs(case, seed, d, l_cols, gamma):
         assert np.all(np.isfinite(res.X_hat.data))
 
 
+# 4 chunks of 2 rows, chunks 3 and 4 the strongest
+_TWO_ROW_CHUNKS = ChunkSparseMatrix(np.arange(8.0)[:, None], ChunkIndexing(4, 2))
+_D1_CONFIG = PursuitConfig(s_bar=2, gamma=0.0, prior=PriorSupportInfo.empty(4))
+
+
 @pytest.mark.parametrize("call,error,pattern", [
     (lambda: msp_support_merge(np.ones((4, 1)), np.eye(4),
                                ChunkSupport.of([1], 5),
                                PursuitConfig(s_bar=1, gamma=0.0,
                                              prior=PriorSupportInfo.empty(4))),
      DimensionError, "running support universe 5 != 4"),
+    # a refine step chunks Z by cfg.d, as the merge steps chunk Phi
+    (lambda: msp_support_refine(_TWO_ROW_CHUNKS, _D1_CONFIG), DimensionError,
+     "Z has chunk height 2, cfg has d=1"),
+    (lambda: cmsp_support_refine(_TWO_ROW_CHUNKS, _D1_CONFIG), DimensionError,
+     "Z has chunk height 2, cfg has d=1"),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):
