@@ -308,6 +308,8 @@ def cmsp_constants(delta_sbar: float, delta_2sbar: float,
     d_3sbar_sc = _check_delta("3s_bar_plus_s_c", delta_3sbar_sc)
     s3 = isometry_orders(s_bar, s_c, t0_size, conservative=True)[-1]
     if overlap is not None:
+        # whole, as isometry_orders checked; taken as ints so that s3 is one
+        s_c, t0_size = _whole(s_c, "s_c"), _whole(t0_size, "t0_size")
         overlap = _whole(overlap, "overlap", 0)
         if overlap > t0_size:
             raise ValueError(f"overlap must be in 0..|T0|, got {overlap}")

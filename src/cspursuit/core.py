@@ -89,7 +89,8 @@ def _int_array(indices) -> bool:
 def _rows(chunks: np.ndarray, d: int) -> np.ndarray:
     """0-based rows (or columns) of 0-based chunks, in the given order; a
     (B, n) stack of chunk lists gives a (B, n d) stack of row lists."""
-    return (chunks[..., None] * d + np.arange(d)).reshape(chunks.shape[:-1] + (-1,))
+    return (chunks[..., None] * d + np.arange(d)).reshape(
+        chunks.shape[:-1] + (chunks.shape[-1] * d,))
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,14 @@ class ChunkSupport:
         if _int_array(indices):
             return cls(np.unique(indices), K)
         return cls(tuple(sorted(set(map(_whole, indices)))), K)
+
+    @classmethod
+    def _drawn(cls, indices: np.ndarray, K: int) -> "ChunkSupport":
+        """Distinct chunks in 1..K that the package drew, stored unchecked."""
+        support = object.__new__(cls)
+        object.__setattr__(support, "indices", tuple(np.sort(indices).tolist()))
+        object.__setattr__(support, "K", K)
+        return support
 
     @classmethod
     def empty(cls, K: int) -> "ChunkSupport":

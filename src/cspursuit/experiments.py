@@ -10,6 +10,8 @@ from the measured frame's true support that no receiver has; criterion 08
 passes only with it (see estimate_frames). Only the believed_s_c axis, the
 mismatch study, tells the pursuits a floor that may be wrong: it pins the
 true consecutive overlap at s_c and tells them each sweep value instead.
+Trials run in blocks through mimo's block kernels, as arrays from draw to
+score, with no check of what those kernels built.
 """
 from __future__ import annotations
 
@@ -20,10 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ChunkSupport, _whole, _whole_fields
+from .core import _whole, _whole_fields
 from .errors import ConfigError, MetricError
-from .mimo import (ALGORITHMS, MimoScenario, estimate_frames, estimate_supports,
-                   simulate_frames)
+from .mimo import ALGORITHMS, MimoScenario, _estimate, _generate, _score
 from .pursuit import PRIOR_ALGORITHMS
 
 __all__ = [
@@ -197,8 +198,8 @@ def _nmse_at(config: ExperimentConfig, value, algorithm: str) -> str:
 
 
 def _summary_row(config: ExperimentConfig, value, algorithm: str,
-                 records) -> ResultRow:
-    ratios = [r.nmse_ratio for r in records]
+                 ratios: np.ndarray, iterations: np.ndarray,
+                 exact: np.ndarray) -> ResultRow:
     n = len(ratios)
     # an inf ratio or an overflowing sum or square is named below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,8 +210,8 @@ def _summary_row(config: ExperimentConfig, value, algorithm: str,
     return ResultRow(
         sweep_axis=config.sweep_axis, sweep_value=value, algorithm=algorithm,
         nmse=mean, nmse_median=median, nmse_ci95_halfwidth=ci,
-        mean_iterations=float(np.mean([r.iterations for r in records])),
-        support_recovery_rate=float(np.mean([r.support_exact for r in records])),
+        mean_iterations=float(np.mean(iterations)),
+        support_recovery_rate=float(np.mean(exact)),
         n_trials=n, base_seed=config.base_seed)
 
 
@@ -218,12 +219,13 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     """The one trial loop, on any axis; rows come out in (sweep value,
     algorithm) order. A group is a config point's scenario and its (position,
     believed_s_c) members: one per sweep value, or one for every believed
-    value. A group's trials run in blocks of up to _BLOCK_TRIALS. A block's
-    trials are simulated first, trial t from seed base_seed + t. Then their
-    first frames are estimated once, as one batch, if an algorithm reads a
-    prior, and their measured frames are estimated and scored as one batch
-    per algorithm: by the PRIOR_ALGORITHMS at every member and by the others
-    once. Only one block's data are held at a time."""
+    value. A group's trials run in blocks of up to _BLOCK_TRIALS, as arrays
+    from draw to score. A block's trials are generated first, trial t from
+    seed base_seed + t. Then their first frames are estimated once, as one
+    batch, if an algorithm reads a prior, and their measured frames are
+    estimated and scored as one batch per algorithm: by the PRIOR_ALGORITHMS
+    at every member and by the others once. Only one block's data are held
+    at a time."""
     positions = list(enumerate(config.sweep_values))
     pinned = config.sweep_axis == "believed_s_c"
     points = ([(config, positions)] if pinned else
@@ -234,33 +236,36 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
                             P=_power("snr_db", point.snr_db),
                             s_bar=point.s_bar, s_c=point.s_c), members)
               for point, members in points]
-    gamma = config.gamma_value  # None: estimate_frames' sqrt(2 N T)
+    gamma = config.gamma_value  # None: default_gamma's sqrt(2 N T)
     reads_prior = any(a in PRIOR_ALGORITHMS for a in config.algorithms)
-    last = {}  # (position, algorithm) -> measured frame of every trial
+    last = {}  # (position, algorithm) -> columns of each block's measured frames
     for scenario, members in groups:
         for start in range(0, config.n_trials, _BLOCK_TRIALS):
-            block = range(start, min(start + _BLOCK_TRIALS, config.n_trials))
-            first, measured = zip(*(simulate_frames(
-                scenario, 2, np.random.default_rng(config.base_seed + t), noise,
-                pinned) for t in block))
-            T0s = [ChunkSupport.empty(scenario.M)] * len(measured)
+            rngs = [np.random.default_rng(config.base_seed + t) for t in
+                    range(start, min(start + _BLOCK_TRIALS, config.n_trials))]
+            first, (H_a, H, Y, Phi, truth) = _generate(scenario, rngs, 2, noise,
+                                                       pinned)
+            T0 = np.zeros_like(truth)
             if reads_prior:
-                T0s = estimate_supports(scenario, first, "mmv_sp", T0s, gamma)
-            del first  # only its supports are read, so free its data
-            shared = {}  # records of the algorithms that read no prior
+                T0 = _estimate(scenario, *first[2:], "mmv_sp", T0, gamma, None).T
+            del first, H_a  # frame 1 gave its supports, and H_a is never read
+            shared = {}  # columns of the algorithms that read no prior
             for position, believed_s_c in members:
                 for algorithm in config.algorithms:
                     try:
-                        records = shared.get(algorithm) or estimate_frames(
-                            scenario, measured, algorithm, T0s, gamma, believed_s_c)
+                        columns = shared.get(algorithm) or _score(
+                            scenario, H, truth, _estimate(scenario, Y, Phi, truth,
+                                                          algorithm, T0, gamma,
+                                                          believed_s_c))
                     except MetricError as err:
                         where = _nmse_at(config, config.sweep_values[position],
                                          algorithm)
                         raise MetricError(f"{err} ({where})") from None
                     if algorithm not in PRIOR_ALGORITHMS:
-                        shared[algorithm] = records
-                    last.setdefault((position, algorithm), []).extend(records)
-    return [_summary_row(config, value, algorithm, last[position, algorithm])
+                        shared[algorithm] = columns
+                    last.setdefault((position, algorithm), []).append(columns)
+    return [_summary_row(config, value, algorithm,
+                         *map(np.concatenate, zip(*last[position, algorithm])))
             for position, value in positions
             for algorithm in config.algorithms]
 

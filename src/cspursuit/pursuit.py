@@ -10,21 +10,24 @@ leading batch axis over problems that share rows, K, d, s_bar and max_iter,
 each with its own prior and gamma. The rules rank every problem's chunks in
 one stable sort, the least squares solves stack the Grams of the problems
 whose supports have one size, and each problem stops on its own, so every
-result equals the one the problem gets alone. recover_batch is the batched
-entry, and every entry validates its problems as a stack, a single problem
-as a stack of one: msp_recover, cmsp_recover, mmv_sp_recover, sp_recover and
-the four support steps are the one-problem case.
+result equals the one the problem gets alone. The loop takes priors, floors
+and thresholds as arrays and returns columns, which the harness reads;
+recover_batch, the batched entry, builds a RecoveryResult per problem from
+them. Every entry validates its problems as a stack, a single problem as a
+stack of one: msp_recover, cmsp_recover, mmv_sp_recover, sp_recover and the
+four support steps are the one-problem case.
 """
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LS_RCOND, ChunkIndexing, ChunkSupport, _chunk_norms, _lstsq,
-                   _lstsq_stack, _ranked, _rows, _whole_fields, _zero_based,
-                   as_matrix, chunking, frobenius)
+from .core import (LS_RCOND, ChunkSupport, _chunk_norms, _lstsq_stack, _ranked,
+                   _rows, _whole_fields, _zero_based, as_matrix, chunking,
+                   frobenius)
 from .errors import DimensionError, PriorInfoError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
@@ -225,21 +228,15 @@ def cmsp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSuppor
     return _refine_step(_cmsp_refine, Z, cfg)
 
 
-def _embedded(rows: np.ndarray, coef: np.ndarray, idx: ChunkIndexing) -> ChunkSparseMatrix:
-    data = np.zeros((idx.total_rows, coef.shape[1]), dtype=np.complex128)
-    data[rows] = coef
-    return ChunkSparseMatrix(data, idx)
-
-
 def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
                d: int):
     """Least squares of each problem live[i] of the stack, whose Y is Y[i],
     on its chunks T[i] (a (len(live), K) mask), one stacked solve per
-    support size. Yields, per size, the positions i, their 0-based chunks
-    (G, n), their columns of Phi (G, rows, n d), laid out as a single
+    nonempty support size. Yields, per size, the positions i, their 0-based
+    chunks (G, n), their columns of Phi (G, rows, n d), laid out as a single
     problem's Phi[:, cols] is, the solutions and the rank flags."""
     sizes = T.sum(axis=1)
-    for n in sorted(set(sizes.tolist())):
+    for n in sorted(set(sizes.tolist()) - {0}):
         g = np.flatnonzero(sizes == n)
         chunks = np.nonzero(T[g])[1].reshape(len(g), n)
         cols = _rows(chunks, d)
@@ -247,37 +244,46 @@ def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
         yield (g, chunks, sub, *_lstsq_stack(sub, Y[g]))
 
 
-def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing, cfgs,
-                 merge, refine) -> list[RecoveryResult]:
-    """The pursuit loop on a stack of problems that _stack has validated:
-    Y is (B, rows, L), Phi (B, rows, K d) and cfgs[b] problem b's config;
-    the configs share s_bar, d and max_iter. A problem that stops leaves the
-    running set with its own stop reason, so each result is the one the
-    loop gives the problem alone."""
-    K, d = idx.K, idx.d
-    s_bar = cfgs[0].s_bar
-    prior, s_c = _priors(cfgs, K)
-    trace = [[frobenius(y)] for y in Y]
-    r_prev = np.array([t[0] for t in trace])
-    stop_at = np.maximum([cfg.gamma for cfg in cfgs], LS_RCOND * r_prev)
-    deficient = np.zeros(len(Y), dtype=bool)
-    results = [None] * len(Y)
+# one pursuit run over a stack of B problems, as columns: support masks T
+# (B, K), dense estimates X (B, K d, L), iterations, StopReasons and rank
+# flags, each (B,), and residues (B, max_iter + 1), row b read up to its
+# iterations
+_Batch = namedtuple("_Batch", "T X iterations stops deficient residues")
+
+
+def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarray,
+                 s_c: np.ndarray, gamma: np.ndarray, s_bar: int, d: int = 1,
+                 max_iter: int = 100) -> _Batch:
+    """The pursuit loop on a validated stack: Y (B, rows, L), Phi (B, rows,
+    K d), and per problem a (B, K) prior mask, a (B, 1) floor s_c and a
+    threshold gamma. A problem that stops leaves the running set with its
+    own stop reason, so each result is the one the loop gives it alone."""
+    merge, refine = _RULES[algorithm]
+    B, K = prior.shape
+    residues = np.full((B, max_iter + 1), np.nan)
+    residues[:, 0] = r_prev = np.array([frobenius(y) for y in Y])
+    stop_at = np.maximum(gamma, LS_RCOND * r_prev)
+    out = _Batch(np.zeros((B, K), dtype=bool),
+                 np.zeros((B, K * d, Y.shape[2]), dtype=np.complex128),
+                 np.full(B, max_iter), np.full(B, None), np.zeros(B, dtype=bool),
+                 residues)
     # live holds the running problems in stack order; Y_live, prior, s_c,
     # stop_at, r_prev, held, T_prev and X_prev hold one row per running
     # problem. R keeps a row per problem, so the scores come from the whole
     # stack and Phi is never copied; a stopped problem's row goes unread.
-    live, Y_live = np.arange(len(Y)), Y
+    live, Y_live = np.arange(B), Y
     R, held = Y.copy(), np.zeros_like(prior)
-    T_prev = np.zeros((len(Y), 0), dtype=np.intp)
-    X_prev = np.zeros((len(Y), 0, Y.shape[2]), dtype=np.complex128)
+    T_prev = np.zeros((B, 0), dtype=np.intp)
+    X_prev = np.zeros((B, 0, Y.shape[2]), dtype=np.complex128)
 
     def finish(stopped, T, X, iterations, stop):
-        for b, T_b, X_b in zip(live[stopped], T[stopped], X[stopped]):
-            results[b] = RecoveryResult(
-                _embedded(_rows(T_b, d), X_b, idx), ChunkSupport(T_b + 1, K),
-                tuple(trace[b]), iterations, stop, bool(deficient[b]))
+        b = live[stopped][:, None]
+        out.T[b, T[stopped]] = True
+        out.X[b, _rows(T[stopped], d)] = X[stopped]
+        out.iterations[b] = iterations
+        out.stops[b] = stop
 
-    for it in range(1, cfgs[0].max_iter + 1):
+    for it in range(1, max_iter + 1):
         # |Phi^H R| read off Phi^T conj(R), its conjugate entry for entry, so
         # that no conjugate of Phi is formed
         scores = _chunk_norms(Phi.transpose(0, 2, 1) @ R.conj(), d)[live]
@@ -285,15 +291,12 @@ def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing, cfgs,
         norms = np.zeros(T_a.shape)
         for g, chunks, _, Z, flags in _ls_groups(Y_live, Phi, live, T_a, d):
             norms[g[:, None], chunks] = _chunk_norms(Z, d)
-            deficient[live[g]] |= flags
+            out.deficient[live[g]] |= flags
         T_next = refine(norms, prior, s_c, s_bar)
         ((_, T, sub, X, flags),) = _ls_groups(Y_live, Phi, live, T_next, d)
-        deficient[live] |= flags
+        out.deficient[live] |= flags
         R[live] = R_next = Y_live - sub @ X
-        residues = [frobenius(r) for r in R_next]
-        for b, r in zip(live, residues):
-            trace[b].append(r)
-        r_next = np.array(residues)
+        residues[live, it] = r_next = np.array([frobenius(r) for r in R_next])
         met = r_next <= stop_at
         flat = ~met & (r_next >= r_prev)
         if met.any() or flat.any():
@@ -308,9 +311,18 @@ def _run_pursuit(Y: np.ndarray, Phi: np.ndarray, idx: ChunkIndexing, cfgs,
         r_prev, held, T_prev, X_prev = r_next, T_next, T, X
     # residues decreased strictly on every continuation, so the last iterate
     # is the minimum-residue one
-    finish(np.ones(len(live), dtype=bool), T_prev, X_prev, cfgs[0].max_iter,
+    finish(np.ones(len(live), dtype=bool), T_prev, X_prev, max_iter,
            StopReason.MAX_ITERATIONS)
-    return results
+    return out
+
+
+def _genie(Y: np.ndarray, Phi: np.ndarray, T: np.ndarray, d: int = 1) -> np.ndarray:
+    """genie_ls of each problem of a validated stack on its (B, K) mask T,
+    dense (B, K d, L), one stacked solve per support size."""
+    X = np.zeros((len(Y), Phi.shape[2], Y.shape[2]), dtype=np.complex128)
+    for g, chunks, _, Z, _ in _ls_groups(Y, Phi, np.arange(len(Y)), T, d):
+        X[g[:, None], _rows(chunks, d)] = Z
+    return X
 
 
 # pursuit -> (merge, refine); mmv_sp, and sp at d = 1, are msp under the
@@ -339,8 +351,14 @@ def recover_batch(algorithm: str, Y, Phi, cfgs) -> list[RecoveryResult]:
         raise PriorInfoError(f"{algorithm} reads no prior, got a nonempty T0")
     if algorithm == "sp" and cfgs[0].d != 1:
         raise ValueError(f"sp runs at d = 1, got d={cfgs[0].d}")
-    return _run_pursuit(Y, Phi, chunking(Phi[0], cfgs[0].d), cfgs,
-                        *_RULES[algorithm])
+    idx = chunking(Phi[0], cfgs[0].d)
+    prior, s_c = _priors(cfgs, idx.K)
+    run = _run_pursuit(algorithm, Y, Phi, prior, s_c, np.array([c.gamma for c in cfgs]),
+                       cfgs[0].s_bar, idx.d, cfgs[0].max_iter)
+    return [RecoveryResult(ChunkSparseMatrix(X, idx), _support(T),
+                           tuple(residues[:iterations + 1].tolist()),
+                           int(iterations), stop, bool(deficient))
+            for T, X, iterations, stop, deficient, residues in zip(*run)]
 
 
 def msp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
@@ -365,17 +383,17 @@ def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
 def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1) -> RecoveryResult:
     """Joint-recovery subspace pursuit: no prior, chunk structure kept."""
     Y, Phi = _stack([Y], [Phi])
-    idx = chunking(Phi[0], d)
-    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(idx.K),
+    cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(chunking(Phi[0], d).K),
                         gamma=gamma, d=d)
-    return _run_pursuit(Y, Phi, idx, [cfg], *_RULES["mmv_sp"])[0]
+    return recover_batch("mmv_sp", Y, Phi, [cfg])[0]
 
 
 def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:
     """Least squares on the true support (oracle baseline)."""
-    (Y,), (Phi,) = _stack([Y], [Phi])
-    idx = chunking(Phi, d)
+    Y, Phi = _stack([Y], [Phi])
+    idx = chunking(Phi[0], d)
     if T_true.K != idx.K:
         raise DimensionError(f"support universe {T_true.K} != K={idx.K}")
-    rows = idx.rows_of(T_true)
-    return _embedded(rows, _lstsq(Phi[:, rows], Y)[0], idx)
+    T = np.zeros((1, idx.K), dtype=bool)
+    T[0, _zero_based(T_true)] = True
+    return ChunkSparseMatrix(_genie(Y, Phi, T, d)[0], idx)

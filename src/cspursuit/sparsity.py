@@ -122,7 +122,7 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
              for _ in range(n_frames)]
     universe = np.arange(1, params.K + 1)
     first = rng.choice(universe, size=sizes[0], replace=False)
-    supports = [ChunkSupport.of(first, params.K)]
+    supports = [ChunkSupport._drawn(first, params.K)]
     for i in range(1, n_frames):
         prev = np.array(supports[-1].indices, dtype=int)
         want = params.s_c if pinned else int(rng.integers(params.s_c, params.s_c + 3))
@@ -131,6 +131,6 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
         outside = np.ones(params.K, dtype=bool)
         outside[prev - 1] = False
         fresh = rng.choice(universe[outside], size=sizes[i] - ov, replace=False)
-        supports.append(ChunkSupport.of(np.concatenate((keep, fresh)), params.K))
+        supports.append(ChunkSupport._drawn(np.concatenate((keep, fresh)), params.K))
     return supports
 

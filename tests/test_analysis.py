@@ -360,6 +360,10 @@ class TestConstantShapes:
         con = cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1, t0_size=2,
                              overlap=2)
         assert con.s3 == 6  # 3*2 + 1 + min(0, 2 - 2 - 1)
+        # whole floats are read as their ints, so the order stays an int
+        con = cmsp_constants(0.0, 0.0, 0.0, 0.0, s_bar=2, s_c=1.0, t0_size=2.0,
+                             overlap=2.0)
+        assert con.s3 == 6 and type(con.s3) is int
 
     def test_delta_out_of_range(self):
         with pytest.raises(RipViolationError):

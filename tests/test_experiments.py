@@ -1,13 +1,16 @@
 """Tests for the experiment harness: config parsing, sweeps, CSV output."""
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import cspursuit.core as core
 import cspursuit.experiments as experiments
 import cspursuit.mimo as mimo
+from cspursuit.core import ChunkSupport
 from cspursuit.errors import ConfigError, GenerationError, MetricError
 from cspursuit.experiments import (CSV_COLUMNS, SWEEP_AXES,
                                    ExperimentConfig, load_config, run_sweep,
@@ -359,16 +362,48 @@ class TestTrialSharing:
 
     @staticmethod
     def _count_problems(monkeypatch, pursuit):
-        """The problems of one pursuit that mimo hands to its batch seam."""
+        """The problems of one pursuit that mimo hands to the pursuit loop."""
         problems = []
-        original = mimo.recover_batch
+        original = mimo._run_pursuit
 
-        def counting(algorithm, Y, Phi, cfgs):
+        def counting(algorithm, Y, *args, **kwargs):
             if algorithm == pursuit:
-                problems.extend(cfgs)
-            return original(algorithm, Y, Phi, cfgs)
-        monkeypatch.setattr(mimo, "recover_batch", counting)
+                problems.extend(range(len(Y)))
+            return original(algorithm, Y, *args, **kwargs)
+        monkeypatch.setattr(mimo, "_run_pursuit", counting)
         return problems
+
+    @staticmethod
+    def _count_stacked(monkeypatch, name):
+        """The problems or frames of each stack handed to mimo's kernel name."""
+        rows = []
+        original = getattr(mimo, name)
+
+        def counting(stack, *args, **kwargs):
+            rows.extend(range(len(stack)))
+            return original(stack, *args, **kwargs)
+        monkeypatch.setattr(mimo, name, counting)
+        return rows
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        """Every core.as_matrix call, through any module's name for it, and
+        every ChunkSupport check."""
+        calls = []
+
+        def counted(check):
+            def counting(*args, **kwargs):
+                calls.append(check.__name__)
+                return check(*args, **kwargs)
+            return counting
+        as_matrix = core.as_matrix
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("cspursuit.")
+                    and getattr(module, "as_matrix", None) is as_matrix):
+                monkeypatch.setattr(module, "as_matrix", counted(as_matrix))
+        monkeypatch.setattr(ChunkSupport, "__post_init__",
+                            counted(ChunkSupport.__post_init__))
+        return calls
 
     @staticmethod
     def _expected_row(cfg, value, algorithm, scenario, **kwargs):
@@ -433,7 +468,7 @@ class TestTrialSharing:
         # genie, sp and mmv_sp read no prior, so the believed value cannot
         # change their estimate; sp runs once per antenna, mmv_sp also for
         # frame 1
-        counts = {"genie": self._count_calls(monkeypatch, "genie_ls"),
+        counts = {"genie": self._count_stacked(monkeypatch, "_genie"),
                   "sp": self._count_problems(monkeypatch, "sp"),
                   "mmv_sp": self._count_problems(monkeypatch, "mmv_sp")}
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
@@ -445,7 +480,7 @@ class TestTrialSharing:
 
     def test_only_measured_frames_are_scored(self, monkeypatch):
         # frame 1 supplies only its support, so it is never mapped back
-        calls = self._count_calls(monkeypatch, "recover_channel")
+        calls = self._count_stacked(monkeypatch, "_map_back")
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
         run_sweep(cfg)
         assert len(calls) == (cfg.n_trials * len(cfg.sweep_values)
@@ -456,6 +491,19 @@ class TestTrialSharing:
         calls = self._count_problems(monkeypatch, "mmv_sp")
         run_sweep(small_config(algorithms=("genie", "sp")))
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("axis,values", [("pilot_length", (8, 12)),
+                                             ("believed_s_c", (0, 1))])
+    def test_checks_do_not_grow_with_trials(self, monkeypatch, axis, values):
+        # the sweep builds its arrays itself, so only its entry checks run
+        calls = self._count_checks(monkeypatch)
+        counts = []
+        for n_trials in (3, 6):
+            calls.clear()
+            run_sweep(small_config(sweep_axis=axis, sweep_values=values,
+                                   algorithms=ALGORITHMS, n_trials=n_trials))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("axis,values", [("pilot_length", (8, 12)),
                                              ("believed_s_c", (0, 1))])

@@ -8,8 +8,9 @@ from cspursuit.errors import DimensionError, GenerationError, MetricError
 from cspursuit.mimo import (ALGORITHMS, MimoScenario, default_gamma, dft_unitary,
                             generate_channel, generate_pilots, nmse,
                             recover_channel, run_frame_sequence, to_cs_problem)
-from cspursuit.pursuit import StopReason
-from cspursuit.sparsity import ChunkSupport, SupportEvolutionParams
+from cspursuit.pursuit import StopReason, genie_ls
+from cspursuit.sparsity import (ChunkSupport, PriorSupportInfo, SupportEvolutionParams,
+                                _complex_gaussian, generate_support_sequence)
 
 
 def make_scenario(M=16, N_ue=2, T=16, P=100.0, s_bar=3, s_c=1):
@@ -243,15 +244,17 @@ class TestPriorPromise:
 
     @staticmethod
     def _record_priors(monkeypatch):
-        # the prior of each msp or cmsp problem handed to mimo's batch seam
+        # the prior of each msp or cmsp problem mimo hands to the pursuit loop
         priors = []
-        original = mimo.recover_batch
+        original = mimo._run_pursuit
 
-        def recording(algorithm, Y, Phi, cfgs):
+        def recording(algorithm, Y, Phi, prior, s_c, *args, **kwargs):
             if algorithm in ("msp", "cmsp"):
-                priors.extend(cfg.prior for cfg in cfgs)
-            return original(algorithm, Y, Phi, cfgs)
-        monkeypatch.setattr(mimo, "recover_batch", recording)
+                priors.extend(PriorSupportInfo(ChunkSupport.of(np.flatnonzero(T0) + 1,
+                                                               len(T0)), int(floor))
+                              for T0, (floor,) in zip(prior, s_c))
+            return original(algorithm, Y, Phi, prior, s_c, *args, **kwargs)
+        monkeypatch.setattr(mimo, "_run_pursuit", recording)
         return priors
 
     def test_default_prior_keeps_its_floor(self, monkeypatch):
@@ -315,6 +318,86 @@ class TestFrameBatches:
         frames = mimo.simulate_frames(scen, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="1 priors T0 for 2 frames"):
             mimo.estimate_frames(scen, frames, "msp", [ChunkSupport.empty(scen.M)])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlockKernels:
+    """The harness's kernels stack the per-frame products over a block of
+    trials. numpy runs a stack slice by slice, and these tests fail if BLAS
+    ever gives a slice other bits than the one-frame call."""
+
+    SEEDS = range(6)
+
+    @staticmethod
+    def _scenario(T, snr_db):
+        return make_scenario(M=64, N_ue=2, T=T, P=10.0 ** (snr_db / 10.0),
+                             s_bar=8, s_c=4)
+
+    @staticmethod
+    def _per_frame(scen, rng, noise, pinned):
+        # the draws of one trial through the public per-frame steps
+        frames = []
+        for T_true in generate_support_sequence(scen.evolution, 2, rng, pinned):
+            channel = generate_channel(scen, T_true, rng)
+            Theta = generate_pilots(scen.M, scen.T, rng)
+            W = (_complex_gaussian(rng, (scen.N_ue, scen.T)) if noise
+                 else np.zeros((scen.N_ue, scen.T), dtype=complex))
+            Y, Phi, _ = to_cs_problem(np.sqrt(scen.P) * channel.H @ Theta + W,
+                                      Theta, scen.P)
+            frames.append((channel, Y, Phi))
+        return frames
+
+    def _block(self, scen, noise=True, pinned=False):
+        return mimo._generate(scen, [np.random.default_rng(s) for s in self.SEEDS],
+                              2, noise, pinned)
+
+    @pytest.mark.parametrize("T", [16, 24, 40])
+    @pytest.mark.parametrize("snr_db", [5, 25])
+    @pytest.mark.parametrize("noise,pinned", [(True, False), (False, False),
+                                              (True, True)])
+    def test_generator_matches_per_frame_route(self, T, snr_db, noise, pinned):
+        scen = self._scenario(T, snr_db)
+        block = self._block(scen, noise, pinned)
+        for b, seed in enumerate(self.SEEDS):
+            rng = np.random.default_rng(seed)
+            single = mimo.simulate_frames(scen, 2, np.random.default_rng(seed),
+                                          noise, pinned)
+            for (H_a, H, Y, Phi, truth), want, got in zip(
+                    block, self._per_frame(scen, rng, noise, pinned), single):
+                channel, Y1, Phi1 = want
+                mask = np.zeros(scen.M, dtype=bool)
+                mask[np.array(channel.T_true.indices) - 1] = True
+                assert np.array_equal(truth[b], mask)
+                for stacked, one in ((H_a[b], channel.H_a), (H[b], channel.H),
+                                     (Y[b], Y1), (Phi[b], Phi1)):
+                    assert _same_bits(stacked, one)
+                assert got[0].T_true == channel.T_true
+                assert all(_same_bits(a, c) for a, c in (
+                    (got[0].H, channel.H), (got[1], Y1), (got[2], Phi1)))
+
+    @pytest.mark.parametrize("T", [16, 24, 40])
+    def test_genie_matches_genie_ls(self, T):
+        scen = self._scenario(T, 25)
+        for _, _, Y, Phi, truth in self._block(scen):
+            X = mimo._genie(Y, Phi, truth)
+            for b in range(len(Y)):
+                support = ChunkSupport.of(np.flatnonzero(truth[b]) + 1, scen.M)
+                assert _same_bits(X[b], genie_ls(Y[b], Phi[b], support).data)
+
+    @pytest.mark.parametrize("algorithm", ["genie", "msp", "sp"])
+    @pytest.mark.parametrize("T", [16, 24, 40])
+    def test_map_back_matches_recover_channel(self, algorithm, T):
+        scen = self._scenario(T, 25)
+        _, (_, _, Y, Phi, truth) = self._block(scen)
+        est = mimo._estimate(scen, Y, Phi, truth, algorithm,
+                             np.zeros_like(truth), None, None)
+        H_hat = mimo._map_back(est.X, scen.P, scen.T)
+        for b in range(len(Y)):
+            assert _same_bits(H_hat[b], recover_channel(est.X[b], scen.P, scen.T))
 
 
 class TestScenarioValidation:
