@@ -415,8 +415,8 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
         raise RipViolationError(
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
     M, N_ue, T = _whole(M, "M", 1), _whole(N_ue, "N_ue", 1), _whole(T, "T", 1)
-    if not P > 0:
-        raise ValueError(f"P must be positive, got {P}")
+    if not 0 < P < math.inf:
+        raise ValueError(f"P must be positive and finite, got {P}")
     _check_nonnegative(gamma=gamma)
     nt = N_ue * T
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))

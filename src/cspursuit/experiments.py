@@ -7,7 +7,7 @@ cmsp are under the empty prior). The s_c axis sets the generator's overlap
 floor on the true supports, so the frame-2 data differ across s_c values.
 By default the prior's s_c is that floor clamped to |T0 ∩ T|, a count read
 from the measured frame's true support that no receiver has; criterion 08
-passes only with it (see estimate_frames). Only the believed_s_c axis, the
+passes only with it (see run_frame_sequence). Only the believed_s_c axis, the
 mismatch study, tells the pursuits a floor that may be wrong: it pins the
 true consecutive overlap at s_c and tells them each sweep value instead.
 Trials run in blocks through mimo's block kernels, as arrays from draw to

@@ -9,9 +9,10 @@ drifts slowly frame to frame. The received block Z = sqrt(P) H Theta
 matrix, recovered with a pursuit, and mapped back to the antenna domain.
 
 Blocks of trials run as arrays through three kernels, _generate, _estimate
-and _score; the public functions check their input and call them, the
-harness calls them unchecked. Stacked products equal the one-matrix ones
-bit for bit, as tests check.
+and _score. run_frame_sequence checks its arguments once and drives them
+frame by frame on one trial; the harness drives them on blocks of trials.
+simulate_frames is the generator's one-trial case. Stacked products equal
+the one-matrix ones bit for bit, as tests check.
 """
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ import numpy as np
 from .core import (ChunkSupport, _whole, _whole_fields, _zero_based, as_matrix,
                    frobenius)
 from .errors import DimensionError, GenerationError, MetricError
-from .pursuit import (PRIOR_ALGORITHMS, PursuitConfig, StopReason, _Batch,
-                      _genie, _priors, _run_pursuit, _stack, _support)
-from .sparsity import PriorSupportInfo, SupportEvolutionParams, \
-    _complex_gaussian, generate_support_sequence
+from .pursuit import (PRIOR_ALGORITHMS, StopReason, _Batch, _genie, _run_pursuit,
+                      _support)
+from .sparsity import (SupportEvolutionParams, _complex_gaussian,
+                       generate_support_sequence)
 
 __all__ = [
     "MimoScenario",
@@ -42,8 +43,6 @@ __all__ = [
     "nmse",
     "default_gamma",
     "simulate_frames",
-    "estimate_supports",
-    "estimate_frames",
     "run_frame_sequence",
 ]
 
@@ -68,8 +67,8 @@ class MimoScenario:
 
     def __post_init__(self) -> None:
         _whole_fields(self, M=1, N_ue=1, T=1, s_bar=None, s_c=None)
-        if not self.P > 0:
-            raise ValueError(f"P must be positive, got {self.P}")
+        if not 0 < self.P < np.inf:
+            raise ValueError(f"P must be positive and finite, got {self.P}")
         if self.s_bar < 3:
             raise GenerationError(f"s_bar must be at least 3, got {self.s_bar}")
         object.__setattr__(self, "evolution",
@@ -166,8 +165,8 @@ def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
     if min(n, t, m) < 1 or Theta.shape[1] != t:
         raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
                              "nonempty N_ue x T and M x T")
-    if not P > 0:
-        raise ValueError(f"P must be positive, got {P}")
+    if not 0 < P < np.inf:
+        raise ValueError(f"P must be positive and finite, got {P}")
     return (*_cs_problem(Z, Theta), float(np.sqrt(P * t / m)))
 
 
@@ -178,8 +177,8 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
     if min(X_hat.shape) < 1:
         raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
     T = _whole(T, "T", 1)
-    if not P > 0:
-        raise ValueError(f"P must be positive, got {P}")
+    if not 0 < P < np.inf:
+        raise ValueError(f"P must be positive and finite, got {P}")
     return _map_back(X_hat, P, T)
 
 
@@ -195,9 +194,14 @@ def _nmse_ratio(H: np.ndarray, H_hat: np.ndarray) -> float:
 
 
 def nmse(pairs) -> float:
-    """Mean of ||H - H_hat||_F^2 / ||H||_F^2 over (H, H_hat) pairs."""
-    ratios = [_nmse_ratio(as_matrix(H, "H"), as_matrix(H_hat, "H_hat"))
-              for H, H_hat in pairs]
+    """Mean of ||H - H_hat||_F^2 / ||H||_F^2 over (H, H_hat) pairs of one
+    shape each."""
+    ratios = []
+    for H, H_hat in pairs:
+        H, H_hat = as_matrix(H, "H"), as_matrix(H_hat, "H_hat")
+        if H.shape != H_hat.shape:
+            raise DimensionError(f"H {H.shape} and H_hat {H_hat.shape} differ in shape")
+        ratios.append(_nmse_ratio(H, H_hat))
     if not ratios:
         raise MetricError("nmse needs at least one pair")
     return float(np.mean(ratios))
@@ -253,7 +257,7 @@ def _estimate(scenario: MimoScenario, Y: np.ndarray, Phi: np.ndarray,
               truth: np.ndarray, algorithm: str, T0: np.ndarray,
               gamma: Optional[float], believed_s_c: Optional[int]) -> _Batch:
     """One algorithm on a block of frames as one batch, from the stacks and
-    the (B, M) true and prior masks; estimate_frames gives the prior rule."""
+    the (B, M) true and prior masks; run_frame_sequence gives the prior rule."""
     m, n, t, B = scenario.M, scenario.N_ue, scenario.T, len(Y)
     if algorithm == "genie":
         return _Batch(truth, _genie(Y, Phi, truth), np.zeros(B), np.full(B, None),
@@ -285,86 +289,37 @@ def _score(scenario: MimoScenario, H: np.ndarray, truth: np.ndarray,
             est.iterations, (est.T == truth).all(axis=1))
 
 
-def _estimated(scenario: MimoScenario, frames, algorithm: str, T0s,
-               gamma: Optional[float], believed_s_c: Optional[int]):
-    """(H, true masks, _estimate) of simulate_frames entries and priors T0s,
-    refused as the pursuit entries refuse them; None for no frames."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
-    if believed_s_c is not None:
-        believed_s_c = _whole(believed_s_c, "believed s_c", 0)
-    if len(T0s) != len(frames):
-        raise ValueError(f"{len(T0s)} priors T0 for {len(frames)} frames")
-    if not frames:
-        return None
-    Y, Phi = _stack([Y for _, Y, _ in frames], [Phi for _, _, Phi in frames])
-    (B, t, n), K = Y.shape, Phi.shape[2]
-    truth = np.zeros((B, K), dtype=bool)
-    for b, (channel, _, _) in enumerate(frames):
-        if channel.T_true.K != K:
-            raise DimensionError(f"support universe {channel.T_true.K} != K={K}")
-        truth[b, _zero_based(channel.T_true)] = True
-    T0 = np.zeros_like(truth)
-    if algorithm != "genie":
-        gamma = default_gamma(n, t) if gamma is None else float(gamma)
-        reads = algorithm in PRIOR_ALGORITHMS
-        for T in T0s:
-            if reads and believed_s_c is None and T.K != K:
-                raise ValueError(f"mismatched universes K={T.K} and K={K}")
-        T0, _ = _priors([PursuitConfig(
-            s_bar=scenario.s_bar, prior=PriorSupportInfo(T if reads else
-                                                         ChunkSupport.empty(K), 0),
-            gamma=gamma / np.sqrt(n) if algorithm == "sp" else gamma) for T in T0s], K)
-    return (np.stack([channel.H for channel, _, _ in frames]), truth,
-            _estimate(scenario, Y, Phi, truth, algorithm, T0, gamma, believed_s_c))
-
-
-def estimate_supports(scenario: MimoScenario, frames, algorithm: str, T0s,
-                      gamma: Optional[float] = None) -> list[ChunkSupport]:
-    """The supports estimate_frames would find, not mapped back or scored:
-    all that frames which only supply the next frames' priors T0 need."""
-    got = _estimated(scenario, frames, algorithm, T0s, gamma, None)
-    return [] if got is None else [_support(T) for T in got[2].T]
-
-
-def estimate_frames(scenario: MimoScenario, frames, algorithm: str, T0s,
-                    gamma: Optional[float] = None,
-                    believed_s_c: Optional[int] = None) -> list[FrameRecord]:
-    """Estimate and score a list of simulate_frames entries with one
-    algorithm, frame i with prior T0s[i]: the pursuits run as one batch, and
-    the frames are mapped back as one stack and scored each on its own. The
-    PRIOR_ALGORITHMS read T0s[i], the previous frame's estimated support
-    (empty for a first frame). The scenario's s_c floors only the overlap
-    of true supports, so by default the prior's s_c is min(scenario s_c,
-    |T0 ∩ T|) and the promise |T0 ∩ T| >= s_c holds. That count reads the
-    measured frame's true support T, which no receiver has; criterion 08
-    passes only with it. An explicit believed_s_c is passed as told,
-    clamped only to |T0|, and may overstate it (the mismatch study)."""
-    got = _estimated(scenario, frames, algorithm, T0s, gamma, believed_s_c)
-    if got is None:
-        return []
-    H, truth, est = got
-    return [FrameRecord(float(ratio), bool(hit), float(its), stop, bool(flag),
-                        channel.T_true, _support(T))
-            for (channel, _, _), ratio, its, hit, T, stop, flag in zip(
-                frames, *_score(scenario, H, truth, est), est.T, est.stops,
-                est.deficient)]
-
-
 def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
                        rng: np.random.Generator,
                        gamma: Optional[float] = None,
                        noise: bool = True,
                        believed_s_c: Optional[int] = None,
                        pinned: bool = False) -> list[FrameRecord]:
-    """n_frames of channel estimation with one algorithm: simulate_frames,
-    pinned or not, then estimate_frames frame by frame with T0 empty for
-    frame 1 and the previous frame's estimated support after it (see both
-    for the data and the prior rule)."""
+    """n_frames of channel estimation with one algorithm on the data
+    simulate_frames draws, pinned or not, each frame estimated and scored in
+    turn. The PRIOR_ALGORITHMS read T0, the previous frame's estimated
+    support (empty for frame 1). The scenario's s_c floors only the overlap
+    of true supports, so by default the prior's s_c is min(scenario s_c,
+    |T0 ∩ T|) and the promise |T0 ∩ T| >= s_c holds. That count reads the
+    measured frame's true support T, which no receiver has; criterion 08
+    passes only with it. An explicit believed_s_c is passed as told,
+    clamped only to |T0|, and may overstate it (the mismatch study)."""
+    n_frames = _whole(n_frames, "n_frames", 1)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
+    if believed_s_c is not None:
+        believed_s_c = _whole(believed_s_c, "believed s_c", 0)
+    if algorithm != "genie" and gamma is not None:
+        gamma = float(gamma)
+        if not gamma >= 0:  # also rejects nan, which disables the stop
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
     records: list[FrameRecord] = []
-    T0 = ChunkSupport.empty(scenario.M)
-    for frame in simulate_frames(scenario, n_frames, rng, noise, pinned):
-        records += estimate_frames(scenario, [frame], algorithm, [T0], gamma,
-                                   believed_s_c)
-        T0 = records[-1].T_hat
+    T0 = np.zeros((1, scenario.M), dtype=bool)
+    for _, H, Y, Phi, truth in _generate(scenario, [rng], n_frames, noise, pinned):
+        est = _estimate(scenario, Y, Phi, truth, algorithm, T0, gamma, believed_s_c)
+        (ratio,), (its,), (hit,) = _score(scenario, H, truth, est)
+        records.append(FrameRecord(float(ratio), bool(hit), float(its), est.stops[0],
+                                   bool(est.deficient[0]), _support(truth[0]),
+                                   _support(est.T[0])))
+        T0 = est.T
     return records

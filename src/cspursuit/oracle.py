@@ -46,6 +46,8 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
         raise EnumerationCapError(
             f"C({K},{s}) = {n_supports} supports exceeds cap {cap}")
     if constraint is not None:
+        if constraint[0].K != K:
+            raise DimensionError(f"constraint universe {constraint[0].K} != K={K}")
         t0_set = constraint[0].as_set()
         need = _whole(constraint[1], "m", 0)
 

@@ -375,8 +375,8 @@ def cmsp_recover(Y, Phi, cfg: PursuitConfig) -> RecoveryResult:
 
 def sp_recover(Y, Phi, s_bar: int, gamma: float) -> RecoveryResult:
     """Conventional subspace pursuit, no prior: mmv_sp_recover at d=1. The
-    harness does not call it; it hands its per-antenna columns to
-    recover_batch("sp", ...) as one stack."""
+    harness does not call it; mimo hands the per-antenna columns to the
+    pursuit loop as one stack."""
     return mmv_sp_recover(Y, Phi, s_bar, gamma, d=1)
 
 

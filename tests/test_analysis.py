@@ -492,6 +492,11 @@ class TestChannelBound:
             channel_recovery_bound(0.1, 6.0, 0.0, M=16, N_ue=2, T=16,
                                    P=float("nan"))
 
+    def test_infinite_power(self):
+        # an infinite P would give a bound of 0
+        with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
+            channel_recovery_bound(0.1, 2.0, 1.0, 64, 2, 24, float("inf"))
+
 
 class TestLemma1:
     def _instance(self, seed=0, K=6, d=1, M=None):

@@ -17,8 +17,8 @@ from cspursuit.errors import (CsPursuitError, DimensionError, FormatError,
                               GenerationError, PriorInfoError, SelectionError)
 from cspursuit.experiments import ExperimentConfig
 from cspursuit.mimo import (MimoScenario, default_gamma, dft_unitary,
-                            estimate_frames, generate_pilots, recover_channel,
-                            run_frame_sequence, simulate_frames)
+                            generate_pilots, recover_channel, run_frame_sequence,
+                            simulate_frames)
 from cspursuit.oracle import exhaustive_best_support, rip_bruteforce_reference
 from cspursuit.pursuit import PursuitConfig
 from cspursuit.sparsity import (PriorSupportInfo, SupportEvolutionParams,
@@ -378,10 +378,8 @@ def _pursuit_config(**kw):
 
 
 def _believing(believed_s_c):
-    scenario = _scenario()
-    frames = simulate_frames(scenario, 1, np.random.default_rng(0))
-    return estimate_frames(scenario, frames, "genie", [ChunkSupport.empty(16)],
-                           believed_s_c=believed_s_c)
+    return run_frame_sequence(_scenario(), 1, "genie", np.random.default_rng(0),
+                              believed_s_c=believed_s_c)
 
 
 # every integer argument of a public function and integer field of a value
@@ -455,7 +453,7 @@ _INTEGERS = [
     ("default_gamma.N_ue", lambda v: default_gamma(v, 16), "N_ue", 1,
      ValueError),
     ("default_gamma.T", lambda v: default_gamma(2, v), "T", 1, ValueError),
-    ("estimate_frames", _believing, "believed s_c", 0, ValueError),
+    ("run_frame_sequence.believed_s_c", _believing, "believed s_c", 0, ValueError),
     ("exhaustive_best_support.s",
      lambda v: exhaustive_best_support(np.zeros((4, 1)), np.eye(4), v, 1),
      "s", 1, SelectionError),

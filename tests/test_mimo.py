@@ -1,7 +1,11 @@
 """Tests for the angular-domain channel model and the frame simulation loop."""
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
+import cspursuit.core as core
 import cspursuit.mimo as mimo
 from cspursuit.core import frobenius
 from cspursuit.errors import DimensionError, GenerationError, MetricError
@@ -120,6 +124,16 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="must be positive"):
             fn(*args)
 
+    @pytest.mark.parametrize("call", [
+        lambda P: make_scenario(P=P),
+        lambda P: to_cs_problem(np.ones((2, 4)), np.ones((8, 4)), P),
+        lambda P: recover_channel(np.ones((4, 2)), P, 3),
+    ], ids=["MimoScenario", "to_cs_problem", "recover_channel"])
+    def test_infinite_power_rejected(self, call):
+        # an infinite P gives a nan NMSE, an infinite scale or a zero H_hat
+        with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
+            call(float("inf"))
+
 
 class TestNmse:
     def test_mean_of_ratios(self):
@@ -136,6 +150,13 @@ class TestNmse:
         Z = np.zeros((2, 2), dtype=complex)
         with pytest.raises(MetricError):
             nmse([(Z, Z)])
+
+    def test_shape_mismatch_raises(self):
+        # numpy would broadcast the difference or fail with its own message
+        with pytest.raises(DimensionError, match=r"H \(2, 2\) and H_hat \(3, 3\)"):
+            nmse([(np.ones((2, 2)), np.ones((3, 3)))])
+        with pytest.raises(DimensionError, match=r"H \(2, 2\) and H_hat \(1, 2\)"):
+            nmse([(np.ones((2, 2)), np.ones((1, 2)))])
 
     def test_overflowing_ratio_raises(self):
         # a finite ratio of 1e160 whose square is past every float
@@ -175,17 +196,6 @@ class TestFrameSequence:
         supports = {alg: tuple(r.T_true for r in recs)
                     for alg, recs in runs.items()}
         assert len(set(supports.values())) == 1
-
-    def test_estimate_support_is_the_frame_estimate(self):
-        scen = make_scenario()
-        first, measured = mimo.simulate_frames(scen, 2,
-                                               np.random.default_rng(10))
-        (T0,) = mimo.estimate_supports(scen, [first], "mmv_sp",
-                                       [ChunkSupport.empty(scen.M)])
-        for alg in ALGORITHMS:
-            (record,) = mimo.estimate_frames(scen, [measured], alg, [T0])
-            assert (mimo.estimate_supports(scen, [measured], alg, [T0])
-                    == [record.T_hat])
 
     def test_genie_beats_pursuit_in_median(self):
         scen = make_scenario(T=8)
@@ -232,6 +242,48 @@ class TestFrameSequence:
         scen = make_scenario()
         with pytest.raises(ValueError):
             run_frame_sequence(scen, 0, "genie", np.random.default_rng(0))
+
+    # sha256 of the records of 4-frame chains at the harness's scenario: every
+    # algorithm under the default prior rule, a believed s_c, pinned
+    # overlaps and no noise, seeds 0-2
+    CHAIN_DIGEST = "a3446d2f873dfa60e329a9aab4ba8e0b82c4c23038072cabb5dc4c028e02093a"
+
+    def test_seeded_chains(self):
+        scen = make_scenario(M=64, N_ue=2, T=24, P=10.0 ** 2.5, s_bar=8, s_c=4)
+        digest = hashlib.sha256()
+        for alg in ALGORITHMS:
+            for options in ({}, dict(believed_s_c=4), dict(pinned=True),
+                            dict(noise=False)):
+                for seed in range(3):
+                    for r in run_frame_sequence(scen, 4, alg,
+                                                np.random.default_rng(seed),
+                                                **options):
+                        digest.update(repr((r.nmse_ratio, r.support_exact,
+                                            r.iterations, r.stop_reason,
+                                            r.rank_deficient_ls, r.T_true.indices,
+                                            r.T_hat.indices)).encode())
+        assert digest.hexdigest() == self.CHAIN_DIGEST, (
+            "seeded frame chains moved; a numpy or BLAS upgrade can move them, "
+            "and an intended change of the random stream must update this digest")
+
+    @pytest.mark.parametrize("algorithm", ["msp", "sp", "genie"])
+    def test_frames_are_not_checked_again(self, monkeypatch, algorithm):
+        # every core.as_matrix call, through any module's name for it: the
+        # frames the generator built go to the kernels unchecked
+        calls = []
+        as_matrix = core.as_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return as_matrix(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("cspursuit.")
+                    and getattr(module, "as_matrix", None) is as_matrix):
+                monkeypatch.setattr(module, "as_matrix", counting)
+        for n_frames in (2, 6):
+            run_frame_sequence(make_scenario(), n_frames, algorithm,
+                               np.random.default_rng(0))
+        assert calls == []
 
 
 class TestPriorPromise:
@@ -285,39 +337,6 @@ class TestPriorPromise:
             assert prior.s_c == min(6, len(prior.T0))
             overstated += prior.s_c > len(prior.T0.intersection(recs[1].T_true))
         assert overstated > 0
-
-
-class TestFrameBatches:
-    """estimate_frames and estimate_supports run a list of frames as one
-    batch; each frame's record equals the one-frame call's."""
-
-    def test_batch_equals_single_frames(self):
-        scen = make_scenario()
-        trials = [mimo.simulate_frames(scen, 2, np.random.default_rng(seed))
-                  for seed in range(6)]
-        first, measured = [a for a, _ in trials], [b for _, b in trials]
-        empty = ChunkSupport.empty(scen.M)
-        T0s = mimo.estimate_supports(scen, first, "mmv_sp", [empty] * 6)
-        assert T0s == [mimo.estimate_supports(scen, [frame], "mmv_sp", [empty])[0]
-                       for frame in first]
-        for alg in ALGORITHMS:
-            for believed_s_c in (None, 2):
-                batch = mimo.estimate_frames(scen, measured, alg, T0s,
-                                             believed_s_c=believed_s_c)
-                for frame, T0, got in zip(measured, T0s, batch):
-                    (want,) = mimo.estimate_frames(scen, [frame], alg, [T0],
-                                                   believed_s_c=believed_s_c)
-                    assert ((got.nmse_ratio, got.T_hat, got.iterations,
-                             got.stop_reason, got.rank_deficient_ls)
-                            == (want.nmse_ratio, want.T_hat, want.iterations,
-                                want.stop_reason, want.rank_deficient_ls))
-
-    def test_empty_batch_and_prior_count(self):
-        scen = make_scenario()
-        assert mimo.estimate_frames(scen, [], "msp", []) == []
-        frames = mimo.simulate_frames(scen, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="1 priors T0 for 2 frames"):
-            mimo.estimate_frames(scen, frames, "msp", [ChunkSupport.empty(scen.M)])
 
 
 def _same_bits(a, b) -> bool:
@@ -418,11 +437,8 @@ class TestScenarioValidation:
 
 
 def _estimate_believing(believed_s_c):
-    scen = make_scenario()
-    measured = mimo.simulate_frames(scen, 2, np.random.default_rng(0))[1]
-    return mimo.estimate_frames(scen, [measured], "genie",
-                                [ChunkSupport.empty(scen.M)],
-                                believed_s_c=believed_s_c)
+    return run_frame_sequence(make_scenario(), 2, "genie", np.random.default_rng(0),
+                              believed_s_c=believed_s_c)
 
 
 @pytest.mark.parametrize("call,error,pattern", [

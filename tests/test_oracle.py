@@ -120,6 +120,13 @@ class TestRipBruteforce:
 @pytest.mark.parametrize("call,error,pattern", [
     (lambda: exhaustive_best_support(np.zeros((3, 1)), np.eye(4), 1, 1),
      DimensionError, "Y has 3 rows, Phi has 4"),
+    # a T0 of another universe, inside this one's chunks and outside them
+    (lambda: exhaustive_best_support(np.zeros((10, 1)), np.eye(10), 1, 1,
+                                     constraint=(ChunkSupport.of([1], 30), 1)),
+     DimensionError, "constraint universe 30 != K=10"),
+    (lambda: exhaustive_best_support(np.zeros((10, 1)), np.eye(10), 1, 1,
+                                     constraint=(ChunkSupport.of([20], 30), 1)),
+     DimensionError, "constraint universe 30 != K=10"),
     (lambda: rip_bruteforce_reference(np.eye(4), 5, 1),
      DimensionError, "k must be in 1..4, got 5"),
 ])

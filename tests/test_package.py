@@ -60,10 +60,9 @@ def test_star_import_binds_exactly_all():
 
 
 def test_simulation_api_imports_from_package():
-    from cspursuit import estimate_frames, estimate_supports, simulate_frames
-    from cspursuit.mimo import (estimate_frames as ef, estimate_supports as es,
-                                simulate_frames as sf)
-    assert (simulate_frames, estimate_frames, estimate_supports) == (sf, ef, es)
+    from cspursuit import run_frame_sequence, simulate_frames
+    from cspursuit.mimo import run_frame_sequence as rf, simulate_frames as sf
+    assert (simulate_frames, run_frame_sequence) == (sf, rf)
 
 
 def test_explicit_reexports_still_import():

@@ -8,8 +8,8 @@ from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
                             ls_solve, submatrix_by_chunks)
 from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
                               PriorInfoError, SelectionError)
-from cspursuit.mimo import (MimoScenario, default_gamma, estimate_supports,
-                            nmse, simulate_frames, to_cs_problem)
+from cspursuit.mimo import (MimoScenario, default_gamma, nmse, simulate_frames,
+                            to_cs_problem)
 from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
                                cmsp_support_merge, cmsp_support_refine, genie_ls,
                                mmv_sp_recover, msp_recover, msp_support_merge,
@@ -525,12 +525,12 @@ def harness_problem(seed, T):
     """The measured frame's Y and Phi, msp's and cmsp's prior (mmv_sp's
     frame-1 support, s_c capped at its true overlap) and the threshold."""
     scenario = MimoScenario(M=64, N_ue=2, T=T, P=10 ** 2.5, s_bar=8, s_c=4)
-    first, (channel, Y, Phi) = simulate_frames(scenario, 2,
-                                               np.random.default_rng(seed))
-    (T0,) = estimate_supports(scenario, [first], "mmv_sp",
-                              [ChunkSupport.empty(64)])
+    (_, Y1, Phi1), (channel, Y, Phi) = simulate_frames(
+        scenario, 2, np.random.default_rng(seed))
+    gamma = default_gamma(2, T)
+    T0 = mmv_sp_recover(Y1, Phi1, 8, gamma).T_hat
     s_c = min(scenario.s_c, len(T0.intersection(channel.T_true)))
-    return Y, Phi, PriorSupportInfo(T0, s_c), default_gamma(2, T)
+    return Y, Phi, PriorSupportInfo(T0, s_c), gamma
 
 
 def harness_solve(algorithm, Y, Phi, prior, gamma):
