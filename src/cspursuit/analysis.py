@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _rows, _whole, _whole_fields,
-                   as_matrix, chunking, frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _check_power, _rows, _whole,
+                   _whole_fields, as_matrix, chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -415,8 +415,7 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
         raise RipViolationError(
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
     M, N_ue, T = _whole(M, "M", 1), _whole(N_ue, "N_ue", 1), _whole(T, "T", 1)
-    if not 0 < P < math.inf:
-        raise ValueError(f"P must be positive and finite, got {P}")
+    _check_power(P)
     _check_nonnegative(gamma=gamma)
     nt = N_ue * T
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))

@@ -58,6 +58,16 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _frobenius_stack(a: np.ndarray) -> np.ndarray:
+    """frobenius of each slice a[i], bit for bit where strides are positive:
+    np.linalg.norm's dot products of the real and imaginary parts of the
+    slice raveled in memory order, taken as vector-by-vector matmuls."""
+    axes = sorted(range(1, a.ndim), key=lambda i: -abs(a.strides[i]))
+    v = a.transpose(0, *axes).reshape(len(a), 1, -1)
+    re, im = v.real, v.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
 def _whole(value, name: str = "chunk index", least=None, error=ValueError) -> int:
     """value as an int, the package's one integer check. A value that is not
     a whole number (a fraction, nan, inf, None) is refused with a ValueError,
@@ -78,6 +88,16 @@ def _whole_fields(obj, error=ValueError, **least) -> None:
     with its floor least[name] (None for none) and error for one below it."""
     for name, floor in least.items():
         object.__setattr__(obj, name, _whole(getattr(obj, name), name, floor, error))
+
+
+def _check_power(P) -> None:
+    """Refuse P with a ValueError naming it unless a positive finite number."""
+    try:
+        if 0 < P < np.inf:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"P must be positive and finite, got {P!r}")
 
 
 def _int_array(indices) -> bool:

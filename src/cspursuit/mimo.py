@@ -11,8 +11,8 @@ matrix, recovered with a pursuit, and mapped back to the antenna domain.
 Blocks of trials run as arrays through three kernels, _generate, _estimate
 and _score. run_frame_sequence checks its arguments once and drives them
 frame by frame on one trial; the harness drives them on blocks of trials.
-simulate_frames is the generator's one-trial case. Stacked products equal
-the one-matrix ones bit for bit, as tests check.
+simulate_frames is the generator's one-trial case. Stacked products and
+norms equal the one-matrix ones bit for bit, as tests check.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkSupport, _whole, _whole_fields, _zero_based, as_matrix,
-                   frobenius)
+from .core import (ChunkSupport, _check_power, _frobenius_stack, _whole,
+                   _whole_fields, _zero_based, as_matrix)
 from .errors import DimensionError, GenerationError, MetricError
 from .pursuit import (PRIOR_ALGORITHMS, StopReason, _Batch, _genie, _run_pursuit,
                       _support)
@@ -67,8 +67,7 @@ class MimoScenario:
 
     def __post_init__(self) -> None:
         _whole_fields(self, M=1, N_ue=1, T=1, s_bar=None, s_c=None)
-        if not 0 < self.P < np.inf:
-            raise ValueError(f"P must be positive and finite, got {self.P}")
+        _check_power(self.P)
         if self.s_bar < 3:
             raise GenerationError(f"s_bar must be at least 3, got {self.s_bar}")
         object.__setattr__(self, "evolution",
@@ -165,8 +164,7 @@ def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
     if min(n, t, m) < 1 or Theta.shape[1] != t:
         raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
                              "nonempty N_ue x T and M x T")
-    if not 0 < P < np.inf:
-        raise ValueError(f"P must be positive and finite, got {P}")
+    _check_power(P)
     return (*_cs_problem(Z, Theta), float(np.sqrt(P * t / m)))
 
 
@@ -177,16 +175,16 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
     if min(X_hat.shape) < 1:
         raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
     T = _whole(T, "T", 1)
-    if not 0 < P < np.inf:
-        raise ValueError(f"P must be positive and finite, got {P}")
+    _check_power(P)
     return _map_back(X_hat, P, T)
 
 
-def _nmse_ratio(H: np.ndarray, H_hat: np.ndarray) -> float:
-    """||H - H_hat||_F^2 / ||H||_F^2 of two validated arrays."""
+def _nmse_ratios(H: np.ndarray, H_hat: np.ndarray) -> list[float]:
+    """||H - H_hat||_F^2 / ||H||_F^2 of each slice of two validated stacks."""
     try:
         with np.errstate(over="raise"):  # a norm past every float
-            return (frobenius(H_hat - H) / frobenius(H)) ** 2
+            errors, norms = _frobenius_stack(H_hat - H), _frobenius_stack(H)
+        return [(e / r) ** 2 for e, r in zip(errors.tolist(), norms.tolist())]
     except ZeroDivisionError:
         raise MetricError("reference channel has zero norm") from None
     except (OverflowError, FloatingPointError):
@@ -201,7 +199,7 @@ def nmse(pairs) -> float:
         H, H_hat = as_matrix(H, "H"), as_matrix(H_hat, "H_hat")
         if H.shape != H_hat.shape:
             raise DimensionError(f"H {H.shape} and H_hat {H_hat.shape} differ in shape")
-        ratios.append(_nmse_ratio(H, H_hat))
+        ratios += _nmse_ratios(H[None], H_hat[None])
     if not ratios:
         raise MetricError("nmse needs at least one pair")
     return float(np.mean(ratios))
@@ -230,9 +228,9 @@ def _generate(scenario: MimoScenario, rngs, n_frames: int, noise: bool = True,
             H_a[f, b][:, cols] = _complex_gaussian(rng, (n, len(cols)))
             draws[f, b] = rng.integers(0, 2, size=(m, t))
             W[f, b] = _complex_gaussian(rng, (n, t)) if noise else 0
-    frames = []
+    pilots, frames = _pilot_values(np.arange(2), m), []
     for f in range(n_frames):
-        H, Theta = _synthesis(H_a[f]), _pilot_values(draws[f], m)
+        H, Theta = _synthesis(H_a[f]), pilots[draws[f]]
         frames.append((H_a[f], H, *_cs_problem(np.sqrt(scenario.P) * H @ Theta
                                                + W[f], Theta), truth[f]))
     return frames
@@ -248,6 +246,8 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
     same data. pinned makes every true consecutive overlap exactly the
     scenario's s_c instead of drawing it (generate_support_sequence)."""
     n_frames = _whole(n_frames, "n_frames", 1)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
     return [(ChannelFrame(H=H[0], H_a=H_a[0], T_true=_support(truth[0])), Y[0], Phi[0])
             for H_a, H, Y, Phi, truth in _generate(scenario, [rng], n_frames,
                                                    noise, pinned)]
@@ -285,7 +285,7 @@ def _score(scenario: MimoScenario, H: np.ndarray, truth: np.ndarray,
     """A block's NMSE ratios (each from its frame's own norms), iterations
     and exact-support hits."""
     H_hat = _map_back(est.X, scenario.P, scenario.T)
-    return (np.array([_nmse_ratio(*pair) for pair in zip(H, H_hat)]),
+    return (np.array(_nmse_ratios(H, H_hat)),
             est.iterations, (est.T == truth).all(axis=1))
 
 
@@ -310,9 +310,14 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
     if believed_s_c is not None:
         believed_s_c = _whole(believed_s_c, "believed s_c", 0)
     if algorithm != "genie" and gamma is not None:
-        gamma = float(gamma)
+        try:
+            gamma = float(gamma)
+        except (TypeError, ValueError):
+            raise ValueError(f"gamma must be nonnegative, got {gamma!r}") from None
         if not gamma >= 0:  # also rejects nan, which disables the stop
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
     records: list[FrameRecord] = []
     T0 = np.zeros((1, scenario.M), dtype=bool)
     for _, H, Y, Phi, truth in _generate(scenario, [rng], n_frames, noise, pinned):

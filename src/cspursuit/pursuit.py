@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LS_RCOND, ChunkSupport, _chunk_norms, _lstsq_stack, _ranked,
-                   _rows, _whole_fields, _zero_based, as_matrix, chunking,
-                   frobenius)
+from .core import (LS_RCOND, ChunkSupport, _chunk_norms, _frobenius_stack,
+                   _lstsq_stack, _ranked, _rows, _whole_fields, _zero_based,
+                   as_matrix, chunking)
 from .errors import DimensionError, PriorInfoError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
@@ -261,7 +261,7 @@ def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarr
     merge, refine = _RULES[algorithm]
     B, K = prior.shape
     residues = np.full((B, max_iter + 1), np.nan)
-    residues[:, 0] = r_prev = np.array([frobenius(y) for y in Y])
+    residues[:, 0] = r_prev = _frobenius_stack(Y)
     stop_at = np.maximum(gamma, LS_RCOND * r_prev)
     out = _Batch(np.zeros((B, K), dtype=bool),
                  np.zeros((B, K * d, Y.shape[2]), dtype=np.complex128),
@@ -289,14 +289,18 @@ def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarr
         scores = _chunk_norms(Phi.transpose(0, 2, 1) @ R.conj(), d)[live]
         T_a = merge(scores, held, prior, s_c, s_bar)
         norms = np.zeros(T_a.shape)
-        for g, chunks, _, Z, flags in _ls_groups(Y_live, Phi, live, T_a, d):
+        groups = list(_ls_groups(Y_live, Phi, live, T_a, d))
+        for g, chunks, _, Z, flags in groups:
             norms[g[:, None], chunks] = _chunk_norms(Z, d)
             out.deficient[live[g]] |= flags
         T_next = refine(norms, prior, s_c, s_bar)
-        ((_, T, sub, X, flags),) = _ls_groups(Y_live, Phi, live, T_next, d)
+        # a refine that keeps one stacked solve's merged supports reuses it
+        if len(groups) > 1 or not np.array_equal(T_next, T_a):
+            groups = list(_ls_groups(Y_live, Phi, live, T_next, d))
+        ((_, T, sub, X, flags),) = groups
         out.deficient[live] |= flags
         R[live] = R_next = Y_live - sub @ X
-        residues[live, it] = r_next = np.array([frobenius(r) for r in R_next])
+        residues[live, it] = r_next = _frobenius_stack(R_next)
         met = r_next <= stop_at
         flat = ~met & (r_next >= r_prev)
         if met.any() or flat.any():

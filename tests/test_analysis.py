@@ -497,6 +497,11 @@ class TestChannelBound:
         with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
             channel_recovery_bound(0.1, 2.0, 1.0, 64, 2, 24, float("inf"))
 
+    def test_non_number_power(self):
+        # a comparison with a str raises a TypeError naming no argument
+        with pytest.raises(ValueError, match="^P must be positive and finite, got 'a'$"):
+            channel_recovery_bound(0.1, 2.0, 1.0, 64, 2, 24, "a")
+
 
 class TestLemma1:
     def _instance(self, seed=0, K=6, d=1, M=None):

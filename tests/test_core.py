@@ -9,8 +9,8 @@ import cspursuit
 from cspursuit.analysis import (RipQuery, block_rip_montecarlo,
                                 channel_recovery_bound, cmsp_constants,
                                 isometry_orders)
-from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, as_matrix,
-                            chunk_norms, chunking, frobenius, ls_solve,
+from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, _frobenius_stack,
+                            as_matrix, chunk_norms, chunking, frobenius, ls_solve,
                             ls_solve_with_rank, read_matrix, submatrix_by_chunks,
                             top_k_chunks, write_matrix)
 from cspursuit.errors import (CsPursuitError, DimensionError, FormatError,
@@ -117,6 +117,49 @@ class TestChunkNorms:
     def test_row_mismatch(self):
         with pytest.raises(DimensionError):
             chunk_norms(np.zeros((3, 1)), ChunkIndexing(K=2, d=2))
+
+
+class TestFrobeniusStack:
+    """The stacked norm behind the pursuit's residues and mimo's NMSE gives
+    every slice the bits frobenius gives it alone."""
+
+    @staticmethod
+    def _assert_slices_match(stack):
+        want = np.array([frobenius(s) for s in stack])
+        assert _frobenius_stack(stack).tobytes() == want.tobytes()
+
+    # (B, T, N_ue) and (B, T, 1) residues, (B, N_ue, M) channels, B = 1, and
+    # an L = 0 stack
+    SHAPES = [(6, 24, 2), (6, 24, 1), (6, 2, 64), (1, 24, 2), (1, 2, 64),
+              (3, 16, 0)]
+    _ID = staticmethod(lambda shape: "x".join(map(str, shape)))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=_ID)
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_equals_frobenius(self, shape, scale):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        for _ in range(5):
+            self._assert_slices_match(scale * random_complex(rng, shape))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=_ID)
+    def test_mixed_magnitudes(self, shape):
+        # entries from 1e-150 to 1e150 within each slice
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            self._assert_slices_match(10.0 ** rng.uniform(-150, 150, shape)
+                                      * random_complex(rng, shape))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=_ID)
+    def test_non_contiguous_slices(self, shape):
+        # norm ravels each slice in memory order, which a transpose changes
+        rng = np.random.default_rng(sum(shape) + 1)
+        for _ in range(5):
+            a = random_complex(rng, shape)
+            self._assert_slices_match(a.transpose(0, 2, 1))
+            self._assert_slices_match(np.asfortranarray(a))
+            self._assert_slices_match(a.transpose(2, 1, 0).copy().transpose(2, 1, 0))
+            self._assert_slices_match(random_complex(
+                rng, shape[:1] + (2 * shape[1],) + shape[2:])[:, ::2])
 
 
 class TestTopKChunks:

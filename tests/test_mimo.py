@@ -1,5 +1,6 @@
 """Tests for the angular-domain channel model and the frame simulation loop."""
 import hashlib
+import re
 import sys
 
 import numpy as np
@@ -134,6 +135,18 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
             call(float("inf"))
 
+    @pytest.mark.parametrize("call", [
+        lambda P: make_scenario(P=P),
+        lambda P: to_cs_problem(np.ones((2, 4)), np.ones((8, 4)), P),
+        lambda P: recover_channel(np.ones((4, 2)), P, 3),
+    ], ids=["MimoScenario", "to_cs_problem", "recover_channel"])
+    @pytest.mark.parametrize("P", ["a", None])
+    def test_non_number_power_rejected(self, call, P):
+        # a comparison with a str or None raises a TypeError naming no argument
+        with pytest.raises(ValueError,
+                           match=f"^P must be positive and finite, got {P!r}$"):
+            call(P)
+
 
 class TestNmse:
     def test_mean_of_ratios(self):
@@ -163,6 +176,35 @@ class TestNmse:
         H = np.full((2, 2), 1e-60)
         with pytest.raises(MetricError, match="overflows a float"):
             nmse([(H, np.full((2, 2), 1e100))])
+
+    @staticmethod
+    def _scored_block():
+        scen = make_scenario()
+        _, (_, H, Y, Phi, truth) = mimo._generate(
+            scen, [np.random.default_rng(s) for s in range(4)], 2)
+        est = mimo._estimate(scen, Y, Phi, truth, "msp", np.zeros_like(truth),
+                             None, None)
+        return scen, H, truth, est
+
+    def test_score_equals_nmse_per_frame(self):
+        # each frame's ratio is nmse's one-pair case, bit for bit
+        scen, H, truth, est = self._scored_block()
+        ratios, _, _ = mimo._score(scen, H, truth, est)
+        H_hat = mimo._map_back(est.X, scen.P, scen.T)
+        assert ratios.tolist() == [nmse([(H[b], H_hat[b])]) for b in range(len(H))]
+
+    def test_score_refusals(self):
+        # one bad frame of a block refuses the block, as nmse refuses a pair
+        scen, H, truth, est = self._scored_block()
+        zero = H.copy()
+        zero[2] = 0
+        with pytest.raises(MetricError, match="^reference channel has zero norm$"):
+            mimo._score(scen, zero, truth, est)
+        tiny = H.copy()
+        tiny[1] = 1e-60
+        huge = est._replace(X=np.full_like(est.X, 1e100))
+        with pytest.raises(MetricError, match="^NMSE ratio overflows a float$"):
+            mimo._score(scen, tiny, truth, huge)
 
 
 class TestDefaultGamma:
@@ -234,6 +276,23 @@ class TestFrameSequence:
         scen = make_scenario()
         with pytest.raises(ValueError):
             run_frame_sequence(scen, 1, "omp", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("gamma", ["abc", [1.0]])
+    def test_non_number_gamma_rejected(self, gamma):
+        # float() would raise its own ValueError or TypeError, naming no argument
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma must be nonnegative, got {gamma!r}")):
+            run_frame_sequence(make_scenario(), 2, "msp", np.random.default_rng(0),
+                               gamma=gamma)
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: run_frame_sequence(make_scenario(), 2, "msp", rng),
+        lambda rng: mimo.simulate_frames(make_scenario(), 2, rng),
+    ], ids=["run_frame_sequence", "simulate_frames"])
+    def test_rng_must_be_a_generator(self, call):
+        # a seed in place of the Generator failed on rng.integers
+        with pytest.raises(TypeError, match="^rng must be a numpy Generator, got 0$"):
+            call(0)
 
     def test_algorithm_registry(self):
         assert set(ALGORITHMS) == {"msp", "cmsp", "mmv_sp", "sp", "genie"}
@@ -352,8 +411,8 @@ class TestBlockKernels:
     SEEDS = range(6)
 
     @staticmethod
-    def _scenario(T, snr_db):
-        return make_scenario(M=64, N_ue=2, T=T, P=10.0 ** (snr_db / 10.0),
+    def _scenario(T, snr_db, M=64):
+        return make_scenario(M=M, N_ue=2, T=T, P=10.0 ** (snr_db / 10.0),
                              s_bar=8, s_c=4)
 
     @staticmethod
@@ -379,24 +438,34 @@ class TestBlockKernels:
     @pytest.mark.parametrize("noise,pinned", [(True, False), (False, False),
                                               (True, True)])
     def test_generator_matches_per_frame_route(self, T, snr_db, noise, pinned):
-        scen = self._scenario(T, snr_db)
-        block = self._block(scen, noise, pinned)
-        for b, seed in enumerate(self.SEEDS):
-            rng = np.random.default_rng(seed)
-            single = mimo.simulate_frames(scen, 2, np.random.default_rng(seed),
-                                          noise, pinned)
-            for (H_a, H, Y, Phi, truth), want, got in zip(
-                    block, self._per_frame(scen, rng, noise, pinned), single):
-                channel, Y1, Phi1 = want
-                mask = np.zeros(scen.M, dtype=bool)
-                mask[np.array(channel.T_true.indices) - 1] = True
-                assert np.array_equal(truth[b], mask)
-                for stacked, one in ((H_a[b], channel.H_a), (H[b], channel.H),
-                                     (Y[b], Y1), (Phi[b], Phi1)):
-                    assert _same_bits(stacked, one)
-                assert got[0].T_true == channel.T_true
-                assert all(_same_bits(a, c) for a, c in (
-                    (got[0].H, channel.H), (got[1], Y1), (got[2], Phi1)))
+        # 1/sqrt(M) is inexact at M = 48, which is no power of two
+        for M in (64, 48):
+            scen = self._scenario(T, snr_db, M)
+            block = self._block(scen, noise, pinned)
+            for b, seed in enumerate(self.SEEDS):
+                rng = np.random.default_rng(seed)
+                single = mimo.simulate_frames(scen, 2, np.random.default_rng(seed),
+                                              noise, pinned)
+                for (H_a, H, Y, Phi, truth), want, got in zip(
+                        block, self._per_frame(scen, rng, noise, pinned), single):
+                    channel, Y1, Phi1 = want
+                    mask = np.zeros(scen.M, dtype=bool)
+                    mask[np.array(channel.T_true.indices) - 1] = True
+                    assert np.array_equal(truth[b], mask)
+                    for stacked, one in ((H_a[b], channel.H_a), (H[b], channel.H),
+                                         (Y[b], Y1), (Phi[b], Phi1)):
+                        assert _same_bits(stacked, one)
+                    assert got[0].T_true == channel.T_true
+                    assert all(_same_bits(a, c) for a, c in (
+                        (got[0].H, channel.H), (got[1], Y1), (got[2], Phi1)))
+
+    @pytest.mark.parametrize("M", [3, 48, 64, 200])
+    def test_pilot_lookup_matches_pilot_values(self, M):
+        # the generator looks each 0/1 draw up among the two pilot values
+        draws = np.random.default_rng(M).integers(0, 2, size=(6, M, 24),
+                                                  dtype=np.int8)
+        assert _same_bits(mimo._pilot_values(np.arange(2), M)[draws],
+                          mimo._pilot_values(draws, M))
 
     @pytest.mark.parametrize("T", [16, 24, 40])
     def test_genie_matches_genie_ls(self, T):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cspursuit.pursuit as pursuit
 from cspursuit.analysis import RipQuery, block_rip_exact
 from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
                             ls_solve, submatrix_by_chunks)
@@ -120,6 +121,25 @@ class TestStopping:
         assert res.stop_reason is StopReason.THRESHOLD_MET
         assert res.iterations == 1
         assert len(res.residue_norms) == 2
+
+    def test_first_iteration_solves_once(self, monkeypatch):
+        # msp's first refine keeps the merged supports, so the loop reuses
+        # the merge's solve: one least-squares problem per problem, not two
+        problems = []
+        original = pursuit._lstsq_stack
+
+        def counting(A, B):
+            problems.extend(range(len(A)))
+            return original(A, B)
+        monkeypatch.setattr(pursuit, "_lstsq_stack", counting)
+        rng = np.random.default_rng(12)
+        Y, Phi = random_complex(rng, (5, 12, 2)), random_complex(rng, (5, 12, 20))
+        prior = PriorSupportInfo(ChunkSupport.of([2, 7], 20), s_c=1)
+        cfg = PursuitConfig(s_bar=3, prior=prior, gamma=1e6)
+        results = recover_batch("msp", Y, Phi, [cfg] * 5)
+        assert [(r.iterations, r.stop_reason) for r in results] == (
+            [(1, StopReason.THRESHOLD_MET)] * 5)
+        assert len(problems) == 5
 
     def test_max_iterations(self):
         rng = np.random.default_rng(7)
