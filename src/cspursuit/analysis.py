@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _check_power, _rows, _whole,
-                   _whole_fields, as_matrix, chunking, frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_rng, _rows,
+                   _whole, _whole_fields, as_matrix, chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -170,6 +170,7 @@ def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
     # which _exact_delta rejects
     if n_samples >= math.comb(idx.K, q.k):
         return _exact_delta(Phi, idx, q.k, n_samples)
+    _check_rng(rng)
     # row i's first k entries of a random permutation are support i
     draws = np.argsort(rng.random((n_samples, idx.K)), axis=1)[:, :q.k]
     return _max_deviation(Phi, idx, np.unique(np.sort(draws, axis=1), axis=0))
@@ -415,7 +416,7 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
         raise RipViolationError(
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
     M, N_ue, T = _whole(M, "M", 1), _whole(N_ue, "N_ue", 1), _whole(T, "T", 1)
-    _check_power(P)
+    _check_number(P, "P", positive=True)
     _check_nonnegative(gamma=gamma)
     nt = N_ue * T
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))

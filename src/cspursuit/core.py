@@ -90,20 +90,22 @@ def _whole_fields(obj, error=ValueError, **least) -> None:
         object.__setattr__(obj, name, _whole(getattr(obj, name), name, floor, error))
 
 
-def _check_power(P) -> None:
-    """Refuse P with a ValueError naming it unless a positive finite number."""
+def _check_number(value, name: str, positive: bool = False) -> None:
+    """Refuse value with a ValueError naming it unless it compares >= 0, or
+    with positive unless 0 < value < inf; nan and non-numbers never do."""
     try:
-        if 0 < P < np.inf:
+        if (0 < value < np.inf) if positive else value >= 0:
             return
     except TypeError:
         pass
-    raise ValueError(f"P must be positive and finite, got {P!r}")
+    what = "positive and finite" if positive else "nonnegative"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _int_array(indices) -> bool:
-    """Whether indices is a 1-D integer array, whose entries are whole."""
-    return (isinstance(indices, np.ndarray) and indices.ndim == 1
-            and indices.dtype.kind in "iu")
+def _check_rng(rng) -> None:
+    """Refuse rng with a TypeError unless a numpy Generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _rows(chunks: np.ndarray, d: int) -> np.ndarray:
@@ -151,15 +153,14 @@ def chunking(Phi: np.ndarray, d: int) -> ChunkIndexing:
 @dataclass(frozen=True)
 class ChunkSupport:
     """Duplicate-free set of 1-based chunk indices within a universe {1..K},
-    stored sorted ascending."""
+    stored sorted ascending. Every one is built checked; inside the package
+    supports are boolean chunk masks, made into ChunkSupports by _support."""
 
     indices: tuple[int, ...]
     K: int
 
     def __post_init__(self) -> None:
-        raw = self.indices
-        idx = (tuple(raw.tolist()) if _int_array(raw)
-               else tuple(map(_whole, raw)))
+        idx = tuple(map(_whole, self.indices))
         object.__setattr__(self, "indices", idx)
         _whole_fields(self, K=0)
         if idx and (min(idx) < 1 or max(idx) > self.K):
@@ -169,19 +170,8 @@ class ChunkSupport:
 
     @classmethod
     def of(cls, indices: Iterable[int], K: int) -> "ChunkSupport":
-        """Build from any iterable, deduplicating and sorting: a 1-D integer
-        array in one np.unique, anything else one index at a time."""
-        if _int_array(indices):
-            return cls(np.unique(indices), K)
+        """Build from any iterable, deduplicating and sorting."""
         return cls(tuple(sorted(set(map(_whole, indices)))), K)
-
-    @classmethod
-    def _drawn(cls, indices: np.ndarray, K: int) -> "ChunkSupport":
-        """Distinct chunks in 1..K that the package drew, stored unchecked."""
-        support = object.__new__(cls)
-        object.__setattr__(support, "indices", tuple(np.sort(indices).tolist()))
-        object.__setattr__(support, "K", K)
-        return support
 
     @classmethod
     def empty(cls, K: int) -> "ChunkSupport":
@@ -204,6 +194,12 @@ class ChunkSupport:
 
 def _zero_based(S: ChunkSupport) -> np.ndarray:
     return np.array(S.indices, dtype=np.intp) - 1
+
+
+def _support(mask: np.ndarray) -> ChunkSupport:
+    """The support of a length-K chunk mask, the package's one way from the
+    masks it works on to a ChunkSupport."""
+    return ChunkSupport((np.flatnonzero(mask) + 1).tolist(), len(mask))
 
 
 def _chunk_norms(X: np.ndarray, d: int) -> np.ndarray:

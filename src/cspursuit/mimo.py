@@ -22,13 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkSupport, _check_power, _frobenius_stack, _whole,
-                   _whole_fields, _zero_based, as_matrix)
+from .core import (ChunkSupport, _check_number, _check_rng, _frobenius_stack,
+                   _support, _whole, _whole_fields, _zero_based, as_matrix)
 from .errors import DimensionError, GenerationError, MetricError
-from .pursuit import (PRIOR_ALGORITHMS, StopReason, _Batch, _genie, _run_pursuit,
-                      _support)
-from .sparsity import (SupportEvolutionParams, _complex_gaussian,
-                       generate_support_sequence)
+from .pursuit import PRIOR_ALGORITHMS, StopReason, _Batch, _genie, _run_pursuit
+from .sparsity import SupportEvolutionParams, _complex_gaussian, _support_masks
 
 __all__ = [
     "MimoScenario",
@@ -67,7 +65,7 @@ class MimoScenario:
 
     def __post_init__(self) -> None:
         _whole_fields(self, M=1, N_ue=1, T=1, s_bar=None, s_c=None)
-        _check_power(self.P)
+        _check_number(self.P, "P", positive=True)
         if self.s_bar < 3:
             raise GenerationError(f"s_bar must be at least 3, got {self.s_bar}")
         object.__setattr__(self, "evolution",
@@ -134,6 +132,7 @@ def _map_back(X: np.ndarray, P: float, T: int) -> np.ndarray:
 def generate_pilots(M: int, T: int, rng: np.random.Generator) -> np.ndarray:
     """M x T pilot block with entries +-sqrt(1/M), so tr(Theta Theta^H) = T."""
     M, T = _whole(M, "M", 1), _whole(T, "T", 1)
+    _check_rng(rng)
     return _pilot_values(rng.integers(0, 2, size=(M, T)), M)
 
 
@@ -143,6 +142,7 @@ def generate_channel(scenario: MimoScenario, T_true: ChunkSupport,
     support T_true; nonzero entries are unit-variance complex Gaussian."""
     if T_true.K != scenario.M:
         raise DimensionError(f"support universe {T_true.K} != M={scenario.M}")
+    _check_rng(rng)
     n, m = scenario.N_ue, scenario.M
     H_a = np.zeros((n, m), dtype=np.complex128)
     cols = _zero_based(T_true)
@@ -164,7 +164,7 @@ def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
     if min(n, t, m) < 1 or Theta.shape[1] != t:
         raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
                              "nonempty N_ue x T and M x T")
-    _check_power(P)
+    _check_number(P, "P", positive=True)
     return (*_cs_problem(Z, Theta), float(np.sqrt(P * t / m)))
 
 
@@ -175,7 +175,7 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
     if min(X_hat.shape) < 1:
         raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
     T = _whole(T, "T", 1)
-    _check_power(P)
+    _check_number(P, "P", positive=True)
     return _map_back(X_hat, P, T)
 
 
@@ -221,11 +221,9 @@ def _generate(scenario: MimoScenario, rngs, n_frames: int, noise: bool = True,
     draws = np.empty((n_frames, B, m, t), dtype=np.int8)  # 0/1 pilot signs
     W = np.zeros((n_frames, B, n, t), dtype=np.complex128)
     for b, rng in enumerate(rngs):
-        for f, T_true in enumerate(generate_support_sequence(
-                scenario.evolution, n_frames, rng, pinned)):
-            cols = _zero_based(T_true)
-            truth[f, b, cols] = True
-            H_a[f, b][:, cols] = _complex_gaussian(rng, (n, len(cols)))
+        truth[:, b] = _support_masks(scenario.evolution, n_frames, rng, pinned)
+        for f in range(n_frames):
+            H_a[f, b][:, truth[f, b]] = _complex_gaussian(rng, (n, truth[f, b].sum()))
             draws[f, b] = rng.integers(0, 2, size=(m, t))
             W[f, b] = _complex_gaussian(rng, (n, t)) if noise else 0
     pilots, frames = _pilot_values(np.arange(2), m), []
@@ -246,8 +244,7 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
     same data. pinned makes every true consecutive overlap exactly the
     scenario's s_c instead of drawing it (generate_support_sequence)."""
     n_frames = _whole(n_frames, "n_frames", 1)
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
+    _check_rng(rng)
     return [(ChannelFrame(H=H[0], H_a=H_a[0], T_true=_support(truth[0])), Y[0], Phi[0])
             for H_a, H, Y, Phi, truth in _generate(scenario, [rng], n_frames,
                                                    noise, pinned)]
@@ -310,14 +307,8 @@ def run_frame_sequence(scenario: MimoScenario, n_frames: int, algorithm: str,
     if believed_s_c is not None:
         believed_s_c = _whole(believed_s_c, "believed s_c", 0)
     if algorithm != "genie" and gamma is not None:
-        try:
-            gamma = float(gamma)
-        except (TypeError, ValueError):
-            raise ValueError(f"gamma must be nonnegative, got {gamma!r}") from None
-        if not gamma >= 0:  # also rejects nan, which disables the stop
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
+        _check_number(gamma, "gamma")  # also rejects nan, which disables the stop
+    _check_rng(rng)
     records: list[FrameRecord] = []
     T0 = np.zeros((1, scenario.M), dtype=bool)
     for _, H, Y, Phi, truth in _generate(scenario, [rng], n_frames, noise, pinned):

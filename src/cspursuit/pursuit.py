@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LS_RCOND, ChunkSupport, _chunk_norms, _frobenius_stack,
-                   _lstsq_stack, _ranked, _rows, _whole_fields, _zero_based,
-                   as_matrix, chunking)
+from .core import (LS_RCOND, ChunkSupport, _check_number, _chunk_norms,
+                   _frobenius_stack, _lstsq_stack, _ranked, _rows, _support,
+                   _whole_fields, _zero_based, as_matrix, chunking)
 from .errors import DimensionError, PriorInfoError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
@@ -78,8 +78,7 @@ class PursuitConfig:
         if len(self.prior.T0) > self.s_bar:  # the prior holds s_c <= |T0|
             raise PriorInfoError(
                 f"|T0| <= s_bar violated: |T0|={len(self.prior.T0)}, s_bar={self.s_bar}")
-        if not self.gamma >= 0:  # also rejects nan, which disables the stop
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        _check_number(self.gamma, "gamma")  # also rejects nan, which disables the stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +102,8 @@ class RecoveryResult:
 def _stack(Y, Phi, name: str = "Y") -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of problems Y[b] = Phi[b] X[b] once, Y as
     (B, rows, L) and Phi as (B, rows, K d); one problem is [Y], [Phi]."""
-    Y = np.asarray(Y, dtype=np.complex128)
-    Phi = np.asarray(Phi, dtype=np.complex128)
+    Y = np.asarray(Y, dtype=np.complex128, order="C")
+    Phi = np.asarray(Phi, dtype=np.complex128, order="C")
     if Y.ndim != 3 or Phi.ndim != 3 or len(Y) != len(Phi) or not len(Y):
         raise DimensionError(f"{name} {Y.shape} and Phi {Phi.shape} must be stacks "
                              "(B, rows, L) and (B, rows, K d) of B >= 1 problems")
@@ -179,10 +178,6 @@ def _cmsp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
     picked = _first((prior & ~held)[rows, ranked], shortfall)
     picked[:, :s_bar] = True
     return held | _by_chunk(rows, ranked, picked)
-
-
-def _support(mask: np.ndarray) -> ChunkSupport:
-    return ChunkSupport(np.flatnonzero(mask) + 1, len(mask))
 
 
 def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:

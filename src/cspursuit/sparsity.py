@@ -9,7 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _chunk_norms, _whole, _whole_fields,
+from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_rng,
+                   _chunk_norms, _rows, _support, _whole, _whole_fields, _zero_based,
                    as_matrix)
 from .errors import DimensionError, GenerationError, PriorInfoError
 
@@ -80,11 +81,8 @@ class SupportEvolutionParams:
 
 def chunk_support(X: ChunkSparseMatrix, tol: float = 0.0) -> ChunkSupport:
     """Indices of chunks with Frobenius norm strictly above tol."""
-    if not tol >= 0:  # also rejects nan, which no norm exceeds
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    norms = _chunk_norms(X.data, X.idx.d)
-    hot = np.nonzero(norms > tol)[0] + 1
-    return ChunkSupport.of(hot.tolist(), X.idx.K)
+    _check_number(tol, "tol")  # also rejects nan, which no norm exceeds
+    return _support(_chunk_norms(X.data, X.idx.d) > tol)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -99,11 +97,31 @@ def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],
     entries on the chunks in T, exact zeros elsewhere."""
     idx = ChunkIndexing(K, d)
     L = _whole(L, "L", 1)
-    chunks = ChunkSupport.of(T, K)  # ValueError outside 1..K
+    chunks = _zero_based(ChunkSupport.of(T, K))  # ValueError outside 1..K
+    _check_rng(rng)
     data = np.zeros((idx.total_rows, L), dtype=np.complex128)
-    for k in chunks:
-        data[idx.rows_of([k])] = _complex_gaussian(rng, (d, L))
+    for rows in _rows(chunks[:, None], d):
+        data[rows] = _complex_gaussian(rng, (d, L))
     return ChunkSparseMatrix(data, idx)
+
+
+def _support_masks(params: SupportEvolutionParams, n_frames: int,
+                   rng: np.random.Generator, pinned: bool) -> np.ndarray:
+    """generate_support_sequence as an (n_frames, K) chunk mask, drawn in
+    its order: the sizes, the first support, then per frame the kept and
+    the fresh chunks, over arange(K) and the sorted previous support."""
+    sizes = [int(rng.integers(params.s_bar - 2, params.s_bar + 1))
+             for _ in range(n_frames)]
+    masks = np.zeros((n_frames, params.K), dtype=bool)
+    masks[0, rng.choice(params.K, size=sizes[0], replace=False)] = True
+    for i in range(1, n_frames):
+        prev = np.flatnonzero(masks[i - 1])
+        want = params.s_c if pinned else int(rng.integers(params.s_c, params.s_c + 3))
+        ov = min(want, len(prev), sizes[i])
+        masks[i, rng.choice(prev, size=ov, replace=False)] = True
+        masks[i, rng.choice(np.flatnonzero(~masks[i - 1]), size=sizes[i] - ov,
+                            replace=False)] = True
+    return masks
 
 
 def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
@@ -118,19 +136,5 @@ def generate_support_sequence(params: SupportEvolutionParams, n_frames: int,
     remainder uniformly from its complement.
     """
     n_frames = _whole(n_frames, "n_frames", 1)
-    sizes = [int(rng.integers(params.s_bar - 2, params.s_bar + 1))
-             for _ in range(n_frames)]
-    universe = np.arange(1, params.K + 1)
-    first = rng.choice(universe, size=sizes[0], replace=False)
-    supports = [ChunkSupport._drawn(first, params.K)]
-    for i in range(1, n_frames):
-        prev = np.array(supports[-1].indices, dtype=int)
-        want = params.s_c if pinned else int(rng.integers(params.s_c, params.s_c + 3))
-        ov = min(want, len(prev), sizes[i])
-        keep = rng.choice(prev, size=ov, replace=False)
-        outside = np.ones(params.K, dtype=bool)
-        outside[prev - 1] = False
-        fresh = rng.choice(universe[outside], size=sizes[i] - ov, replace=False)
-        supports.append(ChunkSupport._drawn(np.concatenate((keep, fresh)), params.K))
-    return supports
-
+    _check_rng(rng)
+    return [_support(m) for m in _support_masks(params, n_frames, rng, pinned)]

@@ -1,4 +1,6 @@
 """Tests for chunk indexing, selection, least squares, and matrix file I/O."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +19,12 @@ from cspursuit.errors import (CsPursuitError, DimensionError, FormatError,
                               GenerationError, PriorInfoError, SelectionError)
 from cspursuit.experiments import ExperimentConfig
 from cspursuit.mimo import (MimoScenario, default_gamma, dft_unitary,
-                            generate_pilots, recover_channel, run_frame_sequence,
-                            simulate_frames)
+                            generate_channel, generate_pilots, recover_channel,
+                            run_frame_sequence, simulate_frames)
 from cspursuit.oracle import exhaustive_best_support, rip_bruteforce_reference
 from cspursuit.pursuit import PursuitConfig
-from cspursuit.sparsity import (PriorSupportInfo, SupportEvolutionParams,
+from cspursuit.sparsity import (ChunkSparseMatrix, PriorSupportInfo,
+                                SupportEvolutionParams, chunk_support,
                                 generate_chunk_sparse, generate_support_sequence)
 
 
@@ -560,6 +563,35 @@ def test_integer_below_floor_is_named(call, name, least, error):
     word = "positive" if least else "nonnegative"
     with pytest.raises(error, match=f"^{name} must be {word}, got {least - 1}$"):
         call(least - 1)
+
+
+# a threshold that is not a number is refused by name, where it once raised
+# a bare TypeError
+@pytest.mark.parametrize("value", ["abc", "1.5", None, [1.0]])
+@pytest.mark.parametrize("call,name", [
+    (lambda v: _pursuit_config(gamma=v), "gamma"),
+    (lambda v: chunk_support(ChunkSparseMatrix(np.zeros((4, 1)), ChunkIndexing(4, 1)),
+                             v), "tol"),
+], ids=["PursuitConfig.gamma", "chunk_support.tol"])
+def test_non_number_threshold_is_named(call, name, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be nonnegative, got {value!r}")):
+        call(value)
+
+
+# every public function that draws refuses an rng that is not a numpy
+# Generator, after its other checks, where it once failed on the first draw
+@pytest.mark.parametrize("call", [
+    lambda rng: generate_pilots(8, 4, rng),
+    lambda rng: generate_channel(_scenario(), ChunkSupport.of([2, 5], 16), rng),
+    lambda rng: generate_support_sequence(SupportEvolutionParams(5, 1, 16), 2, rng),
+    lambda rng: generate_chunk_sparse(4, 2, 1, [1, 3], rng),
+    lambda rng: block_rip_montecarlo(np.eye(6), RipQuery(2, 1), 3, rng),
+], ids=["generate_pilots", "generate_channel", "generate_support_sequence",
+        "generate_chunk_sparse", "block_rip_montecarlo"])
+def test_rng_must_be_a_generator(call):
+    with pytest.raises(TypeError, match="^rng must be a numpy Generator, got 0$"):
+        call(0)
 
 
 # one valid instance of each public value type with an int field

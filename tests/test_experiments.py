@@ -291,16 +291,16 @@ class TestRunMismatch:
         # s_c is the truth and the sweep values the belief: the two true
         # supports of every trial share exactly s_c chunks
         pairs = []
-        original = mimo.generate_support_sequence
+        original = mimo._support_masks
 
         def recording(*args, **kwargs):
             pairs.append(original(*args, **kwargs))
             return pairs[-1]
-        monkeypatch.setattr(mimo, "generate_support_sequence", recording)
+        monkeypatch.setattr(mimo, "_support_masks", recording)
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1),
                            s_c=s_c, n_trials=20)
         run_sweep(cfg)
-        assert ([len(a.intersection(b)) for a, b in pairs]
+        assert ([int((a & b).sum()) for a, b in pairs]
                 == [s_c] * cfg.n_trials)
 
     def test_s_c_sets_the_data(self):
@@ -431,20 +431,20 @@ class TestTrialSharing:
                  r.support_recovery_rate) for r in rows]
 
     def test_sweep_generates_each_trial_once(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, "generate_support_sequence")
+        calls = self._count_calls(monkeypatch, "_support_masks")
         cfg = small_config(sweep_values=(8, 12, 8), algorithms=ALGORITHMS)
         run_sweep(cfg)
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
     def test_unrunnable_point_refused_before_any_trial(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, "generate_support_sequence")
+        calls = self._count_calls(monkeypatch, "_support_masks")
         cfg = small_config(s_bar=8, sweep_axis="s_c", sweep_values=(0, 2, 4, 7))
         with pytest.raises(GenerationError, match="s_bar"):
             run_sweep(cfg)
         assert len(calls) == 0
 
     def test_mismatch_generates_each_trial_once(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, "generate_support_sequence")
+        calls = self._count_calls(monkeypatch, "_support_masks")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
         run_sweep(cfg)

@@ -277,9 +277,10 @@ class TestFrameSequence:
         with pytest.raises(ValueError):
             run_frame_sequence(scen, 1, "omp", np.random.default_rng(0))
 
-    @pytest.mark.parametrize("gamma", ["abc", [1.0]])
+    @pytest.mark.parametrize("gamma", ["abc", [1.0], "1.5"])
     def test_non_number_gamma_rejected(self, gamma):
-        # float() would raise its own ValueError or TypeError, naming no argument
+        # float() would raise its own ValueError or TypeError, naming no
+        # argument, or take a numeric string that PursuitConfig refuses
         with pytest.raises(ValueError, match=re.escape(
                 f"gamma must be nonnegative, got {gamma!r}")):
             run_frame_sequence(make_scenario(), 2, "msp", np.random.default_rng(0),

@@ -1,6 +1,7 @@
 """Tests for the package surface: each public name is declared once, in its
 module's __all__, and the package exports their union."""
 import importlib
+import pathlib
 
 import cspursuit
 from cspursuit.cli import build_parser
@@ -69,3 +70,10 @@ def test_explicit_reexports_still_import():
     from cspursuit.core import ChunkSupport
     from cspursuit.sparsity import ChunkSupport as from_sparsity
     assert from_sparsity is ChunkSupport
+
+
+def test_no_value_is_built_unchecked():
+    # every value type is built through its checked constructor
+    src = pathlib.Path(cspursuit.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if "object.__new__" in p.read_text()] == []

@@ -714,6 +714,21 @@ def test_batch_equals_singles(algorithm, seed, d, l_cols, max_iter, kinds):
         assert {r.stop_reason for r in batch} == set(StopReason)
 
 
+def test_batch_equals_singles_for_any_layout():
+    # the residue norms ravel each slice in memory order, so a stack whose
+    # slices are not C-ordered must be laid out as a single problem's is
+    K, rows, L, B = 10, 12, 3, 4
+    cfg = PursuitConfig(s_bar=3, prior=PriorSupportInfo.empty(K), gamma=0.0)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        Y = random_complex(rng, (B, L, rows)).transpose(0, 2, 1)
+        Phi = np.asfortranarray(random_complex(rng, (B, rows, K)) / np.sqrt(rows))
+        for y, phi, got in zip(Y, Phi, recover_batch("msp", Y, Phi, [cfg] * B)):
+            want = msp_recover(y, phi, cfg)
+            assert got.residue_norms == want.residue_norms
+            np.testing.assert_array_equal(got.X_hat.data, want.X_hat.data)
+
+
 def _stack_of(B, K=6, rows=5, cols=1):
     rng = np.random.default_rng(0)
     return random_complex(rng, (B, rows, cols)), random_complex(rng, (B, rows, K))

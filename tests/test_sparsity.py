@@ -1,4 +1,5 @@
 """Tests for the chunk-sparse signal model and the support evolution generator."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -125,6 +126,20 @@ class TestGenerateSupportSequence:
         b = generate_support_sequence(params, 5, np.random.default_rng(7))
         assert a == b
 
+    def test_seeded_sequences(self):
+        # the rng order of the draws, pinned: sizes, the first support, then
+        # per frame the kept and the fresh chunks
+        h = hashlib.sha256()
+        params = SupportEvolutionParams(s_bar=8, s_c=4, K=64)
+        for pinned in (False, True):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                for S in generate_support_sequence(params, 6, rng, pinned):
+                    h.update(repr((S.K, S.indices)).encode())
+                h.update(repr(rng.integers(0, 2**31)).encode())
+        assert h.hexdigest() == (
+            "e85b888eb9eebdfea76c75e06112293a890621379e3a505c1c98523b7b5b191b")
+
     def test_clamped_overlap_mean_matches_enumeration(self):
         # independent oracle: sizes uniform on {11,12,13}, wanted overlap
         # uniform on {10,11,12}, realized = min(want, |prev|, |cur|)
@@ -140,6 +155,19 @@ class TestGenerateSupportSequence:
         for a, b in zip(seq, seq[1:]):
             total += len(a.as_set() & b.as_set())
         assert total / n_pairs == pytest.approx(exact, abs=0.05)
+
+
+def test_chunk_sparse_draws_each_chunk_in_ascending_order():
+    # T deduplicated and sorted, then a (d, L) draw per chunk, real parts
+    # before imaginary ones
+    rng = np.random.default_rng(3)
+    X = generate_chunk_sparse(5, 2, 3, [4, 2, 4], np.random.default_rng(3))
+    want = np.zeros((10, 3), dtype=complex)
+    for k in (2, 4):
+        want[2 * k - 2:2 * k] = (rng.standard_normal((2, 3))
+                                 + 1j * rng.standard_normal((2, 3))) / np.sqrt(2.0)
+    np.testing.assert_array_equal(X.data, want)
+    assert chunk_support(X).indices == (2, 4)
 
 
 @settings(max_examples=60, deadline=None)
