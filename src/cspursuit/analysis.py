@@ -8,6 +8,7 @@ convergence statements stop applying.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -70,15 +71,16 @@ def _gram_extremes(sub: np.ndarray) -> tuple[float, float]:
 
 
 def _combinations(K: int, k: int) -> np.ndarray:
-    """Every k-subset of range(K) as a row, in itertools.combinations order."""
-    rows = np.arange(K - k + 1)[:, None]
+    """Every k-subset of range(K) as a row, in itertools.combinations order;
+    the columns are contiguous, the order _deviation_bounds reads them in."""
+    cols = [np.arange(K - k + 1)]
     for j in range(1, k):
         # entry j runs from one past entry j - 1 up to K - k + j
-        counts = K - k + j - rows[:, -1]
-        rows = np.repeat(rows, counts, axis=0)
-        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([rows, rows[:, -1] + 1 + step])
-    return rows
+        counts = K - k + j - cols[-1]
+        cols = [np.repeat(col, counts) for col in cols]
+        step = np.arange(len(cols[0])) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols.append(cols[-1] + 1 + step)
+    return np.stack(cols).T
 
 
 def _deviation_bounds(Phi: np.ndarray, idx: ChunkIndexing,
@@ -86,7 +88,10 @@ def _deviation_bounds(Phi: np.ndarray, idx: ChunkIndexing,
     """A bound on ||Phi_T^H Phi_T - I||_2 of each support T, a row of
     0-based chunks: the Frobenius norm of the k x k matrix of the
     ||B_ij^H B_ij||_F^(1/2) >= ||B_ij||_2, B_ij = Phi_i^H Phi_j - delta_ij I,
-    read off a K x K table. It is at most ||G_T - I||_F, equal at d = 1."""
+    read off a K x K table t. It is at most ||G_T - I||_F, equal at d = 1
+    but for rounding. The table is read as max(t, t^T), which only raises
+    the bound, so a support takes k diagonal lookups and k(k-1)/2 doubled
+    off-diagonal ones, each a gather of one flat index per support."""
     K, d = idx.K, idx.d
     table = np.empty((K, K))
     for start in range(0, K, _TABLE_BLOCK):
@@ -100,7 +105,12 @@ def _deviation_bounds(Phi: np.ndarray, idx: ChunkIndexing,
             table[start:start + _TABLE_BLOCK] = np.sqrt(
                 (square.real ** 2 + square.imag ** 2).sum(axis=(2, 3)))
     table[np.isnan(table)] = np.inf
-    return np.sqrt(sum(table[i, j] for i in supports.T for j in supports.T))
+    # B_ji = B_ij^H, so t is symmetric but for rounding
+    flat = np.maximum(table, table.T).ravel()
+    cols = supports.T
+    diagonal = sum(flat[col * (K + 1)] for col in cols)
+    across = sum(flat[a * K + b] for a, b in itertools.combinations(cols, 2))
+    return np.sqrt(diagonal + 2.0 * across)
 
 
 def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing,
@@ -109,30 +119,42 @@ def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing,
     supports T, the rows of an integer array of 0-based chunks.
 
     Every eigenvalue of a Hermitian G lies within ||G - I||_2 of 1, and
-    _deviation_bounds bounds that norm. Supports are visited by descending
-    bound, _SUPPORT_BLOCK at a time. Those whose bound plus a margin of
-    1e-8 bound + 1e-10, far above the rounding of the bound table and of
-    eigvalsh, reaches the running delta get their Grams formed from their
-    own columns and sent to one stacked eigvalsh; the first block with none
-    ends the pass. So delta equals exhaustive enumeration's bit for bit."""
+    _deviation_bounds bounds that norm. A support's reach is its bound plus
+    a margin of 1e-8 bound + 1e-10, far above the rounding of the bound
+    table and of eigvalsh. The first block is the _SUPPORT_BLOCK supports
+    of highest reach, found by a partition, not a sort. Only the supports
+    outside it whose reach reaches its delta are sorted, and they are
+    visited by descending reach, _SUPPORT_BLOCK at a time. A block's
+    supports that reach the running delta get their Grams formed from
+    their own columns and sent to one stacked eigvalsh; the first block
+    with none ends the pass. So delta equals exhaustive enumeration's bit
+    for bit."""
     bound = _deviation_bounds(Phi, idx, supports)
     reach = bound + 1e-8 * bound + 1e-10
-    # ties may go in any order: delta is their maximum either way
-    order = np.argsort(-reach)
     # row j of Phi^H is column j of Phi, conjugated
     phi_h = Phi.conj().T
-    delta = 0.0
-    for start in range(0, len(order), _SUPPORT_BLOCK):
-        block = order[start:start + _SUPPORT_BLOCK]
-        block = block[reach[block] >= delta]
-        if not len(block):
-            break
+
+    def raised(delta: float, block: np.ndarray) -> float:
         cols = _rows(supports[block].ravel(), idx.d).reshape(len(block), -1)
         sub_h = phi_h[cols]
         eigs = np.linalg.eigvalsh(sub_h @ sub_h.conj().transpose(0, 2, 1))
         # a wide submatrix has a singular Gram
         lam_min = 0.0 if cols.shape[1] > Phi.shape[0] else eigs[:, 0].min()
-        delta = max(delta, eigs[:, -1].max() - 1.0, 1.0 - lam_min)
+        return max(delta, eigs[:, -1].max() - 1.0, 1.0 - lam_min)
+
+    # ties may go in any order: delta is their maximum either way
+    top = np.argpartition(-reach, min(_SUPPORT_BLOCK, len(reach)) - 1)[:_SUPPORT_BLOCK]
+    delta = raised(0.0, top)
+    outside = reach >= delta
+    outside[top] = False
+    rest = np.flatnonzero(outside)
+    rest = rest[np.argsort(-reach[rest])]
+    for start in range(0, len(rest), _SUPPORT_BLOCK):
+        block = rest[start:start + _SUPPORT_BLOCK]
+        block = block[reach[block] >= delta]
+        if not len(block):
+            break
+        delta = raised(delta, block)
     return float(delta)
 
 
@@ -149,11 +171,11 @@ def _exact_delta(Phi: np.ndarray, idx: ChunkIndexing, k: int, cap: int) -> float
 def block_rip_exact(Phi, q: RipQuery, cap: int = ENUMERATION_CAP) -> float:
     """Exact delta_{k|d} by enumerating all k-chunk supports.
 
-    Raises EnumerationCapError when C(K, k) exceeds cap. Values >= 1 are
-    reported as computed, not clamped.
+    Raises EnumerationCapError when C(K, k) exceeds cap, a positive whole
+    number. Values >= 1 are reported as computed, not clamped.
     """
     Phi = as_matrix(Phi, "Phi")
-    return _exact_delta(Phi, chunking(Phi, q.d), q.k, cap)
+    return _exact_delta(Phi, chunking(Phi, q.d), q.k, _whole(cap, "cap", 1))
 
 
 def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
@@ -214,12 +236,6 @@ def _check_delta(name: str, value: float) -> float:
     if not 0.0 <= v < 1.0:
         raise RipViolationError(f"delta_{name} = {v} outside [0, 1)")
     return v
-
-
-def _check_nonnegative(**values: float) -> None:
-    for name, value in values.items():
-        if not 0.0 <= value < math.inf:
-            raise BoundPreconditionError(f"{name} = {value} is negative or not finite")
 
 
 def _finite_bound(name: str, bound: float, **inputs: float) -> float:
@@ -329,9 +345,11 @@ def _pursuit_terms(constants: BoundConstants, **inputs: float) -> tuple[float, .
     """(contraction, loss, steady state, floor delta) of the pursuit the
     constants belong to: c1, c2, c4, delta_s1 under delta_s2 when c1 is set,
     else c5, c6, c7, delta_2s_bar under delta_s3. BoundPreconditionError
-    names a negative or non-finite gamma, eta or rho, or a term or delta
-    the set lacks; RipViolationError a governing delta past the threshold."""
-    _check_nonnegative(**inputs)
+    names a gamma, eta or rho that is not a nonnegative finite number, or a
+    term or delta the set lacks; RipViolationError a governing delta past
+    the threshold."""
+    for name, value in inputs.items():
+        _check_number(value, name, finite=True, error=BoundPreconditionError)
     c = constants
     maker, label, floor, terms = (
         ("msp_constants", "s2", "s1", (c.c1, c.c2, c.c4)) if c.c1 is not None
@@ -358,9 +376,11 @@ def msp_distortion_bound(constants: BoundConstants, gamma: float,
 def msp_refined_distortion_bound(constants: BoundConstants, gamma: float,
                                  eta: float, min_chunk_energy: float) -> float:
     """Tighter bound available when every true chunk is energetic enough:
-    min_chunk_energy must exceed the plain bound, else
+    min_chunk_energy must be finite and exceed the plain bound, else
     BoundPreconditionError. Takes either pursuit's constants."""
     base = msp_distortion_bound(constants, gamma, eta)
+    _check_number(min_chunk_energy, "min_chunk_energy", finite=True,
+                  error=BoundPreconditionError)
     if not min_chunk_energy > base:
         raise BoundPreconditionError(
             f"min chunk energy > plain bound violated: {min_chunk_energy} <= {base}")
@@ -409,15 +429,17 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
                            N_ue: int, T: int, P: float) -> float:
     """Expected channel estimation error bound sqrt(M/(P T)) * ((c4 +
     1/sqrt(1-delta)) E||W||_F + gamma/sqrt(1-delta)) with E||W||_F the
-    Gaussian-noise mean norm, evaluated through log-gamma; a bound past
-    every float is a BoundPreconditionError naming gamma and P."""
+    Gaussian-noise mean norm, evaluated through log-gamma. A negative or
+    non-finite c4 or gamma, and a bound past every float, is a
+    BoundPreconditionError naming them."""
     d = _check_delta("s2", delta_s2)
     if d >= CONTRACTION_DELTA:
         raise RipViolationError(
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
     M, N_ue, T = _whole(M, "M", 1), _whole(N_ue, "N_ue", 1), _whole(T, "T", 1)
     _check_number(P, "P", positive=True)
-    _check_nonnegative(gamma=gamma)
+    for name, value in (("c4", c4), ("gamma", gamma)):
+        _check_number(value, name, finite=True, error=BoundPreconditionError)
     nt = N_ue * T
     mean_noise_norm = math.exp(math.lgamma(nt + 0.5) - math.lgamma(nt))
     scale = math.sqrt(M / (P * T))

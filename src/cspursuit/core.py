@@ -90,16 +90,21 @@ def _whole_fields(obj, error=ValueError, **least) -> None:
         object.__setattr__(obj, name, _whole(getattr(obj, name), name, floor, error))
 
 
-def _check_number(value, name: str, positive: bool = False) -> None:
-    """Refuse value with a ValueError naming it unless it compares >= 0, or
-    with positive unless 0 < value < inf; nan and non-numbers never do."""
+def _check_number(value, name: str, positive: bool = False,
+                  finite: bool = False, error=ValueError) -> None:
+    """Refuse value with error naming it unless it compares >= 0, or with
+    positive unless 0 < value < inf, or with finite unless 0 <= value < inf;
+    nan and non-numbers never do."""
     try:
-        if (0 < value < np.inf) if positive else value >= 0:
+        if ((0 < value < np.inf) if positive
+                else (0 <= value < np.inf) if finite else value >= 0):
             return
     except TypeError:
         pass
+    if finite:
+        raise error(f"{name} = {value!r} is negative or not finite")
     what = "positive and finite" if positive else "nonnegative"
-    raise ValueError(f"{name} must be {what}, got {value!r}")
+    raise error(f"{name} must be {what}, got {value!r}")
 
 
 def _check_rng(rng) -> None:

@@ -169,6 +169,12 @@ def rip_instance(kind, M, K, d, seed):
     if kind == "gaussian":
         rng = np.random.default_rng(seed)
         return random_complex(rng, (M, n)) / np.sqrt(2 * max(M, 1))
+    if kind == "duplicate":
+        # chunk 1 repeats chunk 0, so supports tie on their bounds
+        Phi = rip_instance("gaussian", M, K, d, seed)
+        if K > 1:
+            Phi[:, d:2 * d] = Phi[:, :d]
+        return Phi
     if kind == "identity":
         return np.eye(M, n, dtype=complex)
     # the first M rows of a unitary DFT: orthonormal columns when n <= M
@@ -178,7 +184,7 @@ def rip_instance(kind, M, K, d, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(["gaussian", "identity", "dft"]),
+@given(kind=st.sampled_from(["gaussian", "duplicate", "identity", "dft"]),
        M=st.integers(0, 9), d=st.sampled_from([1, 2]), K=st.integers(1, 10),
        k=st.integers(1, 4), seed=st.integers(0, 10**6))
 @example(kind="gaussian", M=0, d=2, K=3, k=2, seed=0)  # no rows
@@ -188,6 +194,11 @@ def rip_instance(kind, M, K, d, seed):
 @example(kind="dft", M=8, d=2, K=4, k=2, seed=0)  # delta is rounding noise
 @example(kind="identity", M=9, d=1, K=9, k=4, seed=0)  # delta is 0
 @example(kind="identity", M=7, d=1, K=10, k=4, seed=0)  # zero columns
+@example(kind="gaussian", M=9, d=2, K=4, k=4, seed=4)  # k = K, k*d < M
+@example(kind="gaussian", M=5, d=1, K=3, k=3, seed=5)  # k = K, one support
+# tied bounds straddle the first block's edge
+@example(kind="duplicate", M=8, d=1, K=10, k=3, seed=0)
+@example(kind="duplicate", M=8, d=2, K=12, k=2, seed=4)
 # the benchmark's rip-exact instance
 @example(kind="gaussian", M=16, d=2, K=32, k=3, seed=0)
 @example(kind="gaussian", M=16, d=2, K=32, k=3, seed=1)
@@ -242,6 +253,25 @@ def test_rip_exact_instance_takes_one_eigvalsh_block(monkeypatch, seed):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     block_rip_exact(Phi, RipQuery(3, 2))
     assert received == [analysis._SUPPORT_BLOCK]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rip_exact_instance_sorts_no_more_than_a_block(monkeypatch, seed):
+    # the first block is found by a partition; on the rip-exact instances no
+    # support outside it reaches delta, so no sort sees more than a block
+    Phi = rip_instance("gaussian", 16, 32, 2, seed)
+    argsort = np.argsort
+    received = []
+
+    def counting(a, *args, **kwargs):
+        received.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    delta = block_rip_exact(Phi, RipQuery(3, 2))
+    monkeypatch.undo()
+    assert delta == unpruned_delta(Phi, 3, 2)
+    assert max(received, default=0) <= analysis._SUPPORT_BLOCK
 
 
 def test_combinations_match_itertools():
@@ -637,6 +667,25 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
      BoundPreconditionError, "rho = inf is negative or not finite"),
     (lambda: channel_recovery_bound(0.1, 6.0, -1.0, M=16, N_ue=2, T=8, P=1.0),
      BoundPreconditionError, "gamma = -1.0 is negative or not finite"),
+    (lambda: channel_recovery_bound(0.1, -5.0, 1.0, M=16, N_ue=2, T=16, P=1.0),
+     BoundPreconditionError, "c4 = -5.0 is negative or not finite"),
+    (lambda: channel_recovery_bound(0.1, math.nan, 1.0, M=16, N_ue=2, T=16,
+                                    P=1.0),
+     BoundPreconditionError, "c4 = nan is negative or not finite"),
+    (lambda: msp_refined_distortion_bound(_MSP, 1.0, 0.01, math.inf),
+     BoundPreconditionError, "min_chunk_energy = inf is negative or not finite"),
+    # a non-number is refused by name, where it once raised a bare TypeError
+    *[(call, BoundPreconditionError, f"^{name} = {value!r} is negative or not finite$")
+      for value in ("abc", None)
+      for name, call in [
+          ("gamma", lambda v=value: msp_distortion_bound(_MSP, v, 0.01)),
+          ("eta", lambda v=value: msp_distortion_bound(_MSP, 0.5, v)),
+          ("rho", lambda v=value: msp_convergence_bound(_MSP, 1.0, 1e-3, v)),
+          ("c4", lambda v=value: channel_recovery_bound(
+              0.1, v, 1.0, M=16, N_ue=2, T=16, P=1.0)),
+          ("min_chunk_energy",
+           lambda v=value: msp_refined_distortion_bound(_MSP, 1.0, 0.01, v)),
+      ]],
     # finite inputs whose bound is past every float
     (lambda: msp_distortion_bound(_MSP, 1.0, 1e308), BoundPreconditionError,
      r"distortion bound overflows a float at gamma = 1.0, eta = 1e\+308"),

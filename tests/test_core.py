@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import dataclasses
 
 import cspursuit
-from cspursuit.analysis import (RipQuery, block_rip_montecarlo,
+from cspursuit.analysis import (RipQuery, block_rip_exact, block_rip_montecarlo,
                                 channel_recovery_bound, cmsp_constants,
                                 isometry_orders)
 from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, _frobenius_stack,
@@ -481,6 +481,9 @@ _INTEGERS = [
      lambda v: block_rip_montecarlo(np.eye(4), RipQuery(2, 1), v,
                                     np.random.default_rng(0)),
      "n_samples", 1, ValueError),
+    ("block_rip_exact.cap",
+     lambda v: block_rip_exact(np.eye(4), RipQuery(2, 1), cap=v), "cap", 1,
+     ValueError),
     ("top_k_chunks", lambda v: top_k_chunks([1.0, 2.0], v, [1]), "k", 0,
      SelectionError),
     ("chunking", lambda v: chunking(np.zeros((2, 6)), v), "d", 1,
