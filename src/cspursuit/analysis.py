@@ -18,7 +18,7 @@ import numpy as np
 from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_rng, _rows,
                    _whole, _whole_fields, as_matrix, chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
-                     EnumerationCapError, RipViolationError)
+                     EnumerationCapError, NonFiniteError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
 
 __all__ = [
@@ -158,6 +158,16 @@ def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing,
     return float(delta)
 
 
+def _rip_phi(Phi, d: int) -> tuple[np.ndarray, ChunkIndexing]:
+    """Phi checked and chunked at height d, refused by name when its squared
+    Frobenius norm, which bounds every Gram entry, overflows a float."""
+    Phi = as_matrix(Phi, "Phi")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(frobenius(Phi)):
+            raise NonFiniteError("Phi's squared Frobenius norm overflows a float")
+    return Phi, chunking(Phi, d)
+
+
 def _exact_delta(Phi: np.ndarray, idx: ChunkIndexing, k: int, cap: int) -> float:
     if k > idx.K:
         raise DimensionError(f"k={k} exceeds K={idx.K}")
@@ -174,8 +184,7 @@ def block_rip_exact(Phi, q: RipQuery, cap: int = ENUMERATION_CAP) -> float:
     Raises EnumerationCapError when C(K, k) exceeds cap, a positive whole
     number. Values >= 1 are reported as computed, not clamped.
     """
-    Phi = as_matrix(Phi, "Phi")
-    return _exact_delta(Phi, chunking(Phi, q.d), q.k, _whole(cap, "cap", 1))
+    return _exact_delta(*_rip_phi(Phi, q.d), q.k, _whole(cap, "cap", 1))
 
 
 def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
@@ -185,8 +194,7 @@ def block_rip_montecarlo(Phi, q: RipQuery, n_samples: int,
     When n_samples covers every support the sweep is exhaustive and the
     value equals block_rip_exact.
     """
-    Phi = as_matrix(Phi, "Phi")
-    idx = chunking(Phi, q.d)
+    Phi, idx = _rip_phi(Phi, q.d)
     n_samples = _whole(n_samples, "n_samples", 1)
     # exhaustive when n_samples covers every support; C(K, k) = 0 for k > K,
     # which _exact_delta rejects
@@ -232,8 +240,10 @@ class BoundConstants:
 
 
 def _check_delta(name: str, value: float) -> float:
+    """value as a float, refused by name unless a number in [0, 1)."""
+    _check_number(value, f"delta_{name}", error=RipViolationError)
     v = float(value)
-    if not 0.0 <= v < 1.0:
+    if not v < 1.0:
         raise RipViolationError(f"delta_{name} = {v} outside [0, 1)")
     return v
 
@@ -477,8 +487,7 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
     projection leakage bound. A delta >= 1 makes the pseudoinverse bound
     vacuous (rhs = inf, passes). Enumeration stops at ENUMERATION_CAP.
     """
-    Phi = as_matrix(Phi, "Phi")
-    idx = chunking(Phi, q.d)
+    Phi, idx = _rip_phi(Phi, q.d)
     K = idx.K
     if T1.K != K or T2.K != K:
         raise DimensionError(f"support universes must equal K={K}")

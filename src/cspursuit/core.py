@@ -1,11 +1,12 @@
 """Complex matrix utilities: chunk indexing, top-k chunk selection,
 minimum-norm least squares, and a small binary matrix file format.
 
-Least squares solves the normal equations on the Gram G = A^H A when the
-1-norm condition number of G is at most 1e4: cond_2(A)^2 <= cond_1(G) then
-keeps sigma_min / sigma_max of A at 1e-2 or more, full rank at LS_RCOND.
-Every other A takes the SVD route (np.linalg.lstsq), which gives the
-minimum-norm solution.
+Least squares has one route, _lstsq_stack, and ls_solve is its one-problem
+case. It solves the normal equations on the Gram G = A^H A when the 1-norm
+condition number of G is at most 1e4: cond_2(A)^2 <= cond_1(G) then keeps
+sigma_min / sigma_max of A at 1e-2 or more, full rank at LS_RCOND. Every
+other A takes the SVD route (np.linalg.lstsq), which gives the minimum-norm
+solution.
 
 Matrices are 2-D numpy arrays of complex128. Rows of a signal matrix are
 grouped into K chunks of d consecutive rows; chunk indices are 1-based,
@@ -268,29 +269,19 @@ def submatrix_by_chunks(Phi, T: Iterable[int], idx: ChunkIndexing) -> np.ndarray
 
 
 def ls_solve(A, B) -> np.ndarray:
-    """Minimum-Frobenius-norm solution X of the least squares problem
-    min ||A X - B||_F.
-
-    Solved on the inverted Gram A^H A when its 1-norm condition number is
-    at most 1e4, which certifies full column rank; otherwise by the SVD
-    (np.linalg.lstsq with rcond=LS_RCOND)."""
-    X, _ = ls_solve_with_rank(A, B)
-    return X
+    """Minimum-Frobenius-norm solution X of min ||A X - B||_F, by the
+    certified Gram solve or the SVD route of the module docstring."""
+    return ls_solve_with_rank(A, B)[0]
 
 
 def ls_solve_with_rank(A, B) -> tuple[np.ndarray, bool]:
-    """As ls_solve, also reporting whether the minimizer was non-unique
-    (numerical rank of A below its column count). A certified Gram solve
-    reports False; the flag of the SVD fallback is np.linalg.lstsq's rank
-    at rcond=LS_RCOND."""
+    """As ls_solve, also reporting whether the minimizer was non-unique (rank
+    of A below its column count): False for a certified Gram solve, else by
+    np.linalg.lstsq's rank at rcond=LS_RCOND. _lstsq_stack's one-slice case."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise DimensionError(f"A has {A.shape[0]} rows, B has {B.shape[0]}")
-    return _lstsq(A, B)
-
-
-def _lstsq(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
     if A.shape[1] == 0:
         return np.zeros((0, B.shape[1]), dtype=np.complex128), False
     X, deficient = _lstsq_stack(A[None], B[None])
@@ -298,34 +289,28 @@ def _lstsq(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lstsq of each slice of a stack A[i] X[i] = B[i] whose A have one
-    shape: one inversion of the stacked Grams, then a single-problem solve
-    of every slice that inversion does not certify (of each slice, when one
-    singular Gram makes it raise), so slice i equals _lstsq(A[i], B[i])."""
+    """Least squares of each slice of a stack A[i] X[i] = B[i] whose A have
+    one shape and columns: X = G^-1 (A^H B) from one inversion of the
+    stacked Grams G, then np.linalg.lstsq on each slice whose Gram it does
+    not certify. If a singular Gram makes the inversion raise, each slice is
+    solved alone, so slice i is always its one-slice answer."""
     AH = A.conj().transpose(0, 2, 1)
     G = AH @ A
     try:
         G_inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        certified = np.zeros(len(A), dtype=bool)
-    else:
-        # the 1-norm condition number; nan or inf fails the test
-        cond = (np.abs(G).sum(axis=1).max(axis=1)
-                * np.abs(G_inv).sum(axis=1).max(axis=1))
-        certified = cond <= _GRAM_COND_MAX
-    deficient = np.zeros(len(A), dtype=bool)
-    AHB = AH @ B
-    if certified.all():
-        return G_inv @ AHB, deficient
-    X = np.empty(AHB.shape, dtype=np.complex128)
-    if certified.any():
-        X[certified] = G_inv[certified] @ AHB[certified]
-    for i in np.flatnonzero(~certified):
         if len(A) > 1:
-            X[i], deficient[i] = _lstsq(A[i], B[i])
-        else:
-            X[i], _, rank, _ = np.linalg.lstsq(A[i], B[i], rcond=LS_RCOND)
-            deficient[i] = rank < A.shape[2]
+            X, deficient = zip(*map(_lstsq_stack, A[:, None], B[:, None]))
+            return np.concatenate(X), np.concatenate(deficient)
+        G_inv = np.full_like(G, np.nan)  # certifies nothing
+    # the 1-norm condition number; nan or inf fails the test
+    cond = (np.abs(G).sum(axis=1).max(axis=1)
+            * np.abs(G_inv).sum(axis=1).max(axis=1))
+    X = G_inv @ (AH @ B)
+    deficient = np.zeros(len(A), dtype=bool)
+    for i in np.flatnonzero(~(cond <= _GRAM_COND_MAX)):
+        X[i], _, rank, _ = np.linalg.lstsq(A[i], B[i], rcond=LS_RCOND)
+        deficient[i] = rank < A.shape[2]
     return X, deficient
 
 

@@ -341,7 +341,11 @@ def recover_batch(algorithm: str, Y, Phi, cfgs) -> list[RecoveryResult]:
     b bit for bit."""
     if algorithm not in _RULES:
         raise ValueError(f"unknown pursuit {algorithm!r}, expected {tuple(_RULES)}")
-    Y, Phi = _stack(Y, Phi)
+    return _recover(algorithm, *_stack(Y, Phi), cfgs)
+
+
+def _recover(algorithm: str, Y: np.ndarray, Phi: np.ndarray, cfgs) -> list[RecoveryResult]:
+    """recover_batch on a stack _stack has validated."""
     if len(cfgs) != len(Y):
         raise DimensionError(f"{len(cfgs)} configs for {len(Y)} problems")
     if len({(cfg.s_bar, cfg.d, cfg.max_iter) for cfg in cfgs}) != 1:
@@ -384,7 +388,7 @@ def mmv_sp_recover(Y, Phi, s_bar: int, gamma: float, d: int = 1) -> RecoveryResu
     Y, Phi = _stack([Y], [Phi])
     cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo.empty(chunking(Phi[0], d).K),
                         gamma=gamma, d=d)
-    return recover_batch("mmv_sp", Y, Phi, [cfg])[0]
+    return _recover("mmv_sp", Y, Phi, [cfg])[0]
 
 
 def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:

@@ -17,7 +17,7 @@ from cspursuit.analysis import (CONTRACTION_DELTA, BoundConstants, RipQuery,
                                 msp_distortion_bound, msp_refined_distortion_bound)
 from cspursuit.core import ChunkIndexing
 from cspursuit.errors import (BoundPreconditionError, DimensionError,
-                              EnumerationCapError, RipViolationError)
+                              EnumerationCapError, NonFiniteError, RipViolationError)
 from cspursuit.mimo import MimoScenario, simulate_frames
 from cspursuit.oracle import rip_bruteforce_reference
 from cspursuit.sparsity import ChunkSparseMatrix, ChunkSupport
@@ -236,6 +236,54 @@ def test_overflowing_table_keeps_delta_bits(scale):
     # table entries overflow far below where the Grams themselves do
     Phi = rip_instance("gaussian", 6, 6, 2, 3) * scale
     assert block_rip_exact(Phi, RipQuery(2, 2)) == unpruned_delta(Phi, 2, 2)
+
+
+@pytest.mark.parametrize("exponent", range(150, 161))
+def test_overflowing_phi_is_refused_by_name(exponent):
+    # ||Phi||_F^2 bounds every Gram entry of the instance; it overflows from
+    # 1e154 on, where the Grams once overflowed into a LinAlgError
+    Phi = np.random.default_rng(3).standard_normal((6, 12)) * 10.0 ** exponent
+    idx = ChunkIndexing(6, 2)
+    X = np.zeros((12, 1))
+    X[:4] = 1.0
+    entries = [
+        lambda: block_rip_exact(Phi, RipQuery(2, 2)),
+        lambda: block_rip_montecarlo(Phi, RipQuery(2, 2), 5, np.random.default_rng(0)),
+        lambda: lemma1_check(Phi, ChunkSupport.of([1, 2], 6), ChunkSupport.of([4], 6),
+                             ChunkSparseMatrix(X, idx), RipQuery(3, 2)),
+    ]
+    for entry in entries:
+        if exponent <= 153:
+            entry()
+        else:
+            with pytest.raises(NonFiniteError, match="^Phi's squared Frobenius norm"):
+                entry()
+
+
+def test_pass_ends_at_the_first_block_that_cannot_reach_delta(monkeypatch):
+    # with blocks of 4, supports outside the first block of seed 1's
+    # rip-exact instance reach its delta, and the pass stops at the first
+    # block with none, before it has visited every sorted block
+    monkeypatch.setattr(analysis, "_SUPPORT_BLOCK", 4)
+    Phi = rip_instance("gaussian", 16, 32, 2, 1)
+    argsort, eigvalsh = np.argsort, np.linalg.eigvalsh
+    sorted_sizes, blocks = [], []
+
+    def sorting(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    def solving(a, *args, **kwargs):
+        blocks.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", sorting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+    delta = block_rip_exact(Phi, RipQuery(3, 2))
+    monkeypatch.undo()
+    assert delta == unpruned_delta(Phi, 3, 2)
+    (n_sorted,) = sorted_sizes
+    assert 1 < len(blocks) < 1 + math.ceil(n_sorted / 4)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -686,6 +734,24 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
           ("min_chunk_energy",
            lambda v=value: msp_refined_distortion_bound(_MSP, 1.0, 0.01, v)),
       ]],
+    # a delta that is not a number is refused by name, where "0.1" once
+    # passed and None or "abc" raised a bare TypeError or ValueError
+    *[(call, RipViolationError, f"^delta_{name} must be nonnegative, got {value!r}$")
+      for value in ("0.1", None, "abc")
+      for name, call in [
+          ("s_bar", lambda v=value: msp_constants(v, 0.1, 0.1, 2, 2, 1)),
+          ("s2", lambda v=value: msp_constants(0.1, 0.1, v, 2, 2, 1)),
+          ("2s_bar_plus_s_c",
+           lambda v=value: cmsp_constants(0.1, 0.1, v, 0.1, s_bar=2, s_c=1, t0_size=2)),
+          ("s2", lambda v=value: channel_recovery_bound(
+              v, 1.0, 1.0, M=16, N_ue=2, T=16, P=1.0)),
+      ]],
+    (lambda: msp_constants(0.1, -0.1, 0.1, 2, 2, 1), RipViolationError,
+     "^delta_s1 must be nonnegative, got -0.1$"),
+    (lambda: cmsp_constants(0.1, 0.1, 0.1, math.nan, s_bar=2, s_c=1, t0_size=2),
+     RipViolationError, "^delta_3s_bar_plus_s_c must be nonnegative, got nan$"),
+    (lambda: channel_recovery_bound(1.0, 1.0, 1.0, M=16, N_ue=2, T=16, P=1.0),
+     RipViolationError, r"^delta_s2 = 1.0 outside \[0, 1\)$"),
     # finite inputs whose bound is past every float
     (lambda: msp_distortion_bound(_MSP, 1.0, 1e308), BoundPreconditionError,
      r"distortion bound overflows a float at gamma = 1.0, eta = 1e\+308"),

@@ -12,9 +12,9 @@ from cspursuit.analysis import (RipQuery, block_rip_exact, block_rip_montecarlo,
                                 channel_recovery_bound, cmsp_constants,
                                 isometry_orders)
 from cspursuit.core import (LS_RCOND, ChunkIndexing, ChunkSupport, _frobenius_stack,
-                            as_matrix, chunk_norms, chunking, frobenius, ls_solve,
-                            ls_solve_with_rank, read_matrix, submatrix_by_chunks,
-                            top_k_chunks, write_matrix)
+                            _lstsq_stack, as_matrix, chunk_norms, chunking, frobenius,
+                            ls_solve, ls_solve_with_rank, read_matrix,
+                            submatrix_by_chunks, top_k_chunks, write_matrix)
 from cspursuit.errors import (CsPursuitError, DimensionError, FormatError,
                               GenerationError, PriorInfoError, SelectionError)
 from cspursuit.experiments import ExperimentConfig
@@ -253,6 +253,39 @@ class TestLeastSquares:
         want, _, rank, _ = np.linalg.lstsq(A, B, rcond=LS_RCOND)
         np.testing.assert_array_equal(sol, want)
         assert rank == 2 and not deficient
+
+    def _assert_slices_solve_alone(self, A, B, X, deficient):
+        for a, b, x, flag in zip(A, B, X, deficient):
+            want, want_flag = ls_solve_with_rank(a, b)
+            assert x.tobytes() == want.tobytes() and flag == want_flag
+
+    def test_stack_inverts_once_and_sends_uncertified_slices_to_svd(self, monkeypatch):
+        # slice 1's columns agree to 1e-6, so its Gram inverts but is not
+        # certified: it goes straight to np.linalg.lstsq, not inverted again
+        rng = np.random.default_rng(8)
+        A, B = random_complex(rng, (3, 6, 3)), random_complex(rng, (3, 6, 2))
+        A[1, :, 2] = A[1, :, 0] + 1e-6 * random_complex(rng, 6)
+        calls = []
+        for name in ("inv", "lstsq"):
+            def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kw):
+                calls.append(_name)
+                return _solve(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counting)
+        X, deficient = _lstsq_stack(A, B)
+        monkeypatch.undo()
+        assert calls == ["inv", "lstsq"]
+        self._assert_slices_solve_alone(A, B, X, deficient)
+
+    def test_singular_stack_solves_each_slice_alone(self):
+        # an all-zero slice makes the stacked inversion raise
+        rng = np.random.default_rng(9)
+        A, B = random_complex(rng, (3, 5, 2)), random_complex(rng, (3, 5, 1))
+        A[2] = 0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(A.conj().transpose(0, 2, 1) @ A)
+        X, deficient = _lstsq_stack(A, B)
+        assert deficient.tolist() == [False, False, True]
+        self._assert_slices_solve_alone(A, B, X, deficient)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,12 @@
 """Tests for the prior-aware pursuit solvers and their support-update steps."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cspursuit.pursuit as pursuit
+from cspursuit import core
 from cspursuit.analysis import RipQuery, block_rip_exact
 from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
                             ls_solve, submatrix_by_chunks)
@@ -351,6 +354,29 @@ class TestValidation:
                     lambda: mmv_sp_recover(Y, Phi, 1, 0.0)):
             with pytest.raises(ValueError, match="non-finite"):
                 run()
+
+    def test_single_entries_check_each_input_once(self, monkeypatch):
+        # every core.as_matrix call, through any module's name for it
+        original, checked = core.as_matrix, []
+
+        def counting(a, name="matrix"):
+            checked.append(name)
+            return original(a, name)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("cspursuit")
+                    and getattr(module, "as_matrix", None) is original):
+                monkeypatch.setattr(module, "as_matrix", counting)
+        rng = np.random.default_rng(4)
+        Y, Phi = random_complex(rng, (6, 2)), random_complex(rng, (6, 8))
+        cfg = PursuitConfig(s_bar=2, prior=PriorSupportInfo(ChunkSupport.of([3], 8),
+                                                            s_c=1), gamma=0.1)
+        for run in (lambda: msp_recover(Y, Phi, cfg),
+                    lambda: cmsp_recover(Y, Phi, cfg),
+                    lambda: mmv_sp_recover(Y, Phi, 2, 0.1),
+                    lambda: sp_recover(Y[:, :1], Phi, 2, 0.1)):
+            checked.clear()
+            run()
+            assert checked == ["Y", "Phi", "data"]
 
     def test_non_finite_is_package_error(self):
         # every public entry validates through as_matrix, so nan reaches
