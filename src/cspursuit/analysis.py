@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_rng, _rows,
-                   _whole, _whole_fields, as_matrix, chunking, frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_rng,
+                   _check_scale, _rows, _whole, _whole_fields, as_matrix,
+                   chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
-                     EnumerationCapError, NonFiniteError, RipViolationError)
+                     EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
 
 __all__ = [
@@ -159,12 +160,9 @@ def _max_deviation(Phi: np.ndarray, idx: ChunkIndexing,
 
 
 def _rip_phi(Phi, d: int) -> tuple[np.ndarray, ChunkIndexing]:
-    """Phi checked and chunked at height d, refused by name when its squared
-    Frobenius norm, which bounds every Gram entry, overflows a float."""
+    """Phi checked, its scale too, and chunked at height d."""
     Phi = as_matrix(Phi, "Phi")
-    with np.errstate(over="ignore"):
-        if not math.isfinite(frobenius(Phi)):
-            raise NonFiniteError("Phi's squared Frobenius norm overflows a float")
+    _check_scale(Phi[None], "Phi")
     return Phi, chunking(Phi, d)
 
 

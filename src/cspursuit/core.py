@@ -1,4 +1,4 @@
-"""Complex matrix utilities: chunk indexing, top-k chunk selection,
+"""Complex matrix utilities: chunk indexing, the one chunk ranking,
 minimum-norm least squares, and a small binary matrix file format.
 
 Least squares has one route, _lstsq_stack, and ls_solve is its one-problem
@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (DimensionError, FormatError, NonFiniteError,
-                     SelectionError)
+from .errors import DimensionError, FormatError, NonFiniteError
 
-__all__ = ["ChunkIndexing", "ChunkSupport", "as_matrix", "chunk_norms",
-           "frobenius", "top_k_chunks", "submatrix_by_chunks", "ls_solve",
+__all__ = ["ChunkIndexing", "ChunkSupport", "as_matrix", "frobenius", "ls_solve",
            "ls_solve_with_rank", "read_matrix", "write_matrix"]
 
 # file format: magic, u32 rows, u32 cols, u8 dtype tag, 3 reserved bytes,
@@ -69,6 +67,18 @@ def _frobenius_stack(a: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
+def _check_scale(a: np.ndarray, name: str) -> None:
+    """Refuse a stack a of finite matrices, with a NonFiniteError naming
+    it, when a slice's squared Frobenius norm, which bounds every entry of
+    its Gram, overflows a float, or when its nonzero entries square to 0."""
+    with np.errstate(over="ignore"):
+        norms = _frobenius_stack(a)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError(f"{name}'s squared Frobenius norm overflows a float")
+    if not norms.all() and a[norms == 0].any():
+        raise NonFiniteError(f"{name}'s nonzero entries square to 0 in a float")
+
+
 def _whole(value, name: str = "chunk index", least=None, error=ValueError) -> int:
     """value as an int, the package's one integer check. A value that is not
     a whole number (a fraction, nan, inf, None) is refused with a ValueError,
@@ -95,12 +105,13 @@ def _check_number(value, name: str, positive: bool = False,
                   finite: bool = False, error=ValueError) -> None:
     """Refuse value with error naming it unless it compares >= 0, or with
     positive unless 0 < value < inf, or with finite unless 0 <= value < inf;
-    nan and non-numbers never do."""
+    nan, arrays and non-numbers never do."""
     try:
-        if ((0 < value < np.inf) if positive
-                else (0 <= value < np.inf) if finite else value >= 0):
+        if np.ndim(value) == 0 and ((0 < value < np.inf) if positive
+                                    else (0 <= value < np.inf) if finite
+                                    else value >= 0):
             return
-    except TypeError:
+    except (TypeError, ValueError):  # ValueError: a ragged sequence
         pass
     if finite:
         raise error(f"{name} = {value!r} is negative or not finite")
@@ -214,58 +225,12 @@ def _chunk_norms(X: np.ndarray, d: int) -> np.ndarray:
     return np.sqrt(energy.reshape(energy.shape[:-1] + (-1, d)).sum(axis=-1))
 
 
-def chunk_norms(X, idx: ChunkIndexing) -> np.ndarray:
-    """Frobenius norm of each of the K chunks of X (length-K float vector)."""
-    X = as_matrix(X, "X")
-    if X.shape[0] != idx.total_rows:
-        raise DimensionError(
-            f"X has {X.shape[0]} rows, chunk indexing needs {idx.total_rows}")
-    return _chunk_norms(X, idx.d)
-
-
 def _ranked(scores: np.ndarray) -> np.ndarray:
     """Positions from highest to lowest score, along the last axis. The one
     home of the tie-break: the stable sort puts the smaller index first
     among equal scores, so restricted to any subset it is that subset's
     ranking."""
     return np.argsort(-scores, kind="stable")
-
-
-def _top_k(scores: np.ndarray, k: int, pool: np.ndarray) -> np.ndarray:
-    """The k highest-scoring chunks of an ascending 0-based pool, ascending,
-    ranked by _ranked. Needs 0 <= k <= len(pool)."""
-    return np.sort(pool[_ranked(scores[pool])[:k]])
-
-
-def top_k_chunks(scores, k: int, candidates: Sequence[int]) -> tuple[int, ...]:
-    """Indices of the k largest-scoring candidate chunks, sorted ascending.
-
-    `scores` is indexed 1-based through scores[i-1]. Ties break toward the
-    smaller index, so zero-score chunks fill remaining slots in index order.
-    Raises SelectionError if k exceeds the number of candidates.
-    """
-    k = _whole(k, "k", 0, SelectionError)
-    cand = sorted(set(map(_whole, candidates)))
-    if k > len(cand):
-        raise SelectionError(f"asked for {k} chunks from {len(cand)} candidates")
-    if cand and (cand[0] < 1 or cand[-1] > len(scores)):
-        raise IndexError(f"candidate outside 1..{len(scores)}: {cand}")
-    pool = np.array(cand, dtype=np.intp) - 1
-    return tuple((_top_k(np.asarray(scores, dtype=float), k, pool) + 1).tolist())
-
-
-def submatrix_by_chunks(Phi, T: Iterable[int], idx: ChunkIndexing) -> np.ndarray:
-    """Columns of Phi belonging to the chunks in T, ascending chunk order.
-
-    Phi has K*d columns; chunk k owns columns (k-1)*d .. k*d-1. An empty T
-    yields a matrix with zero columns.
-    """
-    Phi = as_matrix(Phi, "Phi")
-    if Phi.shape[1] != idx.total_rows:
-        raise DimensionError(
-            f"Phi has {Phi.shape[1]} columns, chunk indexing needs {idx.total_rows}")
-    cols = idx.rows_of(T)
-    return Phi[:, cols]
 
 
 def ls_solve(A, B) -> np.ndarray:

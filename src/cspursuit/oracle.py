@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkSupport, _whole, as_matrix, chunking, frobenius,
-                   ls_solve, submatrix_by_chunks)
+from .core import ChunkSupport, _whole, as_matrix, chunking, frobenius, ls_solve
 from .errors import DimensionError, EnumerationCapError, SelectionError
 
 __all__ = ["exhaustive_best_support", "rip_bruteforce_reference"]
@@ -56,7 +55,7 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
     for chunks in itertools.combinations(range(1, K + 1), s):
         if constraint is not None and len(t0_set & set(chunks)) < need:
             continue
-        sub = submatrix_by_chunks(Phi, chunks, idx)
+        sub = Phi[:, idx.rows_of(chunks)]
         res = frobenius(Y - sub @ ls_solve(sub, Y))
         if res < best_res:
             best, best_res = chunks, res

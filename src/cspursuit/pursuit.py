@@ -14,8 +14,8 @@ result equals the one the problem gets alone. The loop takes priors, floors
 and thresholds as arrays and returns columns, which the harness reads;
 recover_batch, the batched entry, builds a RecoveryResult per problem from
 them. Every entry validates its problems as a stack, a single problem as a
-stack of one: msp_recover, cmsp_recover, mmv_sp_recover, sp_recover and the
-four support steps are the one-problem case.
+stack of one: msp_recover, cmsp_recover, mmv_sp_recover and sp_recover are
+the one-problem case.
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LS_RCOND, ChunkSupport, _check_number, _chunk_norms,
-                   _frobenius_stack, _lstsq_stack, _ranked, _rows, _support,
-                   _whole_fields, _zero_based, as_matrix, chunking)
+from .core import (LS_RCOND, ChunkSupport, _check_number, _check_scale,
+                   _chunk_norms, _frobenius_stack, _lstsq_stack, _ranked, _rows,
+                   _support, _whole_fields, _zero_based, as_matrix, chunking)
 from .errors import DimensionError, PriorInfoError, SelectionError
 from .sparsity import ChunkSparseMatrix, PriorSupportInfo
 
@@ -36,11 +36,7 @@ __all__ = [
     "StopReason",
     "PursuitConfig",
     "RecoveryResult",
-    "msp_support_merge",
-    "msp_support_refine",
     "msp_recover",
-    "cmsp_support_merge",
-    "cmsp_support_refine",
     "cmsp_recover",
     "sp_recover",
     "mmv_sp_recover",
@@ -99,18 +95,21 @@ class RecoveryResult:
     rank_deficient_ls: bool
 
 
-def _stack(Y, Phi, name: str = "Y") -> tuple[np.ndarray, np.ndarray]:
+def _stack(Y, Phi) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of problems Y[b] = Phi[b] X[b] once, Y as
-    (B, rows, L) and Phi as (B, rows, K d); one problem is [Y], [Phi]."""
+    (B, rows, L) and Phi as (B, rows, K d); one problem is [Y], [Phi]. A
+    slice too large or too small for a float to square is refused, since
+    the residues and Grams would overflow or vanish."""
     Y = np.asarray(Y, dtype=np.complex128, order="C")
     Phi = np.asarray(Phi, dtype=np.complex128, order="C")
     if Y.ndim != 3 or Phi.ndim != 3 or len(Y) != len(Phi) or not len(Y):
-        raise DimensionError(f"{name} {Y.shape} and Phi {Phi.shape} must be stacks "
+        raise DimensionError(f"Y {Y.shape} and Phi {Phi.shape} must be stacks "
                              "(B, rows, L) and (B, rows, K d) of B >= 1 problems")
-    for label, a in ((name, Y), ("Phi", Phi)):
+    for label, a in (("Y", Y), ("Phi", Phi)):
         as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]), label)
+        _check_scale(a, label)
     if Y.shape[1] != Phi.shape[1]:
-        raise DimensionError(f"{name} has {Y.shape[1]} rows, Phi has {Phi.shape[1]}")
+        raise DimensionError(f"Y has {Y.shape[1]} rows, Phi has {Phi.shape[1]}")
     return Y, Phi
 
 
@@ -178,49 +177,6 @@ def _cmsp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
     picked = _first((prior & ~held)[rows, ranked], shortfall)
     picked[:, :s_bar] = True
     return held | _by_chunk(rows, ranked, picked)
-
-
-def _merge_step(merge, R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
-    (R,), (Phi,) = _stack([R], [Phi], "R")
-    idx = chunking(Phi, cfg.d)
-    prior, s_c = _priors([cfg], idx.K)
-    if T_hat.K != idx.K:
-        raise DimensionError(f"running support universe {T_hat.K} != {idx.K}")
-    held = np.zeros_like(prior)
-    held[0, _zero_based(T_hat)] = True
-    scores = _chunk_norms(Phi.conj().T @ R, idx.d)[None]
-    return _support(merge(scores, held, prior, s_c, cfg.s_bar)[0])
-
-
-def _refine_step(refine, Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
-    if Z.idx.d != cfg.d:
-        raise DimensionError(f"Z has chunk height {Z.idx.d}, cfg has d={cfg.d}")
-    prior, s_c = _priors([cfg], Z.idx.K)
-    scores = _chunk_norms(Z.data, Z.idx.d)[None]
-    return _support(refine(scores, prior, s_c, cfg.s_bar)[0])
-
-
-def msp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
-    """Merge step: running support, plus the s_c best-correlated prior
-    chunks, plus the s_bar - s_c best chunks outside that pick."""
-    return _merge_step(_msp_merge, R, Phi, T_hat, cfg)
-
-
-def msp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
-    """Refinement: keep the s_c strongest chunks inside the prior, then the
-    s_bar - s_c strongest among everything not already kept."""
-    return _refine_step(_msp_refine, Z, cfg)
-
-
-def cmsp_support_merge(R, Phi, T_hat: ChunkSupport, cfg: PursuitConfig) -> ChunkSupport:
-    """Conservative merge: top up the prior contribution only by the
-    shortfall s_c - |T_hat ∩ T0|, then add the s_bar best chunks overall."""
-    return _merge_step(_cmsp_merge, R, Phi, T_hat, cfg)
-
-
-def cmsp_support_refine(Z: ChunkSparseMatrix, cfg: PursuitConfig) -> ChunkSupport:
-    """Conservative refinement: the s_bar strongest chunks, prior ignored."""
-    return _refine_step(_cmsp_refine, Z, cfg)
 
 
 def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,

@@ -260,6 +260,13 @@ def test_overflowing_phi_is_refused_by_name(exponent):
                 entry()
 
 
+def test_vanishing_phi_is_refused_by_name():
+    # every Gram of a Phi whose entries square to 0 is 0, so delta read 1.0
+    Phi = np.random.default_rng(3).standard_normal((6, 12)) * 1e-170
+    with pytest.raises(NonFiniteError, match="^Phi's nonzero entries square to 0"):
+        block_rip_exact(Phi, RipQuery(2, 2))
+
+
 def test_pass_ends_at_the_first_block_that_cannot_reach_delta(monkeypatch):
     # with blocks of 4, supports outside the first block of seed 1's
     # rip-exact instance reach its delta, and the pass stops at the first
@@ -746,6 +753,10 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
           ("s2", lambda v=value: channel_recovery_bound(
               v, 1.0, 1.0, M=16, N_ue=2, T=16, P=1.0)),
       ]],
+    # an array is refused by name, where it once reached numpy's bare
+    # ValueError on its truth value
+    (lambda: msp_constants(np.array([0.1, 0.2]), 0.1, 0.1, 2, 2, 1), RipViolationError,
+     r"^delta_s_bar must be nonnegative, got array\(\[0\.1, 0\.2\]\)$"),
     (lambda: msp_constants(0.1, -0.1, 0.1, 2, 2, 1), RipViolationError,
      "^delta_s1 must be nonnegative, got -0.1$"),
     (lambda: cmsp_constants(0.1, 0.1, 0.1, math.nan, s_bar=2, s_c=1, t0_size=2),

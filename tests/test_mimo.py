@@ -140,11 +140,12 @@ class TestChannelModel:
         lambda P: to_cs_problem(np.ones((2, 4)), np.ones((8, 4)), P),
         lambda P: recover_channel(np.ones((4, 2)), P, 3),
     ], ids=["MimoScenario", "to_cs_problem", "recover_channel"])
-    @pytest.mark.parametrize("P", ["a", None])
+    @pytest.mark.parametrize("P", ["a", None, np.array([1.0, 2.0]), np.array([100.0])])
     def test_non_number_power_rejected(self, call, P):
-        # a comparison with a str or None raises a TypeError naming no argument
-        with pytest.raises(ValueError,
-                           match=f"^P must be positive and finite, got {P!r}$"):
+        # a comparison with a str or None raises a TypeError naming no
+        # argument, an array's truth value numpy's bare ValueError
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"P must be positive and finite, got {P!r}") + "$"):
             call(P)
 
 

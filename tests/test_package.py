@@ -1,5 +1,6 @@
 """Tests for the package surface: each public name is declared once, in its
-module's __all__, and the package exports their union."""
+module's __all__, the package exports their union, and README's library
+example runs as written."""
 import importlib
 import pathlib
 
@@ -77,3 +78,15 @@ def test_no_value_is_built_unchecked():
     src = pathlib.Path(cspursuit.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py"))
             if "object.__new__" in p.read_text()] == []
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # README's example runs as written, so a name it uses cannot go unnoticed
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    want = [line.split("# ", 1)[1] for line in code.splitlines()
+            if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == want == [
+        "(3, 7, 21)", "StopReason.THRESHOLD_MET"]

@@ -1,5 +1,6 @@
 """Tests for the prior-aware pursuit solvers and their support-update steps."""
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 import cspursuit.pursuit as pursuit
 from cspursuit import core
 from cspursuit.analysis import RipQuery, block_rip_exact
-from cspursuit.core import (ChunkIndexing, _top_k, chunk_norms, frobenius,
-                            ls_solve, submatrix_by_chunks)
+from cspursuit.core import (ChunkIndexing, _chunk_norms, _support, frobenius,
+                            ls_solve)
 from cspursuit.errors import (CsPursuitError, DimensionError, NonFiniteError,
                               PriorInfoError, SelectionError)
 from cspursuit.mimo import (MimoScenario, default_gamma, nmse, simulate_frames,
                             to_cs_problem)
-from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover,
-                               cmsp_support_merge, cmsp_support_refine, genie_ls,
-                               mmv_sp_recover, msp_recover, msp_support_merge,
-                               msp_support_refine, recover_batch, sp_recover)
+from cspursuit.pursuit import (PursuitConfig, StopReason, cmsp_recover, genie_ls,
+                               mmv_sp_recover, msp_recover, recover_batch,
+                               sp_recover)
 from cspursuit.sparsity import (ChunkSparseMatrix, ChunkSupport, PriorSupportInfo,
                                 chunk_support)
 
@@ -203,6 +203,23 @@ class TestStopping:
         assert frobenius(Phi @ x - fit) == pytest.approx(res.residue_norms[-2])
 
 
+def merge_step(merge, R, Phi, T_hat, cfg):
+    """One problem's merge through the loop's rule kernel: the chunk norms
+    of Phi^H R score the chunks, and the supports are (1, K) masks."""
+    prior, s_c = pursuit._priors([cfg], T_hat.K)
+    held = np.isin(np.arange(1, T_hat.K + 1), T_hat.indices)[None]
+    scores = _chunk_norms(Phi.conj().T @ R, cfg.d)[None]
+    return _support(merge(scores, held, prior, s_c, cfg.s_bar)[0])
+
+
+def refine_step(refine, Z, cfg):
+    """One problem's refine through the loop's rule kernel, scored by the
+    chunk norms of Z, the least squares on the merged support."""
+    prior, s_c = pursuit._priors([cfg], Z.idx.K)
+    return _support(refine(_chunk_norms(Z.data, cfg.d)[None], prior, s_c,
+                           cfg.s_bar)[0])
+
+
 class TestSupportSteps:
     def test_msp_merge_composition(self):
         # residue correlations are the scores; prior chunk with the larger
@@ -212,7 +229,7 @@ class TestSupportSteps:
         R = np.array([[0.1], [5.0], [0.2], [4.0], [3.0], [0.3]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=1)
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
-        T_a = msp_support_merge(R, Phi, ChunkSupport.empty(K), cfg)
+        T_a = merge_step(pursuit._msp_merge, R, Phi, ChunkSupport.empty(K), cfg)
         # T_b = {2}; T_c = top 2 of remaining scores = {4, 5}
         assert T_a.indices == (2, 4, 5)
 
@@ -222,7 +239,7 @@ class TestSupportSteps:
         z = np.array([[5.0], [4.0], [0.1], [0.2], [0.0], [0.0]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=1)
         cfg = PursuitConfig(s_bar=2, prior=prior, gamma=0.0, d=1)
-        T = msp_support_refine(ChunkSparseMatrix(z, idx), cfg)
+        T = refine_step(pursuit._msp_refine, ChunkSparseMatrix(z, idx), cfg)
         # part1 = {1}; part2 excludes only part1, so chunk 2 re-enters
         assert T.indices == (1, 2)
 
@@ -234,7 +251,7 @@ class TestSupportSteps:
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
         # current estimate already holds one prior chunk: no forced injection
         T_hat = ChunkSupport.of([1, 3], K)
-        T_a = cmsp_support_merge(R, Phi, T_hat, cfg)
+        T_a = merge_step(pursuit._cmsp_merge, R, Phi, T_hat, cfg)
         assert T_a.indices == (1, 2, 3)
 
     def test_cmsp_merge_with_shortfall(self):
@@ -243,7 +260,7 @@ class TestSupportSteps:
         R = np.array([[0.5], [0.4], [3.0], [2.0], [1.0], [0.1]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=1)
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
-        T_a = cmsp_support_merge(R, Phi, ChunkSupport.empty(K), cfg)
+        T_a = merge_step(pursuit._cmsp_merge, R, Phi, ChunkSupport.empty(K), cfg)
         # shortfall 1 -> T_b = {1} (larger residue score among prior), then
         # T_c = top 3 overall = {3,4,5}
         assert T_a.indices == (1, 3, 4, 5)
@@ -254,7 +271,7 @@ class TestSupportSteps:
         z = np.array([[0.1], [0.2], [5.0], [4.0], [3.0], [0.0]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=2)
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
-        T = cmsp_support_refine(ChunkSparseMatrix(z, idx), cfg)
+        T = refine_step(pursuit._cmsp_refine, ChunkSparseMatrix(z, idx), cfg)
         assert T.indices == (3, 4, 5)
 
     def test_msp_support_always_keeps_quality_quota(self):
@@ -412,14 +429,15 @@ def test_recovery_invariants(seed, s_c, l_cols):
         assert min(res.residue_norms) <= res.residue_norms[0] + 1e-12
 
 
-def public_steps(Y, Phi, cfg, merge, refine, iterations):
-    """The pursuit loop written with the public steps: merge, LS on the
-    merged support, refine, LS on the refined support."""
+def unbatched_steps(Y, Phi, cfg, merge, refine, iterations):
+    """The pursuit loop for one problem, one step at a time: the merge rule,
+    LS on the merged support, the refine rule, LS on the refined support."""
     idx = ChunkIndexing(Phi.shape[1] // cfg.d, cfg.d)
     T, R, residues = ChunkSupport.empty(idx.K), Y, []
     for _ in range(iterations):
-        T = refine(genie_ls(Y, Phi, merge(R, Phi, T, cfg), d=cfg.d), cfg)
-        sub = submatrix_by_chunks(Phi, T, idx)
+        T_a = merge_step(merge, R, Phi, T, cfg)
+        T = refine_step(refine, genie_ls(Y, Phi, T_a, d=cfg.d), cfg)
+        sub = Phi[:, idx.rows_of(T)]
         R = Y - sub @ ls_solve(sub, Y)
         residues.append(frobenius(R))
     return T, genie_ls(Y, Phi, T, d=cfg.d), tuple(residues)
@@ -438,11 +456,11 @@ def test_public_steps_agree_with_loop(seed, d, l_cols, s_c, max_iter):
     cfg = PursuitConfig(s_bar=3, prior=PriorSupportInfo(T0, s_c), gamma=0.0,
                         d=d, max_iter=max_iter)
     for recover, merge, refine in (
-            (msp_recover, msp_support_merge, msp_support_refine),
-            (cmsp_recover, cmsp_support_merge, cmsp_support_refine)):
+            (msp_recover, pursuit._msp_merge, pursuit._msp_refine),
+            (cmsp_recover, pursuit._cmsp_merge, pursuit._cmsp_refine)):
         res = recover(Y, Phi, cfg)
-        T, X, residues = public_steps(Y, Phi, cfg, merge, refine,
-                                      res.iterations)
+        T, X, residues = unbatched_steps(Y, Phi, cfg, merge, refine,
+                                         res.iterations)
         assert res.residue_norms[1:] == residues
         if res.stop_reason is not StopReason.RESIDUE_NON_DECREASING:
             assert res.T_hat == T
@@ -491,11 +509,13 @@ def test_msp_refine_heavy_ties_match_two_pass_rule(K, d, data):
     Z = ChunkSparseMatrix(np.array(entries, dtype=complex)[:, None], idx)
     cfg = PursuitConfig(s_bar=s_bar, prior=PriorSupportInfo(T0, s_c),
                         gamma=0.0, d=d)
-    scores = chunk_norms(Z.data, idx)
-    locked = _top_k(scores, s_c, np.array(T0.indices, dtype=np.intp) - 1)
-    others = np.delete(np.arange(K), locked)
-    want = np.union1d(locked, _top_k(scores, s_bar - s_c, others)) + 1
-    assert msp_support_refine(Z, cfg).indices == tuple(want.tolist())
+    scores = _chunk_norms(Z.data, d)
+
+    def best(pool, k):
+        return sorted(pool, key=lambda i: (-scores[i - 1], i))[:k]
+    locked = best(T0.indices, s_c)
+    want = sorted(locked + best(set(range(1, K + 1)) - set(locked), s_bar - s_c))
+    assert refine_step(pursuit._msp_refine, Z, cfg).indices == tuple(want)
 
 
 def _degenerate_problem(rng, case, d, l_cols):
@@ -537,28 +557,6 @@ def test_degenerate_inputs(case, seed, d, l_cols, gamma):
         assert len(res.T_hat) in (s_bar, 0)
         assert len(res.residue_norms) == res.iterations + 1
         assert np.all(np.isfinite(res.X_hat.data))
-
-
-# 4 chunks of 2 rows, chunks 3 and 4 the strongest
-_TWO_ROW_CHUNKS = ChunkSparseMatrix(np.arange(8.0)[:, None], ChunkIndexing(4, 2))
-_D1_CONFIG = PursuitConfig(s_bar=2, gamma=0.0, prior=PriorSupportInfo.empty(4))
-
-
-@pytest.mark.parametrize("call,error,pattern", [
-    (lambda: msp_support_merge(np.ones((4, 1)), np.eye(4),
-                               ChunkSupport.of([1], 5),
-                               PursuitConfig(s_bar=1, gamma=0.0,
-                                             prior=PriorSupportInfo.empty(4))),
-     DimensionError, "running support universe 5 != 4"),
-    # a refine step chunks Z by cfg.d, as the merge steps chunk Phi
-    (lambda: msp_support_refine(_TWO_ROW_CHUNKS, _D1_CONFIG), DimensionError,
-     "Z has chunk height 2, cfg has d=1"),
-    (lambda: cmsp_support_refine(_TWO_ROW_CHUNKS, _D1_CONFIG), DimensionError,
-     "Z has chunk height 2, cfg has d=1"),
-])
-def test_guards(call, error, pattern):
-    with pytest.raises(error, match=pattern):
-        call()
 
 
 # Invariance relations of the model at the harness's size (M = 64, N_ue = 2,
@@ -635,6 +633,48 @@ def test_scaling_scales_estimate(algorithm, seed, T, size, phase):
     assert b.T_hat == a.T_hat
     assert b.iterations == a.iterations
     assert_close(b.X_hat.data, c * a.X_hat.data)
+
+
+def scaled_problem(y_scale, phi_scale=1.0):
+    """A 12 x 24 real problem (seed 3), its Y and Phi scaled; s_bar = 3, and
+    the threshold scales with Y. At unit scale mmv_sp finds (3, 19, 22)."""
+    rng = np.random.default_rng(3)
+    Phi = rng.standard_normal((12, 24)) * phi_scale
+    Y = rng.standard_normal((12, 1)) * y_scale
+    cfg = PursuitConfig(s_bar=3, prior=PriorSupportInfo.empty(24), gamma=0.1 * y_scale)
+    return Y, Phi, cfg
+
+
+@pytest.mark.parametrize("y_scale", [1.0, 1e150, 1e-150])
+def test_squarable_scale_keeps_the_support(y_scale):
+    Y, Phi, cfg = scaled_problem(y_scale)
+    assert mmv_sp_recover(Y, Phi, 3, cfg.gamma).T_hat.indices == (3, 19, 22)
+
+
+# Y and Phi whose squares overflow or vanish once returned the tie-break
+# order's chunks, (1, 2, 3) for Y at 1e200, with residues (inf, inf) or
+# (0, 0) and THRESHOLD_MET; they are refused by name, with no numpy warning
+@pytest.mark.parametrize("y_scale,phi_scale,pattern", [
+    (1e154, 1.0, "^Y's squared Frobenius norm overflows a float$"),
+    (1e200, 1.0, "^Y's squared Frobenius norm overflows a float$"),
+    (1e300, 1.0, "^Y's squared Frobenius norm overflows a float$"),
+    (1.0, 1e155, "^Phi's squared Frobenius norm overflows a float$"),
+    (1e-165, 1.0, "^Y's nonzero entries square to 0 in a float$"),
+])
+def test_unsquarable_scale_is_refused_by_name(y_scale, phi_scale, pattern):
+    Y, Phi, cfg = scaled_problem(y_scale, phi_scale)
+    Y1, Phi1, cfg1 = scaled_problem(1.0)
+    runs = (lambda: msp_recover(Y, Phi, cfg), lambda: cmsp_recover(Y, Phi, cfg),
+            lambda: mmv_sp_recover(Y, Phi, 3, cfg.gamma),
+            lambda: sp_recover(Y, Phi, 3, cfg.gamma),
+            # one unsquarable problem in a stack is enough
+            lambda: recover_batch("msp", [Y1, Y], [Phi1, Phi], [cfg1, cfg]),
+            lambda: genie_ls(Y, Phi, ChunkSupport.of([1, 2], 24)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            with pytest.raises(NonFiniteError, match=pattern):
+                run()
 
 
 def chunk_pair_problem(seed, T):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cspursuit.core import ChunkIndexing, chunk_norms
+from cspursuit.core import ChunkIndexing, _chunk_norms
 from cspursuit.errors import GenerationError, PriorInfoError
 from cspursuit.sparsity import (ChunkSparseMatrix, ChunkSupport, PriorSupportInfo,
                                 SupportEvolutionParams, chunk_support,
@@ -20,7 +20,7 @@ class TestChunkSparseMatrix:
         data[2:4, :] = 1.0
         X = ChunkSparseMatrix(data, idx)
         assert chunk_support(X).indices == (2,)
-        assert chunk_norms(X.data, idx) == pytest.approx([0.0, 2.0, 0.0])
+        assert _chunk_norms(X.data, idx.d) == pytest.approx([0.0, 2.0, 0.0])
 
     def test_support_tolerance(self):
         idx = ChunkIndexing(K=2, d=1)
