@@ -10,12 +10,13 @@ leading batch axis over problems that share rows, K, d, s_bar and max_iter,
 each with its own prior and gamma. The rules rank every problem's chunks in
 one stable sort, the least squares solves stack the Grams of the problems
 whose supports have one size, and each problem stops on its own, so every
-result equals the one the problem gets alone. The loop takes priors, floors
-and thresholds as arrays and returns columns, which the harness reads;
-recover_batch, the batched entry, builds a RecoveryResult per problem from
-them. Every entry validates its problems as a stack, a single problem as a
-stack of one: msp_recover, cmsp_recover, mmv_sp_recover and sp_recover are
-the one-problem case.
+result equals the one the problem gets alone. Every array of the loop keeps
+one row per problem, live lists the running ones, and the result columns,
+which the harness reads, hold each problem's answer so far. recover_batch,
+the batched entry, builds a RecoveryResult per problem from them. Every
+entry validates its problems as a stack, a single problem as a stack of
+one: msp_recover, cmsp_recover, mmv_sp_recover and sp_recover are the
+one-problem case.
 """
 from __future__ import annotations
 
@@ -181,10 +182,10 @@ def _cmsp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
 
 def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
                d: int):
-    """Least squares of each problem live[i] of the stack, whose Y is Y[i],
-    on its chunks T[i] (a (len(live), K) mask), one stacked solve per
-    nonempty support size. Yields, per size, the positions i, their 0-based
-    chunks (G, n), their columns of Phi (G, rows, n d), laid out as a single
+    """Least squares of each problem live[i] of the whole stack Y, Phi on its
+    chunks T[i] (a (len(live), K) mask), one stacked solve per nonempty
+    support size. Yields, per size, the positions i, their 0-based chunks
+    (G, n), their columns of Phi (G, rows, n d), laid out as a single
     problem's Phi[:, cols] is, the solutions and the rank flags."""
     sizes = T.sum(axis=1)
     for n in sorted(set(sizes.tolist()) - {0}):
@@ -192,7 +193,7 @@ def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
         chunks = np.nonzero(T[g])[1].reshape(len(g), n)
         cols = _rows(chunks, d)
         sub = Phi.transpose(0, 2, 1)[live[g][:, None], cols].transpose(0, 2, 1)
-        yield (g, chunks, sub, *_lstsq_stack(sub, Y[g]))
+        yield (g, chunks, sub, *_lstsq_stack(sub, Y[live[g]]))
 
 
 # one pursuit run over a stack of B problems, as columns: support masks T
@@ -212,62 +213,48 @@ def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarr
     merge, refine = _RULES[algorithm]
     B, K = prior.shape
     residues = np.full((B, max_iter + 1), np.nan)
-    residues[:, 0] = r_prev = _frobenius_stack(Y)
-    stop_at = np.maximum(gamma, LS_RCOND * r_prev)
+    residues[:, 0] = _frobenius_stack(Y)
+    stop_at = np.maximum(gamma, LS_RCOND * residues[:, 0])
     out = _Batch(np.zeros((B, K), dtype=bool),
                  np.zeros((B, K * d, Y.shape[2]), dtype=np.complex128),
-                 np.full(B, max_iter), np.full(B, None), np.zeros(B, dtype=bool),
-                 residues)
-    # live holds the running problems in stack order; Y_live, prior, s_c,
-    # stop_at, r_prev, held, T_prev and X_prev hold one row per running
-    # problem. R keeps a row per problem, so the scores come from the whole
-    # stack and Phi is never copied; a stopped problem's row goes unread.
-    live, Y_live = np.arange(B), Y
-    R, held = Y.copy(), np.zeros_like(prior)
-    T_prev = np.zeros((B, 0), dtype=np.intp)
-    X_prev = np.zeros((B, 0, Y.shape[2]), dtype=np.complex128)
-
-    def finish(stopped, T, X, iterations, stop):
-        b = live[stopped][:, None]
-        out.T[b, T[stopped]] = True
-        out.X[b, _rows(T[stopped], d)] = X[stopped]
-        out.iterations[b] = iterations
-        out.stops[b] = stop
-
+                 np.zeros(B, dtype=int), np.full(B, StopReason.MAX_ITERATIONS),
+                 np.zeros(B, dtype=bool), residues)
+    # every array keeps one row per problem and live lists the running ones;
+    # out holds each problem's answer so far, so out.T[live] is the running
+    # support and residues[live, it - 1] the previous residue. R's stopped
+    # rows go unread: the scores come from the whole stack, Phi uncopied.
+    live, R = np.arange(B), Y.copy()
     for it in range(1, max_iter + 1):
+        out.iterations[live] = it
         # |Phi^H R| read off Phi^T conj(R), its conjugate entry for entry, so
         # that no conjugate of Phi is formed
         scores = _chunk_norms(Phi.transpose(0, 2, 1) @ R.conj(), d)[live]
-        T_a = merge(scores, held, prior, s_c, s_bar)
+        T_a = merge(scores, out.T[live], prior[live], s_c[live], s_bar)
         norms = np.zeros(T_a.shape)
-        groups = list(_ls_groups(Y_live, Phi, live, T_a, d))
+        groups = list(_ls_groups(Y, Phi, live, T_a, d))
         for g, chunks, _, Z, flags in groups:
             norms[g[:, None], chunks] = _chunk_norms(Z, d)
             out.deficient[live[g]] |= flags
-        T_next = refine(norms, prior, s_c, s_bar)
+        T_next = refine(norms, prior[live], s_c[live], s_bar)
         # a refine that keeps one stacked solve's merged supports reuses it
         if len(groups) > 1 or not np.array_equal(T_next, T_a):
-            groups = list(_ls_groups(Y_live, Phi, live, T_next, d))
+            groups = list(_ls_groups(Y, Phi, live, T_next, d))
         ((_, T, sub, X, flags),) = groups
         out.deficient[live] |= flags
-        R[live] = R_next = Y_live - sub @ X
-        residues[live, it] = r_next = _frobenius_stack(R_next)
-        met = r_next <= stop_at
-        flat = ~met & (r_next >= r_prev)
-        if met.any() or flat.any():
-            finish(met, T, X, it, StopReason.THRESHOLD_MET)
-            finish(flat, T_prev, X_prev, it, StopReason.RESIDUE_NON_DECREASING)
-            go = ~(met | flat)
-            live, Y_live, prior, s_c, stop_at = (live[go], Y_live[go], prior[go],
-                                                 s_c[go], stop_at[go])
-            r_next, T_next, T, X = r_next[go], T_next[go], T[go], X[go]
-            if not live.size:
-                break
-        r_prev, held, T_prev, X_prev = r_next, T_next, T, X
-    # residues decreased strictly on every continuation, so the last iterate
-    # is the minimum-residue one
-    finish(np.ones(len(live), dtype=bool), T_prev, X_prev, max_iter,
-           StopReason.MAX_ITERATIONS)
+        R[live] = R_next = Y[live] - sub @ X
+        residues[live, it] = r = _frobenius_stack(R_next)
+        met = r <= stop_at[live]
+        flat = ~met & (r >= residues[live, it - 1])
+        # every other residue fell, so its new iterate is its best so far
+        b = live[~flat]
+        out.T[b] = T_next[~flat]
+        out.X[b] = 0
+        out.X[b[:, None], _rows(T[~flat], d)] = X[~flat]
+        out.stops[live[met]] = StopReason.THRESHOLD_MET
+        out.stops[live[flat]] = StopReason.RESIDUE_NON_DECREASING
+        live = live[~(met | flat)]
+        if not live.size:
+            break
     return out
 
 
