@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_rng,
-                   _check_scale, _rows, _whole, _whole_fields, as_matrix,
-                   chunking, frobenius)
+from .core import (ChunkIndexing, ChunkSupport, _check_number, _check_power,
+                   _check_rng, _check_scale, _rows, _whole, _whole_fields,
+                   as_matrix, chunking, frobenius)
 from .errors import (BoundPreconditionError, DimensionError,
                      EnumerationCapError, RipViolationError)
 from .sparsity import ChunkSparseMatrix, chunk_support
@@ -445,7 +445,7 @@ def channel_recovery_bound(delta_s2: float, c4: float, gamma: float, M: int,
         raise RipViolationError(
             f"delta_s2 = {d} >= {CONTRACTION_DELTA}, guarantee does not apply")
     M, N_ue, T = _whole(M, "M", 1), _whole(N_ue, "N_ue", 1), _whole(T, "T", 1)
-    _check_number(P, "P", positive=True)
+    _check_power(P, T)
     for name, value in (("c4", c4), ("gamma", gamma)):
         _check_number(value, name, finite=True, error=BoundPreconditionError)
     nt = N_ue * T
@@ -489,7 +489,7 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
     K = idx.K
     if T1.K != K or T2.K != K:
         raise DimensionError(f"support universes must equal K={K}")
-    if T1.as_set() & T2.as_set():
+    if set(T1) & set(T2):
         raise ValueError("T1 and T2 must be disjoint")
     if len(T1) < 1 or len(T2) < 1:
         raise ValueError("T1 and T2 must be nonempty")
@@ -499,7 +499,7 @@ def lemma1_check(Phi, T1: ChunkSupport, T2: ChunkSupport,
         raise DimensionError(f"q.k={q.k} exceeds K={K}")
     if X.idx.K != K or X.idx.d != q.d:
         raise DimensionError("X indexing must match Phi chunking")
-    if not chunk_support(X).as_set() <= T1.as_set():
+    if not set(chunk_support(X)) <= set(T1):
         raise ValueError("X must be chunk-supported inside T1")
 
     k1, k2, kc = len(T1), len(T2), q.k

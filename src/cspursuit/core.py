@@ -1,12 +1,12 @@
 """Complex matrix utilities: chunk indexing, the one chunk ranking,
 minimum-norm least squares, and a small binary matrix file format.
 
-Least squares has one route, _lstsq_stack, and ls_solve is its one-problem
-case. It solves the normal equations on the Gram G = A^H A when the 1-norm
-condition number of G is at most 1e4: cond_2(A)^2 <= cond_1(G) then keeps
-sigma_min / sigma_max of A at 1e-2 or more, full rank at LS_RCOND. Every
-other A takes the SVD route (np.linalg.lstsq), which gives the minimum-norm
-solution.
+Least squares has one route, _lstsq_stack, and ls_solve_with_rank is its
+one-problem case. It solves the normal equations on the Gram G = A^H A
+when the 1-norm condition number of G is at most 1e4: cond_2(A)^2 <=
+cond_1(G) then keeps sigma_min / sigma_max of A at 1e-2 or more, full rank
+at LS_RCOND. Every other A takes the SVD route (np.linalg.lstsq), which
+gives the minimum-norm solution.
 
 Matrices are 2-D numpy arrays of complex128. Rows of a signal matrix are
 grouped into K chunks of d consecutive rows; chunk indices are 1-based,
@@ -19,6 +19,7 @@ validated matrices, and trust their caller to have checked them.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, NonFiniteError
 
-__all__ = ["ChunkIndexing", "ChunkSupport", "as_matrix", "frobenius", "ls_solve",
+__all__ = ["ChunkIndexing", "ChunkSupport", "as_matrix", "frobenius",
            "ls_solve_with_rank", "read_matrix", "write_matrix"]
 
 # file format: magic, u32 rows, u32 cols, u8 dtype tag, 3 reserved bytes,
@@ -40,6 +41,8 @@ LS_RCOND = 1e-12
 # largest 1-norm condition number of A^H A at which least squares trusts
 # the normal equations; above it the SVD route decides rank and solution
 _GRAM_COND_MAX = 1e4
+# the least Frobenius norm whose square is a normal float
+_NORM_MIN = np.sqrt(np.finfo(np.float64).tiny)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -70,13 +73,15 @@ def _frobenius_stack(a: np.ndarray) -> np.ndarray:
 def _check_scale(a: np.ndarray, name: str) -> None:
     """Refuse a stack a of finite matrices, with a NonFiniteError naming
     it, when a slice's squared Frobenius norm, which bounds every entry of
-    its Gram, overflows a float, or when its nonzero entries square to 0."""
+    its Gram, overflows a float, or when a slice with a nonzero entry has a
+    squared norm below the normal floats, which loses its digits or all of
+    it. An all-zero slice is kept."""
     with np.errstate(over="ignore"):
         norms = _frobenius_stack(a)
     if not np.isfinite(norms).all():
         raise NonFiniteError(f"{name}'s squared Frobenius norm overflows a float")
-    if not norms.all() and a[norms == 0].any():
-        raise NonFiniteError(f"{name}'s nonzero entries square to 0 in a float")
+    if a[norms < _NORM_MIN].any():
+        raise NonFiniteError(f"{name}'s squared Frobenius norm underflows a float")
 
 
 def _whole(value, name: str = "chunk index", least=None, error=ValueError) -> int:
@@ -117,6 +122,16 @@ def _check_number(value, name: str, positive: bool = False,
         raise error(f"{name} = {value!r} is negative or not finite")
     what = "positive and finite" if positive else "nonnegative"
     raise error(f"{name} must be {what}, got {value!r}")
+
+
+def _check_power(P, T: int) -> None:
+    """Refuse a transmit power P by name unless positive and finite with a
+    product P T, which every channel scale reads, that a float holds."""
+    _check_number(P, "P", positive=True)
+    # a float32 P T casts the largest float to inf, and an int is below inf
+    with np.errstate(over="ignore"):  # a numpy P overflows with a warning
+        if not (P * T <= sys.float_info.max and P * T < np.inf):
+            raise ValueError(f"P * T overflows a float at P = {P!r}, T = {T}")
 
 
 def _check_rng(rng) -> None:
@@ -200,14 +215,6 @@ class ChunkSupport:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
 
-    def as_set(self) -> set[int]:
-        return set(self.indices)
-
-    def intersection(self, other: "ChunkSupport") -> "ChunkSupport":
-        if self.K != other.K:
-            raise ValueError(f"mismatched universes K={self.K} and K={other.K}")
-        return ChunkSupport.of(self.as_set() & other.as_set(), self.K)
-
 
 def _zero_based(S: ChunkSupport) -> np.ndarray:
     return np.array(S.indices, dtype=np.intp) - 1
@@ -233,16 +240,12 @@ def _ranked(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def ls_solve(A, B) -> np.ndarray:
-    """Minimum-Frobenius-norm solution X of min ||A X - B||_F, by the
-    certified Gram solve or the SVD route of the module docstring."""
-    return ls_solve_with_rank(A, B)[0]
-
-
 def ls_solve_with_rank(A, B) -> tuple[np.ndarray, bool]:
-    """As ls_solve, also reporting whether the minimizer was non-unique (rank
-    of A below its column count): False for a certified Gram solve, else by
-    np.linalg.lstsq's rank at rcond=LS_RCOND. _lstsq_stack's one-slice case."""
+    """Minimum-Frobenius-norm solution X of min ||A X - B||_F, by the
+    certified Gram solve or the SVD route of the module docstring, and
+    whether it is non-unique (rank of A below its column count): False for
+    a certified Gram solve, else by np.linalg.lstsq's rank at
+    rcond=LS_RCOND. _lstsq_stack's one-slice case."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:

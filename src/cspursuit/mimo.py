@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ChunkSupport, _check_number, _check_rng, _frobenius_stack,
-                   _support, _whole, _whole_fields, _zero_based, as_matrix)
+from .core import (ChunkSupport, _check_number, _check_power, _check_rng,
+                   _frobenius_stack, _support, _whole, _whole_fields, _zero_based,
+                   as_matrix)
 from .errors import DimensionError, GenerationError, MetricError
 from .pursuit import PRIOR_ALGORITHMS, StopReason, _Batch, _genie, _run_pursuit
 from .sparsity import SupportEvolutionParams, _complex_gaussian, _support_masks
@@ -65,7 +66,7 @@ class MimoScenario:
 
     def __post_init__(self) -> None:
         _whole_fields(self, M=1, N_ue=1, T=1, s_bar=None, s_c=None)
-        _check_number(self.P, "P", positive=True)
+        _check_power(self.P, self.T)
         if self.s_bar < 3:
             raise GenerationError(f"s_bar must be at least 3, got {self.s_bar}")
         object.__setattr__(self, "evolution",
@@ -164,7 +165,7 @@ def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
     if min(n, t, m) < 1 or Theta.shape[1] != t:
         raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
                              "nonempty N_ue x T and M x T")
-    _check_number(P, "P", positive=True)
+    _check_power(P, t)
     return (*_cs_problem(Z, Theta), float(np.sqrt(P * t / m)))
 
 
@@ -175,7 +176,7 @@ def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
     if min(X_hat.shape) < 1:
         raise DimensionError(f"X_hat {X_hat.shape} must be nonempty M x N_ue")
     T = _whole(T, "T", 1)
-    _check_number(P, "P", positive=True)
+    _check_power(P, T)
     return _map_back(X_hat, P, T)
 
 
@@ -257,8 +258,8 @@ def _estimate(scenario: MimoScenario, Y: np.ndarray, Phi: np.ndarray,
     the (B, M) true and prior masks; run_frame_sequence gives the prior rule."""
     m, n, t, B = scenario.M, scenario.N_ue, scenario.T, len(Y)
     if algorithm == "genie":
-        return _Batch(truth, _genie(Y, Phi, truth), np.zeros(B), np.full(B, None),
-                      np.zeros(B, dtype=bool), None)
+        X, deficient = _genie(Y, Phi, truth)
+        return _Batch(truth, X, np.zeros(B), np.full(B, None), deficient, None)
     gamma = default_gamma(n, t) if gamma is None else float(gamma)
     if algorithm == "sp":
         # one scalar-sparse problem per receive antenna, supports pooled

@@ -2,8 +2,9 @@
 
 Both routines here favor obviousness over speed and share no reduction
 logic with the main code paths: the support search scans every candidate
-in lexicographic order, and the isometry reference builds each Gram matrix
-entry by entry before asking for its eigenvalues.
+in lexicographic order and fits each with np.linalg.lstsq, not the
+package's least squares, and the isometry reference builds each Gram
+matrix entry by entry before asking for its eigenvalues.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ChunkSupport, _whole, as_matrix, chunking, frobenius, ls_solve
+from .core import ChunkSupport, _whole, as_matrix, chunking, frobenius
 from .errors import DimensionError, EnumerationCapError, SelectionError
 
 __all__ = ["exhaustive_best_support", "rip_bruteforce_reference"]
@@ -47,7 +48,7 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
     if constraint is not None:
         if constraint[0].K != K:
             raise DimensionError(f"constraint universe {constraint[0].K} != K={K}")
-        t0_set = constraint[0].as_set()
+        t0_set = set(constraint[0])
         need = _whole(constraint[1], "m", 0)
 
     best: Optional[tuple[int, ...]] = None
@@ -56,7 +57,7 @@ def exhaustive_best_support(Y, Phi, s: int, d: int,
         if constraint is not None and len(t0_set & set(chunks)) < need:
             continue
         sub = Phi[:, idx.rows_of(chunks)]
-        res = frobenius(Y - sub @ ls_solve(sub, Y))
+        res = frobenius(Y - sub @ np.linalg.lstsq(sub, Y, rcond=None)[0])
         if res < best_res:
             best, best_res = chunks, res
     if best is None:

@@ -258,13 +258,17 @@ def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarr
     return out
 
 
-def _genie(Y: np.ndarray, Phi: np.ndarray, T: np.ndarray, d: int = 1) -> np.ndarray:
+def _genie(Y: np.ndarray, Phi: np.ndarray, T: np.ndarray,
+           d: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """genie_ls of each problem of a validated stack on its (B, K) mask T,
-    dense (B, K d, L), one stacked solve per support size."""
+    dense (B, K d, L), one stacked solve per support size, and each
+    problem's rank flag (B,)."""
     X = np.zeros((len(Y), Phi.shape[2], Y.shape[2]), dtype=np.complex128)
-    for g, chunks, _, Z, _ in _ls_groups(Y, Phi, np.arange(len(Y)), T, d):
+    deficient = np.zeros(len(Y), dtype=bool)
+    for g, chunks, _, Z, flags in _ls_groups(Y, Phi, np.arange(len(Y)), T, d):
         X[g[:, None], _rows(chunks, d)] = Z
-    return X
+        deficient[g] = flags
+    return X, deficient
 
 
 # pursuit -> (merge, refine); mmv_sp, and sp at d = 1, are msp under the
@@ -342,4 +346,5 @@ def genie_ls(Y, Phi, T_true: ChunkSupport, d: int = 1) -> ChunkSparseMatrix:
         raise DimensionError(f"support universe {T_true.K} != K={idx.K}")
     T = np.zeros((1, idx.K), dtype=bool)
     T[0, _zero_based(T_true)] = True
-    return ChunkSparseMatrix(_genie(Y, Phi, T, d)[0], idx)
+    X, _ = _genie(Y, Phi, T, d)
+    return ChunkSparseMatrix(X[0], idx)

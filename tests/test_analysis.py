@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,7 +264,8 @@ def test_overflowing_phi_is_refused_by_name(exponent):
 def test_vanishing_phi_is_refused_by_name():
     # every Gram of a Phi whose entries square to 0 is 0, so delta read 1.0
     Phi = np.random.default_rng(3).standard_normal((6, 12)) * 1e-170
-    with pytest.raises(NonFiniteError, match="^Phi's nonzero entries square to 0"):
+    with pytest.raises(NonFiniteError,
+                       match="^Phi's squared Frobenius norm underflows a float$"):
         block_rip_exact(Phi, RipQuery(2, 2))
 
 
@@ -581,6 +583,18 @@ class TestChannelBound:
         # an infinite P would give a bound of 0
         with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
             channel_recovery_bound(0.1, 2.0, 1.0, 64, 2, 24, float("inf"))
+
+    def test_power_whose_product_with_T_overflows(self):
+        # a finite P with P T past every float gave a bound of 0; a float32
+        # P overflows in its own type, an int P past every float in none
+        with pytest.raises(ValueError, match=re.escape(
+                "P * T overflows a float at P = 1e+307, T = 24")):
+            channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24, P=1e307)
+        for P in (np.float32(3e38), 10 ** 400):
+            with pytest.raises(ValueError, match=r"^P \* T overflows a float at P = "):
+                channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24, P=P)
+        assert channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24,
+                                      P=1e306) == pytest.approx(8.05e-152, rel=1e-3)
 
     def test_non_number_power(self):
         # a comparison with a str raises a TypeError naming no argument

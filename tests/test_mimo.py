@@ -8,7 +8,7 @@ import pytest
 
 import cspursuit.core as core
 import cspursuit.mimo as mimo
-from cspursuit.core import frobenius
+from cspursuit.core import frobenius, ls_solve_with_rank
 from cspursuit.errors import DimensionError, GenerationError, MetricError
 from cspursuit.mimo import (ALGORITHMS, MimoScenario, default_gamma, dft_unitary,
                             generate_channel, generate_pilots, nmse,
@@ -68,7 +68,7 @@ class TestChannelModel:
         assert frame.T_true == T_true
         # angular rows outside the support are zero
         hot = set(np.nonzero(np.abs(frame.H_a).sum(axis=0) > 0)[0] + 1)
-        assert hot == T_true.as_set()
+        assert hot == set(T_true)
 
     def test_measurement_identity(self):
         # the pilot-domain rewrite reproduces the raw measurements exactly
@@ -134,6 +134,19 @@ class TestChannelModel:
         # an infinite P gives a nan NMSE, an infinite scale or a zero H_hat
         with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
             call(float("inf"))
+
+    @pytest.mark.parametrize("call", [
+        lambda P: make_scenario(M=64, T=24, P=P, s_bar=8, s_c=4),
+        lambda P: to_cs_problem(np.ones((2, 24)), np.ones((64, 24)), P),
+        lambda P: recover_channel(np.ones((64, 2)), P, 24),
+    ], ids=["MimoScenario", "to_cs_problem", "recover_channel"])
+    def test_power_whose_product_with_T_overflows_rejected(self, call):
+        # a finite P with P T past every float made sqrt(M/(P T)) 0, so
+        # every channel estimate read 0, and sqrt(P T/M) infinite
+        with pytest.raises(ValueError, match=re.escape(
+                "P * T overflows a float at P = 1e+307, T = 24")):
+            call(1e307)
+        call(1e306)
 
     @pytest.mark.parametrize("call", [
         lambda P: make_scenario(P=P),
@@ -222,6 +235,17 @@ class TestFrameSequence:
         assert all(r.support_exact for r in recs)
         assert all(r.iterations == 0.0 and r.stop_reason is None for r in recs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_genie_reports_its_rank_flag(self, seed):
+        # 3 or 4 true chunks on 2 pilot rows: the least squares on the true
+        # support has more unknowns than equations, and the record says so
+        scen = make_scenario(M=16, N_ue=2, T=2, s_bar=4, s_c=1)
+        ((frame, Y, Phi),) = mimo.simulate_frames(scen, 1, np.random.default_rng(seed))
+        cols = np.array(frame.T_true.indices) - 1
+        assert ls_solve_with_rank(Phi[:, cols], Y)[1]
+        (rec,) = run_frame_sequence(scen, 1, "genie", np.random.default_rng(seed))
+        assert rec.rank_deficient_ls
+
     def test_pursuit_noise_free_is_exact(self):
         scen = make_scenario(T=32)
         for t in range(5):
@@ -263,7 +287,7 @@ class TestFrameSequence:
         recs = run_frame_sequence(scen, 3, "genie", np.random.default_rng(9),
                                   pinned=True)
         for a, b in zip(recs, recs[1:]):
-            assert len(a.T_true.as_set() & b.T_true.as_set()) == 2
+            assert len(set(a.T_true) & set(b.T_true)) == 2
 
     def test_believed_s_c_zero_matches_no_prior(self):
         scen = make_scenario()
@@ -380,7 +404,7 @@ class TestPriorPromise:
                                           np.random.default_rng(seed))
                 assert len(priors) == 2 and priors[0].s_c == 0
                 prior = priors[1]
-                kept = len(prior.T0.intersection(recs[1].T_true))
+                kept = len(set(prior.T0) & set(recs[1].T_true))
                 assert kept >= prior.s_c, (alg, seed, kept, prior.s_c)
                 # the floor is the nominal one whenever the prior keeps it
                 assert prior.s_c == min(scen.evolution.s_c, kept)
@@ -396,7 +420,7 @@ class TestPriorPromise:
                                       believed_s_c=6, pinned=True)
             prior = priors[1]
             assert prior.s_c == min(6, len(prior.T0))
-            overstated += prior.s_c > len(prior.T0.intersection(recs[1].T_true))
+            overstated += prior.s_c > len(set(prior.T0) & set(recs[1].T_true))
         assert overstated > 0
 
 
@@ -473,7 +497,7 @@ class TestBlockKernels:
     def test_genie_matches_genie_ls(self, T):
         scen = self._scenario(T, 25)
         for _, _, Y, Phi, truth in self._block(scen):
-            X = mimo._genie(Y, Phi, truth)
+            X, _ = mimo._genie(Y, Phi, truth)
             for b in range(len(Y)):
                 support = ChunkSupport.of(np.flatnonzero(truth[b]) + 1, scen.M)
                 assert _same_bits(X[b], genie_ls(Y[b], Phi[b], support).data)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cspursuit import core
 from cspursuit.analysis import RipQuery, block_rip_exact
 from cspursuit.errors import DimensionError, EnumerationCapError, SelectionError
 from cspursuit.oracle import exhaustive_best_support, rip_bruteforce_reference
@@ -40,6 +41,17 @@ class TestExhaustiveBestSupport:
         T = exhaustive_best_support(Phi @ X, Phi, s=1, d=d)
         assert T.indices == (2,)
 
+    def test_runs_none_of_the_package_least_squares(self, monkeypatch):
+        # the reference checks the package's solver, so it must not call it
+        def refuse(*_):
+            raise AssertionError("the oracle reached the package's least squares")
+        monkeypatch.setattr(core, "_lstsq_stack", refuse)
+        rng = np.random.default_rng(0)
+        Phi = random_complex(rng, (8, 10)) / 4.0
+        T = exhaustive_best_support(Phi[:, [1, 6]].sum(axis=1, keepdims=True),
+                                    Phi, s=2, d=1)
+        assert T.indices == (2, 7)
+
     def test_constraint_filters_supports(self):
         rng = np.random.default_rng(3)
         K, M = 8, 6
@@ -49,7 +61,7 @@ class TestExhaustiveBestSupport:
         T0 = ChunkSupport.of([3, 4], K)
         # force one chunk from T0 even though the best support avoids it
         T = exhaustive_best_support(Phi @ x, Phi, s=2, d=1, constraint=(T0, 1))
-        assert len(T.as_set() & {3, 4}) >= 1
+        assert len(set(T) & {3, 4}) >= 1
 
     def test_unsatisfiable_constraint(self):
         rng = np.random.default_rng(4)

@@ -104,7 +104,7 @@ class TestGenerateSupportSequence:
         rng = np.random.default_rng(3)
         seq = generate_support_sequence(params, 200, rng)
         for a, b in zip(seq, seq[1:]):
-            ov = len(a.as_set() & b.as_set())
+            ov = len(set(a) & set(b))
             assert min(4, len(a), len(b)) <= ov <= 6
 
     def test_fixed_overlap_pinned(self):
@@ -112,7 +112,7 @@ class TestGenerateSupportSequence:
         rng = np.random.default_rng(4)
         seq = generate_support_sequence(params, 100, rng, pinned=True)
         for a, b in zip(seq, seq[1:]):
-            assert len(a.as_set() & b.as_set()) == 3
+            assert len(set(a) & set(b)) == 3
 
     def test_infeasible_universe(self):
         ok = SupportEvolutionParams(s_bar=6, s_c=4, K=8)
@@ -153,7 +153,7 @@ class TestGenerateSupportSequence:
         n_pairs = 4000
         seq = generate_support_sequence(params, n_pairs + 1, rng)
         for a, b in zip(seq, seq[1:]):
-            total += len(a.as_set() & b.as_set())
+            total += len(set(a) & set(b))
         assert total / n_pairs == pytest.approx(exact, abs=0.05)
 
 
@@ -181,7 +181,7 @@ def test_sequence_property(seed, s_bar, s_c):
     for s in seq:
         assert s_bar - 2 <= len(s) <= s_bar
     for a, b in zip(seq, seq[1:]):
-        ov = len(a.as_set() & b.as_set())
+        ov = len(set(a) & set(b))
         assert min(s_c, len(a), len(b)) <= ov <= s_c + 2
 
 
