@@ -110,14 +110,17 @@ def _check_number(value, name: str, positive: bool = False,
                   finite: bool = False, error=ValueError) -> None:
     """Refuse value with error naming it unless it compares >= 0, or with
     positive unless 0 < value < inf, or with finite unless 0 <= value < inf;
-    nan, arrays and non-numbers never do."""
+    nan, arrays, non-numbers and ints past every float never do."""
     try:
         if np.ndim(value) == 0 and ((0 < value < np.inf) if positive
                                     else (0 <= value < np.inf) if finite
                                     else value >= 0):
+            float(value)  # an int past every float, which compares below inf
             return
     except (TypeError, ValueError):  # ValueError: a ragged sequence
         pass
+    except OverflowError:
+        raise error(f"{name} = {value!r} does not fit a float") from None
     if finite:
         raise error(f"{name} = {value!r} is negative or not finite")
     what = "positive and finite" if positive else "nonnegative"
@@ -128,7 +131,7 @@ def _check_power(P, T: int) -> None:
     """Refuse a transmit power P by name unless positive and finite with a
     product P T, which every channel scale reads, that a float holds."""
     _check_number(P, "P", positive=True)
-    # a float32 P T casts the largest float to inf, and an int is below inf
+    # a float32 P T casts the largest float to inf, and an int P T is below inf
     with np.errstate(over="ignore"):  # a numpy P overflows with a warning
         if not (P * T <= sys.float_info.max and P * T < np.inf):
             raise ValueError(f"P * T overflows a float at P = {P!r}, T = {T}")

@@ -44,7 +44,10 @@ _BLOCK_TRIALS = 32
 
 
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int past every float
+        return False
 
 
 def _power(name: str, db) -> float:

@@ -128,56 +128,41 @@ def _priors(cfgs, K: int) -> tuple[np.ndarray, np.ndarray]:
     return prior, np.array([[cfg.prior.s_c] for cfg in cfgs])
 
 
-# The merge and refine rules work on a stack of problems: scores has one row
-# of chunk scores per problem, and the running support (held), the prior T0
-# and the returned supports are (B, K) masks over the chunks. s_c is a
-# (B, 1) column, s_bar is shared. A rule lays its masks out in each row's
-# ranking, best first, picks there, and lays the pick back out by chunk, so
-# _ranked's tie-break decides every pick.
-
-def _rank_order(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row index and each row's ranking, which together gather a
-    (B, K) mask into rank order or scatter it back."""
-    return np.arange(len(scores))[:, None], _ranked(scores)
-
+# The rules work on a stack of problems: scores has one row of chunk scores
+# per problem, and the running support (held), the prior T0 and the picks
+# are (B, K) masks over the chunks. s_c is a (B, 1) column, s_bar is shared.
+# There are two merge rules and one refine, msp's rule, which cmsp runs with
+# s_c = 0 so that it locks no prior chunk. _pick, the one place that ranks
+# and lays out picks, hands a rule each row's ranking as the index `at`, so
+# mask[at] is in rank order, best first, and lays the pick back out by
+# chunk: _ranked's tie-break decides every pick.
 
 def _first(member: np.ndarray, count) -> np.ndarray:
     """The first count members of each row of a rank-ordered mask."""
     return member & (np.cumsum(member, axis=1) <= count)
 
 
-def _by_chunk(rows, ranked, picked: np.ndarray) -> np.ndarray:
-    out = np.empty_like(picked)
-    out[rows, ranked] = picked
-    return out
-
-
-def _msp_refine(scores, prior, s_c, s_bar: int) -> np.ndarray:
+def _msp_rule(at, prior, held, s_c, s_bar: int) -> np.ndarray:
     # the s_c best prior chunks, then the s_bar - s_c best of all others
-    rows, ranked = _rank_order(scores)
-    locked = _first(prior[rows, ranked], s_c)
-    return _by_chunk(rows, ranked, locked | _first(~locked, s_bar - s_c))
+    locked = _first(prior[at], s_c)
+    return locked | _first(~locked, s_bar - s_c)
 
 
-def _msp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
-    return held | _msp_refine(scores, prior, s_c, s_bar)
-
-
-def _cmsp_refine(scores, prior, s_c, s_bar: int) -> np.ndarray:
-    rows, ranked = _rank_order(scores)
-    top = np.zeros(scores.shape, dtype=bool)
-    top[:, :s_bar] = True
-    return _by_chunk(rows, ranked, top)
-
-
-def _cmsp_merge(scores, held, prior, s_c, s_bar: int) -> np.ndarray:
+def _cmsp_rule(at, prior, held, s_c, s_bar: int) -> np.ndarray:
     # top up the prior only by the shortfall s_c - |T ∩ T0|, then add the
     # s_bar best chunks overall
-    rows, ranked = _rank_order(scores)
     shortfall = np.maximum(s_c - (held & prior).sum(axis=1, keepdims=True), 0)
-    picked = _first((prior & ~held)[rows, ranked], shortfall)
+    picked = _first((prior & ~held)[at], shortfall)
     picked[:, :s_bar] = True
-    return held | _by_chunk(rows, ranked, picked)
+    return picked
+
+
+def _pick(rule, scores: np.ndarray, *args) -> np.ndarray:
+    """rule(at, *args) over each row of scores ranked, laid out by chunk."""
+    at = np.arange(len(scores))[:, None], _ranked(scores)
+    picked = np.empty(scores.shape, dtype=bool)
+    picked[at] = rule(at, *args)
+    return picked
 
 
 def _ls_groups(Y: np.ndarray, Phi: np.ndarray, live: np.ndarray, T: np.ndarray,
@@ -210,7 +195,7 @@ def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarr
     K d), and per problem a (B, K) prior mask, a (B, 1) floor s_c and a
     threshold gamma. A problem that stops leaves the running set with its
     own stop reason, so each result is the one the loop gives it alone."""
-    merge, refine = _RULES[algorithm]
+    merge, locks = _RULES[algorithm]
     B, K = prior.shape
     residues = np.full((B, max_iter + 1), np.nan)
     residues[:, 0] = _frobenius_stack(Y)
@@ -229,13 +214,14 @@ def _run_pursuit(algorithm: str, Y: np.ndarray, Phi: np.ndarray, prior: np.ndarr
         # |Phi^H R| read off Phi^T conj(R), its conjugate entry for entry, so
         # that no conjugate of Phi is formed
         scores = _chunk_norms(Phi.transpose(0, 2, 1) @ R.conj(), d)[live]
-        T_a = merge(scores, out.T[live], prior[live], s_c[live], s_bar)
+        held = out.T[live]
+        T_a = held | _pick(merge, scores, prior[live], held, s_c[live], s_bar)
         norms = np.zeros(T_a.shape)
         groups = list(_ls_groups(Y, Phi, live, T_a, d))
         for g, chunks, _, Z, flags in groups:
             norms[g[:, None], chunks] = _chunk_norms(Z, d)
             out.deficient[live[g]] |= flags
-        T_next = refine(norms, prior[live], s_c[live], s_bar)
+        T_next = _pick(_msp_rule, norms, prior[live], None, s_c[live] * locks, s_bar)
         # a refine that keeps one stacked solve's merged supports reuses it
         if len(groups) > 1 or not np.array_equal(T_next, T_a):
             groups = list(_ls_groups(Y, Phi, live, T_next, d))
@@ -271,9 +257,9 @@ def _genie(Y: np.ndarray, Phi: np.ndarray, T: np.ndarray,
     return X, deficient
 
 
-# pursuit -> (merge, refine); mmv_sp, and sp at d = 1, are msp under the
-# empty prior
-_RULES = {"msp": (_msp_merge, _msp_refine), "cmsp": (_cmsp_merge, _cmsp_refine)}
+# pursuit -> (merge rule, whether its refine locks prior chunks); mmv_sp, and
+# sp at d = 1, are msp under the empty prior
+_RULES = {"msp": (_msp_rule, True), "cmsp": (_cmsp_rule, False)}
 _RULES.update(mmv_sp=_RULES["msp"], sp=_RULES["msp"])
 PRIOR_ALGORITHMS = ("msp", "cmsp")  # the pursuits that read a prior T0
 

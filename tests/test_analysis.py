@@ -586,13 +586,16 @@ class TestChannelBound:
 
     def test_power_whose_product_with_T_overflows(self):
         # a finite P with P T past every float gave a bound of 0; a float32
-        # P overflows in its own type, an int P past every float in none
+        # P overflows in its own type, an int P T past every float in none
         with pytest.raises(ValueError, match=re.escape(
                 "P * T overflows a float at P = 1e+307, T = 24")):
             channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24, P=1e307)
-        for P in (np.float32(3e38), 10 ** 400):
+        for P in (np.float32(3e38), 10 ** 307):
             with pytest.raises(ValueError, match=r"^P \* T overflows a float at P = "):
                 channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24, P=P)
+        # an int P past every float is refused before its product
+        with pytest.raises(ValueError, match=r"^P = 10{400} does not fit a float$"):
+            channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24, P=10 ** 400)
         assert channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24,
                                       P=1e306) == pytest.approx(8.05e-152, rel=1e-3)
 
@@ -704,6 +707,13 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
      RipViolationError, "contraction factor 1.5 >= 1"),
     (lambda: channel_recovery_bound(0.1, 6.0, 0.0, M=0, N_ue=2, T=16, P=1.0),
      ValueError, "M must be positive, got 0"),
+    # an int past every float compares below inf, and then overflowed in
+    # the arithmetic, naming no argument
+    (lambda: channel_recovery_bound(0.1, 6.0, 10 ** 400, M=64, N_ue=2, T=24, P=1.0),
+     BoundPreconditionError, r"^gamma = 10{400} does not fit a float$"),
+    (lambda: msp_distortion_bound(msp_constants(0, 0, 0, s_bar=2, t0_size=2, s_c=1),
+                                  10 ** 400, 0.1),
+     BoundPreconditionError, r"^gamma = 10{400} does not fit a float$"),
     (lambda: msp_distortion_bound(_LACKING_C1, 1.0, 0.1),
      BoundPreconditionError, "lack a term of cmsp_constants"),
     (lambda: msp_convergence_bound(_LACKING_C1, 1.0, 0.1, 1.0),

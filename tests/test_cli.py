@@ -1,5 +1,10 @@
 """Tests for the command line front end."""
 import argparse
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,3 +484,20 @@ def test_every_int_flag_has_a_floor():
         ints = {a.dest for a in p._actions if a.type is int}
         floored = set(p.get_default("least") or ())
         assert floored == ints - shape_checked.get(name, set()), name
+
+
+def test_module_entry_runs_main(tmp_path):
+    # python -m cspursuit and the installed script both reach cli.main
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "cspursuit", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+    assert run("--help").returncode == 0
+    missing = run("rip", "--matrix", str(tmp_path / "missing.mat"), "--k", "1")
+    assert missing.returncode == 2
+    assert "error:" in missing.stderr
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["cspursuit"] == "cspursuit.cli:main"

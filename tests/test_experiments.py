@@ -158,6 +158,12 @@ class TestConfigValidation:
         (dict(sweep_axis="snr_db", sweep_values=(-4000.0, 25.0)),
          "sweep_values"),
         (dict(algorithms=("msp", "msp")), "algorithms"),
+        # ints past every float, which math.isfinite refused with an
+        # OverflowError naming no field
+        (dict(gamma_value=10 ** 400), "gamma_value"),
+        (dict(snr_db=10 ** 400), "snr_db"),
+        (dict(sweep_values=(10 ** 400,)), "sweep_values"),
+        (dict(sweep_axis="snr_db", sweep_values=(10 ** 400,)), "sweep_values"),
     ])
     def test_rejects(self, overrides, pattern):
         with pytest.raises(ConfigError, match=pattern):

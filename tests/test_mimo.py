@@ -545,6 +545,10 @@ def _estimate_believing(believed_s_c):
      DimensionError, "support universe 17 != M=16"),
     (lambda: _estimate_believing(-1), ValueError,
      "believed s_c must be nonnegative, got -1"),
+    # an int past every float compares below inf, and then overflowed
+    (lambda: run_frame_sequence(MimoScenario(16, 2, 8, 100.0, 3, 1), 1, "msp",
+                                np.random.default_rng(0), gamma=10 ** 400),
+     ValueError, r"^gamma = 10{400} does not fit a float$"),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):

@@ -205,21 +205,23 @@ class TestStopping:
         assert frobenius(Phi @ x - fit) == pytest.approx(res.residue_norms[-2])
 
 
-def merge_step(merge, R, Phi, T_hat, cfg):
-    """One problem's merge through the loop's rule kernel: the chunk norms
-    of Phi^H R score the chunks, and the supports are (1, K) masks."""
+def merge_step(rule, R, Phi, T_hat, cfg):
+    """One problem's merge through the loop's pick step: the chunk norms of
+    Phi^H R score the chunks, and the supports are (1, K) masks."""
     prior, s_c = pursuit._priors([cfg], T_hat.K)
     held = np.isin(np.arange(1, T_hat.K + 1), T_hat.indices)[None]
     scores = _chunk_norms(Phi.conj().T @ R, cfg.d)[None]
-    return _support(merge(scores, held, prior, s_c, cfg.s_bar)[0])
+    return _support((held | pursuit._pick(rule, scores, prior, held, s_c,
+                                          cfg.s_bar))[0])
 
 
-def refine_step(refine, Z, cfg):
-    """One problem's refine through the loop's rule kernel, scored by the
-    chunk norms of Z, the least squares on the merged support."""
+def refine_step(locks, Z, cfg):
+    """One problem's refine through the loop's pick step, scored by the
+    chunk norms of Z, the least squares on the merged support: msp's rule,
+    with the prior chunks locked or (cmsp) none."""
     prior, s_c = pursuit._priors([cfg], Z.idx.K)
-    return _support(refine(_chunk_norms(Z.data, cfg.d)[None], prior, s_c,
-                           cfg.s_bar)[0])
+    return _support(pursuit._pick(pursuit._msp_rule, _chunk_norms(Z.data, cfg.d)[None],
+                                  prior, None, s_c * locks, cfg.s_bar)[0])
 
 
 class TestSupportSteps:
@@ -231,7 +233,7 @@ class TestSupportSteps:
         R = np.array([[0.1], [5.0], [0.2], [4.0], [3.0], [0.3]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=1)
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
-        T_a = merge_step(pursuit._msp_merge, R, Phi, ChunkSupport.empty(K), cfg)
+        T_a = merge_step(pursuit._msp_rule, R, Phi, ChunkSupport.empty(K), cfg)
         # T_b = {2}; T_c = top 2 of remaining scores = {4, 5}
         assert T_a.indices == (2, 4, 5)
 
@@ -241,7 +243,7 @@ class TestSupportSteps:
         z = np.array([[5.0], [4.0], [0.1], [0.2], [0.0], [0.0]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=1)
         cfg = PursuitConfig(s_bar=2, prior=prior, gamma=0.0, d=1)
-        T = refine_step(pursuit._msp_refine, ChunkSparseMatrix(z, idx), cfg)
+        T = refine_step(True, ChunkSparseMatrix(z, idx), cfg)
         # part1 = {1}; part2 excludes only part1, so chunk 2 re-enters
         assert T.indices == (1, 2)
 
@@ -253,7 +255,7 @@ class TestSupportSteps:
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
         # current estimate already holds one prior chunk: no forced injection
         T_hat = ChunkSupport.of([1, 3], K)
-        T_a = merge_step(pursuit._cmsp_merge, R, Phi, T_hat, cfg)
+        T_a = merge_step(pursuit._cmsp_rule, R, Phi, T_hat, cfg)
         assert T_a.indices == (1, 2, 3)
 
     def test_cmsp_merge_with_shortfall(self):
@@ -262,7 +264,7 @@ class TestSupportSteps:
         R = np.array([[0.5], [0.4], [3.0], [2.0], [1.0], [0.1]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=1)
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
-        T_a = merge_step(pursuit._cmsp_merge, R, Phi, ChunkSupport.empty(K), cfg)
+        T_a = merge_step(pursuit._cmsp_rule, R, Phi, ChunkSupport.empty(K), cfg)
         # shortfall 1 -> T_b = {1} (larger residue score among prior), then
         # T_c = top 3 overall = {3,4,5}
         assert T_a.indices == (1, 3, 4, 5)
@@ -273,7 +275,7 @@ class TestSupportSteps:
         z = np.array([[0.1], [0.2], [5.0], [4.0], [3.0], [0.0]], dtype=complex)
         prior = PriorSupportInfo(ChunkSupport.of([1, 2], K), s_c=2)
         cfg = PursuitConfig(s_bar=3, prior=prior, gamma=0.0, d=1)
-        T = refine_step(pursuit._cmsp_refine, ChunkSparseMatrix(z, idx), cfg)
+        T = refine_step(False, ChunkSparseMatrix(z, idx), cfg)
         assert T.indices == (3, 4, 5)
 
     def test_msp_support_always_keeps_quality_quota(self):
@@ -342,6 +344,9 @@ class TestValidation:
             PursuitConfig(s_bar=1, prior=prior, gamma=0.0, d=0)
         with pytest.raises(ValueError):
             PursuitConfig(s_bar=1, prior=prior, gamma=0.0, max_iter=0)
+        # an int past every float was taken, and the run stopped at once
+        with pytest.raises(ValueError, match=r"^gamma = 10{400} does not fit a float$"):
+            PursuitConfig(s_bar=1, prior=prior, gamma=10 ** 400)
 
     def test_prior_larger_than_budget(self):
         prior = PriorSupportInfo(ChunkSupport.of([1, 2, 3, 4], 8), s_c=1)
@@ -431,14 +436,15 @@ def test_recovery_invariants(seed, s_c, l_cols):
         assert min(res.residue_norms) <= res.residue_norms[0] + 1e-12
 
 
-def unbatched_steps(Y, Phi, cfg, merge, refine, iterations):
+def unbatched_steps(Y, Phi, cfg, merge, locks, iterations):
     """The pursuit loop for one problem, one step at a time: the merge rule,
-    LS on the merged support, the refine rule, LS on the refined support."""
+    LS on the merged support, the refine (locking prior chunks or not), LS
+    on the refined support."""
     idx = ChunkIndexing(Phi.shape[1] // cfg.d, cfg.d)
     T, R, residues = ChunkSupport.empty(idx.K), Y, []
     for _ in range(iterations):
         T_a = merge_step(merge, R, Phi, T, cfg)
-        T = refine_step(refine, genie_ls(Y, Phi, T_a, d=cfg.d), cfg)
+        T = refine_step(locks, genie_ls(Y, Phi, T_a, d=cfg.d), cfg)
         sub = Phi[:, idx.rows_of(T)]
         R = Y - sub @ ls_solve_with_rank(sub, Y)[0]
         residues.append(frobenius(R))
@@ -457,17 +463,16 @@ def test_public_steps_agree_with_loop(seed, d, l_cols, s_c, max_iter):
     T0 = ChunkSupport.of(rng.choice(K, size=3, replace=False) + 1, K)
     cfg = PursuitConfig(s_bar=3, prior=PriorSupportInfo(T0, s_c), gamma=0.0,
                         d=d, max_iter=max_iter)
-    for recover, merge, refine in (
-            (msp_recover, pursuit._msp_merge, pursuit._msp_refine),
-            (cmsp_recover, pursuit._cmsp_merge, pursuit._cmsp_refine)):
+    for recover, merge, locks in ((msp_recover, pursuit._msp_rule, True),
+                                  (cmsp_recover, pursuit._cmsp_rule, False)):
         res = recover(Y, Phi, cfg)
-        T, X, residues = unbatched_steps(Y, Phi, cfg, merge, refine,
+        T, X, residues = unbatched_steps(Y, Phi, cfg, merge, locks,
                                          res.iterations)
         assert res.residue_norms[1:] == residues
         if res.stop_reason is StopReason.RESIDUE_NON_DECREASING:
             # a stalled run returns the previous iterate: after 0 steps the
             # empty support and a zero X
-            T, X, _ = unbatched_steps(Y, Phi, cfg, merge, refine,
+            T, X, _ = unbatched_steps(Y, Phi, cfg, merge, locks,
                                       res.iterations - 1)
         assert res.T_hat == T
         np.testing.assert_array_equal(res.X_hat.data, X.data)
@@ -503,8 +508,10 @@ def test_empty_prior_is_mmv_sp(seed, d, l_cols, gamma):
 def test_msp_refine_heavy_ties_match_two_pass_rule(K, d, data):
     """The refine, one stable sort over all chunks, picks what the two-pass
     rule picks: the s_c best prior chunks, then the s_bar - s_c best of
-    every chunk not already taken. Integer entries make most picks cross a
+    every chunk not already taken. cmsp's refine is that rule with nothing
+    locked, the s_bar best chunks. Integer entries make most picks cross a
     tie, which both rules give to the smaller index."""
+    algorithm = data.draw(st.sampled_from(pursuit.PRIOR_ALGORITHMS))
     s_bar = data.draw(st.integers(1, K))
     T0 = ChunkSupport.of(data.draw(st.lists(st.integers(1, K), unique=True,
                                             max_size=s_bar)), K)
@@ -519,9 +526,11 @@ def test_msp_refine_heavy_ties_match_two_pass_rule(K, d, data):
 
     def best(pool, k):
         return sorted(pool, key=lambda i: (-scores[i - 1], i))[:k]
-    locked = best(T0.indices, s_c)
-    want = sorted(locked + best(set(range(1, K + 1)) - set(locked), s_bar - s_c))
-    assert refine_step(pursuit._msp_refine, Z, cfg).indices == tuple(want)
+    n_locked = s_c if algorithm == "msp" else 0
+    locked = best(T0.indices, n_locked)
+    want = sorted(locked + best(set(range(1, K + 1)) - set(locked), s_bar - n_locked))
+    _, locks = pursuit._RULES[algorithm]
+    assert refine_step(locks, Z, cfg).indices == tuple(want)
 
 
 def _degenerate_problem(rng, case, d, l_cols):

@@ -192,6 +192,9 @@ def test_sequence_property(seed, s_bar, s_c):
     (lambda: chunk_support(ChunkSparseMatrix(np.zeros((4, 1)),
                                              ChunkIndexing(4, 1)), tol=np.nan),
      ValueError, "tol must be nonnegative, got nan"),
+    (lambda: chunk_support(ChunkSparseMatrix(np.zeros((4, 1)),
+                                             ChunkIndexing(4, 1)), tol=10 ** 400),
+     ValueError, r"^tol = 10{400} does not fit a float$"),
     (lambda: generate_chunk_sparse(4, 1, 0, [1], np.random.default_rng(0)),
      ValueError, "L must be positive, got 0"),
     (lambda: generate_chunk_sparse(4, 1, 1, [2.5], np.random.default_rng(0)),
