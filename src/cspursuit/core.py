@@ -18,6 +18,7 @@ validated matrices, and trust their caller to have checked them.
 """
 from __future__ import annotations
 
+import numbers
 import struct
 import sys
 from dataclasses import dataclass
@@ -108,17 +109,16 @@ def _whole_fields(obj, error=ValueError, **least) -> None:
 
 def _check_number(value, name: str, positive: bool = False,
                   finite: bool = False, error=ValueError) -> None:
-    """Refuse value with error naming it unless it compares >= 0, or with
-    positive unless 0 < value < inf, or with finite unless 0 <= value < inf;
-    nan, arrays, non-numbers and ints past every float never do."""
+    """Refuse value with error naming it unless a real number (a
+    numbers.Real, so no Decimal, which fails in float arithmetic) that
+    compares >= 0, or with positive unless 0 < value < inf, or with finite
+    unless 0 <= value < inf; nan, arrays and ints past every float never do."""
     try:
-        if np.ndim(value) == 0 and ((0 < value < np.inf) if positive
-                                    else (0 <= value < np.inf) if finite
-                                    else value >= 0):
+        if isinstance(value, numbers.Real) and ((0 < value < np.inf) if positive
+                                                else (0 <= value < np.inf) if finite
+                                                else value >= 0):
             float(value)  # an int past every float, which compares below inf
             return
-    except (TypeError, ValueError):  # ValueError: a ragged sequence
-        pass
     except OverflowError:
         raise error(f"{name} = {value!r} does not fit a float") from None
     if finite:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import _whole, _whole_fields
 from .errors import ConfigError, MetricError
-from .mimo import ALGORITHMS, MimoScenario, _estimate, _generate, _score
+from .mimo import ALGORITHMS, MimoScenario, _estimate, _generate, _prior_s_c, _score
 from .pursuit import PRIOR_ALGORITHMS
 
 __all__ = [
@@ -227,8 +227,10 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
     seed base_seed + t. Then their first frames are estimated once, as one
     batch, if an algorithm reads a prior, and their measured frames are
     estimated and scored as one batch per algorithm: by the PRIOR_ALGORITHMS
-    at every member and by the others once. Only one block's data are held
-    at a time."""
+    at every member and by the others once. A member whose prior s_c is 0
+    on every problem of the block runs the PRIOR_ALGORITHMS as the mmv_sp
+    they equal there, shared with mmv_sp. Only one block's data are held at
+    a time."""
     positions = list(enumerate(config.sweep_values))
     pinned = config.sweep_axis == "believed_s_c"
     points = ([(config, positions)] if pinned else
@@ -252,20 +254,24 @@ def run_sweep(config: ExperimentConfig, noise: bool = True) -> list[ResultRow]:
             if reads_prior:
                 T0 = _estimate(scenario, *first[2:], "mmv_sp", T0, gamma, None).T
             del first, H_a  # frame 1 gave its supports, and H_a is never read
-            shared = {}  # columns of the algorithms that read no prior
+            shared = {}  # columns of the runs that read no prior
             for position, believed_s_c in members:
+                # a prior pursuit handed s_c = 0 locks nothing: it is mmv_sp
+                locks = _prior_s_c(scenario, T0, truth, believed_s_c).any()
                 for algorithm in config.algorithms:
+                    run = ("mmv_sp" if algorithm in PRIOR_ALGORITHMS and not locks
+                           else algorithm)
                     try:
-                        columns = shared.get(algorithm) or _score(
+                        columns = shared.get(run) or _score(
                             scenario, H, truth, _estimate(scenario, Y, Phi, truth,
-                                                          algorithm, T0, gamma,
+                                                          run, T0, gamma,
                                                           believed_s_c))
                     except MetricError as err:
                         where = _nmse_at(config, config.sweep_values[position],
                                          algorithm)
                         raise MetricError(f"{err} ({where})") from None
-                    if algorithm not in PRIOR_ALGORITHMS:
-                        shared[algorithm] = columns
+                    if run not in PRIOR_ALGORITHMS:
+                        shared[run] = columns
                     last.setdefault((position, algorithm), []).append(columns)
     return [_summary_row(config, value, algorithm,
                          *map(np.concatenate, zip(*last[position, algorithm])))

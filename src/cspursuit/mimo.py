@@ -11,8 +11,11 @@ matrix, recovered with a pursuit, and mapped back to the antenna domain.
 Blocks of trials run as arrays through three kernels, _generate, _estimate
 and _score. run_frame_sequence checks its arguments once and drives them
 frame by frame on one trial; the harness drives them on blocks of trials.
-simulate_frames is the generator's one-trial case. Stacked products and
-norms equal the one-matrix ones bit for bit, as tests check.
+simulate_frames is the generator's one-trial case. The generator's trial
+loop only draws, each trial's numbers in its stream order, and each frame's
+arrays are then built once for the whole block, Phi in the block's own
+buffers with no Theta-sized temporary. Stacked products and norms equal the
+one-matrix ones bit for bit, as tests check.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ from .core import (ChunkSupport, _check_number, _check_power, _check_rng,
                    as_matrix)
 from .errors import DimensionError, GenerationError, MetricError
 from .pursuit import PRIOR_ALGORITHMS, StopReason, _Batch, _genie, _run_pursuit
-from .sparsity import SupportEvolutionParams, _complex_gaussian, _support_masks
+from .sparsity import (SupportEvolutionParams, _complex_from, _complex_gaussian,
+                       _support_masks)
 
 __all__ = [
     "MimoScenario",
@@ -117,11 +121,13 @@ def _synthesis(H_a: np.ndarray) -> np.ndarray:
     return dft_unitary(n) @ H_a @ dft_unitary(m).conj().T
 
 
-def _cs_problem(Z: np.ndarray, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, Phi) = (Z^H U, sqrt(M/T) Theta^H V)."""
-    (n, t), m = Z.shape[-2:], Theta.shape[-2]
+def _cs_problem(Z: np.ndarray, Theta_H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, Phi) = (Z^H U, sqrt(M/T) Theta^H V) from the pilots' conjugate
+    transpose Theta_H, Phi scaled in place."""
+    (n, t), m = Z.shape[-2:], Theta_H.shape[-1]
     Y = Z.conj().swapaxes(-1, -2) @ dft_unitary(n)
-    Phi = np.sqrt(m / t) * (Theta.conj().swapaxes(-1, -2) @ dft_unitary(m))
+    Phi = Theta_H @ dft_unitary(m)
+    np.multiply(np.sqrt(m / t), Phi, out=Phi)
     return Y, Phi
 
 
@@ -166,7 +172,7 @@ def to_cs_problem(Z, Theta, P: float) -> tuple[np.ndarray, np.ndarray, float]:
         raise DimensionError(f"Z {Z.shape} and Theta {Theta.shape} must be "
                              "nonempty N_ue x T and M x T")
     _check_power(P, t)
-    return (*_cs_problem(Z, Theta), float(np.sqrt(P * t / m)))
+    return (*_cs_problem(Z, Theta.conj().T), float(np.sqrt(P * t / m)))
 
 
 def recover_channel(X_hat, P: float, T: int) -> np.ndarray:
@@ -215,23 +221,38 @@ def default_gamma(N_ue: int, T: int) -> float:
 def _generate(scenario: MimoScenario, rngs, n_frames: int, noise: bool = True,
               pinned: bool = False) -> list[tuple[np.ndarray, ...]]:
     """simulate_frames of a block of trials, trial b from rngs[b]: per frame
-    (H_a, H, Y, Phi, true support mask), each stacked over the trials."""
+    (H_a, H, Y, Phi, true support mask), each stacked over the trials.
+
+    The trial loop only draws, in simulate_frames' stream order: the
+    supports, then per frame the path gains' real and imaginary parts, the
+    pilot signs and the noise's parts. Each frame's arrays are then built
+    once for the block: the gains assembled in (trial, chunk) order into
+    H_a, the synthesis, one pilot lookup, Z, Y and Phi, whose pilots are
+    conjugated in place once Z is formed."""
     m, n, t, B = scenario.M, scenario.N_ue, scenario.T, len(rngs)
     truth = np.zeros((n_frames, B, m), dtype=bool)
-    H_a = np.zeros((n_frames, B, n, m), dtype=np.complex128)
-    draws = np.empty((n_frames, B, m, t), dtype=np.int8)  # 0/1 pilot signs
-    W = np.zeros((n_frames, B, n, t), dtype=np.complex128)
+    gains = [[] for _ in range(n_frames)]  # per frame, each trial's (2, n, k)
+    # 0/1 pilot signs, stored as intp: the lookup would copy any other index
+    draws = np.empty((n_frames, B, m, t), dtype=np.intp)
+    parts = np.empty((n_frames, B, 2, n, t))  # the noise's real, imag parts
     for b, rng in enumerate(rngs):
         truth[:, b] = _support_masks(scenario.evolution, n_frames, rng, pinned)
-        for f in range(n_frames):
-            H_a[f, b][:, truth[f, b]] = _complex_gaussian(rng, (n, truth[f, b].sum()))
+        for f, k in enumerate(truth[:, b].sum(axis=1).tolist()):
+            gains[f].append(rng.standard_normal((2, n, k)))
             draws[f, b] = rng.integers(0, 2, size=(m, t))
-            W[f, b] = _complex_gaussian(rng, (n, t)) if noise else 0
+            if noise:
+                rng.standard_normal(out=parts[f, b])
     pilots, frames = _pilot_values(np.arange(2), m), []
     for f in range(n_frames):
-        H, Theta = _synthesis(H_a[f]), pilots[draws[f]]
-        frames.append((H_a[f], H, *_cs_problem(np.sqrt(scenario.P) * H @ Theta
-                                               + W[f], Theta), truth[f]))
+        H_a = np.zeros((B, n, m), dtype=np.complex128)
+        H_a.transpose(0, 2, 1)[truth[f]] = _complex_from(
+            np.concatenate(gains[f], axis=2)).T
+        H, Theta = _synthesis(H_a), pilots[draws[f]]
+        Z = np.sqrt(scenario.P) * H @ Theta
+        # W = 0 is added too: it turns any -0 entry of Z into +0
+        Z += _complex_from(parts[f].swapaxes(0, 1)) if noise else 0.0
+        np.conjugate(Theta, out=Theta)
+        frames.append((H_a, H, *_cs_problem(Z, Theta.swapaxes(-1, -2)), truth[f]))
     return frames
 
 
@@ -249,6 +270,15 @@ def simulate_frames(scenario: MimoScenario, n_frames: int,
     return [(ChannelFrame(H=H[0], H_a=H_a[0], T_true=_support(truth[0])), Y[0], Phi[0])
             for H_a, H, Y, Phi, truth in _generate(scenario, [rng], n_frames,
                                                    noise, pinned)]
+
+
+def _prior_s_c(scenario: MimoScenario, T0: np.ndarray, truth: np.ndarray,
+               believed_s_c: Optional[int]) -> np.ndarray:
+    """The s_c of each problem a prior pursuit is handed, from the (B, M)
+    prior and true masks: the scenario's s_c clamped to |T0 ∩ T|, or a
+    told believed_s_c clamped to |T0|."""
+    cap = (T0 if believed_s_c is not None else T0 & truth).sum(axis=1)
+    return np.minimum(scenario.s_c if believed_s_c is None else believed_s_c, cap)
 
 
 def _estimate(scenario: MimoScenario, Y: np.ndarray, Phi: np.ndarray,
@@ -272,8 +302,7 @@ def _estimate(scenario: MimoScenario, Y: np.ndarray, Phi: np.ndarray,
                       run.iterations.reshape(B, n).mean(axis=1), np.full(B, None),
                       run.deficient.reshape(B, n).any(axis=1), None)
     reads = algorithm in PRIOR_ALGORITHMS  # the others run under the empty prior
-    cap = (T0 if believed_s_c is not None else T0 & truth).sum(axis=1)
-    s_c = np.minimum(scenario.s_c if believed_s_c is None else believed_s_c, cap)
+    s_c = _prior_s_c(scenario, T0, truth, believed_s_c)
     return _run_pursuit(algorithm, Y, Phi, T0 & reads, s_c[:, None] * reads,
                         np.full(B, gamma), scenario.s_bar)
 

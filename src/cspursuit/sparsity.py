@@ -85,10 +85,16 @@ def chunk_support(X: ChunkSparseMatrix, tol: float = 0.0) -> ChunkSupport:
     return _support(_chunk_norms(X.data, X.idx.d) > tol)
 
 
+def _complex_from(parts: np.ndarray) -> np.ndarray:
+    """(real + 1j imag) / sqrt(2) of standard normal parts stacked (2, ...)
+    as (real, imag): the one assembly of a complex Gaussian draw."""
+    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+
+
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draw: real part, then
-    imaginary part, each scaled by 1/sqrt(2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Unit-variance circular complex Gaussian draw: real parts, then
+    imaginary parts, drawn as one (2, *shape) array."""
+    return _complex_from(rng.standard_normal((2, *shape)))
 
 
 def generate_chunk_sparse(K: int, d: int, L: int, T: Iterable[int],

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -714,6 +716,18 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
     (lambda: msp_distortion_bound(msp_constants(0, 0, 0, s_bar=2, t0_size=2, s_c=1),
                                   10 ** 400, 0.1),
      BoundPreconditionError, r"^gamma = 10{400} does not fit a float$"),
+    # a Decimal is no numbers.Real: as a bound's gamma it compared with 0
+    # and inf and then raised a bare TypeError in the float arithmetic, and
+    # the one number check refuses it at every argument it reads
+    (lambda: channel_recovery_bound(0.1, 6.0, Decimal("0.5"), M=64, N_ue=2, T=24,
+                                    P=1.0),
+     BoundPreconditionError,
+     re.escape("gamma = Decimal('0.5') is negative or not finite")),
+    (lambda: msp_constants(Decimal("0.1"), 0.1, 0.1, 2, 2, 1), RipViolationError,
+     re.escape("delta_s_bar must be nonnegative, got Decimal('0.1')")),
+    (lambda: channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24,
+                                    P=Decimal("1")),
+     ValueError, re.escape("P must be positive and finite, got Decimal('1')")),
     (lambda: msp_distortion_bound(_LACKING_C1, 1.0, 0.1),
      BoundPreconditionError, "lack a term of cmsp_constants"),
     (lambda: msp_convergence_bound(_LACKING_C1, 1.0, 0.1, 1.0),
@@ -809,3 +823,13 @@ _MSP = msp_constants(0.0, 0.05, 0.1, s_bar=2, t0_size=2, s_c=1)
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):
         call()
+
+
+@pytest.mark.parametrize("real", [Fraction(1, 2), np.float64(0.5), np.float32(0.5)])
+def test_real_numbers_that_are_not_floats_are_taken(real):
+    # the number check refuses a Decimal but takes every real number
+    want = channel_recovery_bound(0.1, 6.0, 0.5, M=64, N_ue=2, T=24, P=1.0)
+    assert channel_recovery_bound(0.1, 6.0, real, M=64, N_ue=2, T=24,
+                                  P=real * 2) == want
+    assert msp_constants(real / 10, 0.1, 0.1, 2, 2, 1) == msp_constants(
+        float(real / 10), 0.1, 0.1, 2, 2, 1)

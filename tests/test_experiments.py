@@ -464,11 +464,30 @@ class TestTrialSharing:
         assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
 
     def test_mismatch_estimates_first_frame_once(self, monkeypatch):
+        # told 0, msp locks nothing and runs as the shared mmv_sp
         calls = self._count_problems(monkeypatch, "msp")
         cfg = small_config(sweep_axis="believed_s_c", sweep_values=(0, 1, 1),
                            algorithms=ALGORITHMS)
         run_sweep(cfg)
-        assert len(calls) == cfg.n_trials * len(cfg.sweep_values)
+        assert len(calls) == cfg.n_trials * sum(v > 0 for v in cfg.sweep_values)
+
+    def test_prior_pursuits_at_s_c_zero_share_one_run(self, monkeypatch):
+        # at s_c = 0 msp and cmsp lock nothing and equal mmv_sp bit for bit,
+        # so the point runs one frame-2 pursuit, as mmv_sp, for all three
+        runs = []
+        original = mimo._run_pursuit
+
+        def recording(algorithm, *args, **kwargs):
+            runs.append(algorithm)
+            return original(algorithm, *args, **kwargs)
+        monkeypatch.setattr(mimo, "_run_pursuit", recording)
+        cfg = small_config(sweep_axis="s_c", sweep_values=(0, 1),
+                           algorithms=("msp", "cmsp", "mmv_sp"), n_trials=5)
+        rows = run_sweep(cfg)
+        # per point, frame 1's mmv_sp, then the measured frame's runs
+        assert runs == ["mmv_sp", "mmv_sp", "mmv_sp", "msp", "cmsp", "mmv_sp"]
+        at_zero = [fields[2:] for fields in self._fields(rows[:3])]
+        assert at_zero[0] == at_zero[1] == at_zero[2]
 
     def test_mismatch_estimates_prior_free_algorithms_once(self, monkeypatch):
         # genie, sp and mmv_sp read no prior, so the believed value cannot

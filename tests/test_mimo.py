@@ -1,7 +1,9 @@
 """Tests for the angular-domain channel model and the frame simulation loop."""
 import hashlib
+import itertools
 import re
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -100,6 +102,25 @@ class TestChannelModel:
         H_back = recover_channel(X, scen.P, scen.T)
         rel = frobenius(frame.H - H_back) / frobenius(frame.H)
         assert rel <= 1e-12
+
+    def test_read_only_inputs_are_taken_and_kept(self):
+        # Phi is scaled in place, in a buffer of its own: no public entry
+        # writes into its caller's arrays
+        scen = make_scenario()
+        rng = np.random.default_rng(6)
+        frame = generate_channel(scen, ChunkSupport.of([2, 6], scen.M), rng)
+        Theta = generate_pilots(scen.M, scen.T, rng)
+        Z = np.sqrt(scen.P) * frame.H @ Theta
+        X = np.sqrt(scen.P * scen.T / scen.M) * frame.H_a.conj().T
+        inputs = (Z, Theta, X, frame.H)
+        kept = [a.copy() for a in inputs]
+        for a in inputs:
+            a.setflags(write=False)
+        Y, Phi, _ = to_cs_problem(Z, Theta, scen.P)
+        H_hat = recover_channel(X, scen.P, scen.T)
+        assert nmse([(frame.H, H_hat)]) <= 1e-24
+        assert Phi.flags.writeable and not np.shares_memory(Phi, Theta)
+        assert all(_same_bits(a, b) for a, b in zip(inputs, kept))
 
     @pytest.mark.parametrize("fn, args", [
         (to_cs_problem, (np.ones((0, 4)), np.ones((8, 4)), 1.0)),
@@ -485,6 +506,27 @@ class TestBlockKernels:
                     assert all(_same_bits(a, c) for a, c in (
                         (got[0].H, channel.H), (got[1], Y1), (got[2], Phi1)))
 
+    # sha256 of _generate's frames (H_a, H, Y, Phi, truth: dtype, shape and
+    # C-order bytes) at M 64 and 48, every (noise, pinned) pair, B 1, 3 and
+    # 7, T 8 and 12 and 1 or 3 frames, trial b of a block from seed 10 B + b
+    GENERATOR_DIGEST = "58abb79c27f3a0be2b9fbb554ca91372be6aa177292709c113dad19fa67e11e7"
+
+    def test_seeded_generator_bytes(self):
+        digest = hashlib.sha256()
+        for M, (noise, pinned), B, T, n_frames in itertools.product(
+                (64, 48), itertools.product((True, False), repeat=2), (1, 3, 7),
+                (8, 12), (1, 3)):
+            scen = self._scenario(T, 25, M)
+            rngs = [np.random.default_rng(10 * B + b) for b in range(B)]
+            for frame in mimo._generate(scen, rngs, n_frames, noise, pinned):
+                for a in frame:
+                    digest.update(repr((a.dtype.str, a.shape)).encode())
+                    digest.update(a.tobytes(order="C"))
+        assert digest.hexdigest() == self.GENERATOR_DIGEST, (
+            "the generator's seeded frames moved; a numpy or BLAS upgrade can "
+            "move them, and an intended change of the random stream or of the "
+            "frames' arithmetic must update this digest")
+
     @pytest.mark.parametrize("M", [3, 48, 64, 200])
     def test_pilot_lookup_matches_pilot_values(self, M):
         # the generator looks each 0/1 draw up among the two pilot values
@@ -549,6 +591,16 @@ def _estimate_believing(believed_s_c):
     (lambda: run_frame_sequence(MimoScenario(16, 2, 8, 100.0, 3, 1), 1, "msp",
                                 np.random.default_rng(0), gamma=10 ** 400),
      ValueError, r"^gamma = 10{400} does not fit a float$"),
+    # a Decimal is no numbers.Real: as P it was taken and then raised a bare
+    # TypeError in the complex arithmetic; the number check refuses it as
+    # gamma too
+    (lambda: MimoScenario(16, 2, 8, Decimal("100"), 3, 1), ValueError,
+     re.escape("P must be positive and finite, got Decimal('100')")),
+    (lambda: run_frame_sequence(MimoScenario(16, 2, 8, 100.0, 3, 1), 1, "msp",
+                                np.random.default_rng(0), gamma=Decimal("1")),
+     ValueError, re.escape("gamma must be nonnegative, got Decimal('1')")),
+    (lambda: recover_channel(np.ones((4, 2)), Decimal("1"), 3), ValueError,
+     re.escape("P must be positive and finite, got Decimal('1')")),
 ])
 def test_guards(call, error, pattern):
     with pytest.raises(error, match=pattern):

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -347,6 +349,13 @@ class TestValidation:
         # an int past every float was taken, and the run stopped at once
         with pytest.raises(ValueError, match=r"^gamma = 10{400} does not fit a float$"):
             PursuitConfig(s_bar=1, prior=prior, gamma=10 ** 400)
+        # a Decimal is no numbers.Real, which the one number check asks for
+        with pytest.raises(ValueError,
+                           match=r"^gamma must be nonnegative, got Decimal\('1'\)$"):
+            PursuitConfig(s_bar=1, prior=prior, gamma=Decimal("1"))
+        # real numbers that are not floats are taken
+        for gamma in (Fraction(1, 2), np.float32(0.5), np.int64(1)):
+            assert PursuitConfig(s_bar=1, prior=prior, gamma=gamma).gamma == gamma
 
     def test_prior_larger_than_budget(self):
         prior = PriorSupportInfo(ChunkSupport.of([1, 2, 3, 4], 8), s_c=1)
